@@ -97,8 +97,11 @@ class DTEngine(Engine):
     def register_batch(self, queries: Iterable[Query]) -> None:
         """Register many queries at once with a single merge.
 
-        Equivalent to repeated ``register`` calls but builds one tree,
-        which reproduces the paper's static scenario (all queries present
+        Follows the same Eq. (8) rule as ``register``, with all ``k``
+        queries entering together: only the slots the rule picks are
+        merged, so a small batch on a loaded engine builds a small tree.
+        On an empty engine it builds one tree holding every query, which
+        reproduces the paper's static scenario (all queries present
         before the first element) at construction cost ``O(m log m)``.
         """
         new_entries: List[Tuple[Query, int, int]] = []
@@ -112,7 +115,7 @@ class DTEngine(Engine):
         if new_entries:
             self._bulk_flush()
             self._bulk_epoch += 1
-            self._merge_into_slot(new_entries, merge_all=True)
+            self._merge_into_slot(new_entries)
 
     def restore_entries(self, entries: Iterable) -> None:
         """Checkpoint restore: one merge over re-based thresholds.
@@ -142,48 +145,31 @@ class DTEngine(Engine):
         if rebased:
             self._bulk_flush()
             self._bulk_epoch += 1
-            self._merge_into_slot(rebased, merge_all=True)
+            self._merge_into_slot(rebased)
 
-    def _merge_into_slot(
-        self,
-        new_entries: List[Tuple[Query, int, int]],
-        merge_all: bool = False,
-    ) -> None:
+    def _merge_into_slot(self, new_entries: List[Tuple[Query, int, int]]) -> None:
         """Merge lower trees plus ``new_entries`` into one rebuilt slot.
 
-        Implements Eq. (8): the target slot ``s`` (0-based; ``j = s + 1``)
-        is the smallest whose capacity ``2^s`` can absorb the new queries
-        plus everything alive in slots ``0..s``.  With ``merge_all`` every
-        existing tree participates (used for batch registration), and the
-        slot is the smallest capacity that fits the grand total.
+        Implements Eq. (8) for ``k = len(new_entries)`` queries at once:
+        the target slot ``s`` (0-based; ``j = s + 1``) is the smallest
+        with ``k + sum_{i<=s} m_alive(i) <= 2^s``, empty and missing
+        slots counting 0.  On an empty engine that is the smallest
+        capacity that fits all ``k``.
         """
         trees = self._trees
-        total = len(new_entries)
-        slot = None
-        if merge_all:
-            for tree in trees:
-                if tree is not None:
-                    total += tree.alive
-            slot = 0
-            while (1 << slot) < total:
-                slot += 1
-            merged_upto = len(trees)
-        else:
-            cumulative = total
-            for s in range(len(trees)):
-                tree = trees[s]
-                cumulative += tree.alive if tree is not None else 0
-                if cumulative <= (1 << s):
-                    slot = s
-                    break
-            if slot is None:
-                slot = len(trees)
-            merged_upto = slot + 1
+        cumulative = len(new_entries)
+        slot = 0
+        while True:
+            if slot < len(trees) and trees[slot] is not None:
+                cumulative += trees[slot].alive
+            if cumulative <= (1 << slot):
+                break
+            slot += 1
 
         # Collect alive queries (with re-based thresholds) from the merged
         # prefix, then discard those trees.
         entries = list(new_entries)
-        for s in range(min(merged_upto, len(trees))):
+        for s in range(min(slot + 1, len(trees))):
             tree = trees[s]
             if tree is None:
                 continue

@@ -32,8 +32,7 @@ from ..dt.reliable import (
     TRANSPORT_OVERHEAD_SLACK,
     ReliableChannel,
 )
-from ..shard.executor import SerialExecutor
-from ..shard.supervisor import SupervisedExecutor
+from ..shard.executor import ParallelExecutor, SerialExecutor
 from ..shard.system import ShardedRTSSystem
 from ..structures.heap import AddressableMinHeap, ScanMinList
 from ..structures.interval_tree import CenteredIntervalTree
@@ -957,7 +956,7 @@ def validate_sharded_system(
                     context=_ctx(shard=shard),
                 )
             yield from collect(shard_system, level)
-    if isinstance(executor, SupervisedExecutor):
+    if isinstance(executor, ParallelExecutor):
         for shard, st in enumerate(executor._states):
             if st.orphans:
                 yield Violation(

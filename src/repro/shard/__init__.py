@@ -9,9 +9,11 @@ for supervision, ``docs/ROBUSTNESS.md``):
   :class:`SpatialGridPolicy`, plus the :func:`make_policy` /
   :func:`available_policies` registry.
 * Shard executors — :class:`SerialExecutor` (in-process determinism
-  oracle), :class:`ParallelExecutor` (persistent worker processes), and
-  :class:`SupervisedExecutor` (crash detection, retry/backoff, replay
-  recovery), plus :func:`make_executor` / :func:`available_executors`.
+  oracle) and :class:`ParallelExecutor` (persistent worker processes,
+  with deadlines, restart and replay recovery built in but restarts
+  off by default).  :class:`SupervisedExecutor` is its preset with
+  restarts on.  :func:`make_executor` / :func:`available_executors`
+  map the ``"serial"``, ``"parallel"`` and ``"supervised"`` names.
 * Structured failures — :class:`ShardRPCError` (per-call shard/op
   attribution) and :class:`ShardFailedError` (restart budget exhausted),
   and the :class:`ShardFaultPlan` seeded fault-injection schedule.

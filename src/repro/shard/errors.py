@@ -5,15 +5,17 @@ exceptions — a ``BrokenProcessPool`` with no hint of *which* shard died
 or *what* it was doing.  These types carry that attribution:
 
 :class:`ShardRPCError`
-    One RPC to one shard failed.  Raised by :class:`ParallelExecutor`
-    for any worker-call failure, and by :class:`SupervisedExecutor` for
-    worker-side application errors (which no restart can fix) and for
-    calls that reach a quarantined shard.
+    One RPC to one shard failed.  Raised by
+    :class:`~repro.shard.executor.ParallelExecutor` for worker-side
+    application errors (which no restart can fix) and for calls that
+    reach a quarantined shard.
 
 :class:`ShardFailedError`
-    A shard exhausted its restart budget under
-    ``on_shard_failure="fail"``.  Carries the restart count and the
-    final cause so the operator log shows the whole escalation.
+    A :class:`ShardRPCError` for a shard that died past its restart
+    budget under ``on_shard_failure="fail"``.  Carries the restart count
+    and the final cause so the operator log shows the whole escalation.
+    With restarts off (the ``"parallel"`` default) the first worker
+    death raises it.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ class ShardRPCError(ShardError):
         super().__init__(f"shard {shard}: {op} RPC failed: {cause!r}")
 
 
-class ShardFailedError(ShardError):
+class ShardFailedError(ShardRPCError):
     """A shard died for good: its restart budget is exhausted.
 
-    Raised by :class:`~repro.shard.supervisor.SupervisedExecutor` under
+    Raised by :class:`~repro.shard.executor.ParallelExecutor` under
     ``on_shard_failure="fail"``; under ``"degrade"`` the shard is
     quarantined with loss accounting instead (see ``docs/ROBUSTNESS.md``,
     "Shard supervision").
@@ -65,11 +67,9 @@ class ShardFailedError(ShardError):
         restarts: int,
         cause: Optional[BaseException],
     ):
-        self.shard = shard
-        self.op = op
+        super().__init__(shard, op, cause)
         self.restarts = restarts
-        self.cause = cause
-        super().__init__(
+        self.args = (
             f"shard {shard} failed permanently after {restarts} restart(s); "
-            f"last failure during {op}: {cause!r}"
+            f"last failure during {op}: {cause!r}",
         )

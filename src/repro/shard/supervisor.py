@@ -1,35 +1,10 @@
-"""Supervised shard execution: crash detection, retry/backoff, replay recovery.
+"""Shard fault injection and the ``"supervised"`` executor preset.
 
-:class:`SupervisedExecutor` wraps the pool mechanics of
-:class:`~repro.shard.executor.ParallelExecutor` in a supervision layer
-so a shard worker's death no longer kills the whole sharded system:
-
-* **Deadlines and retry.**  Every worker RPC waits under a configurable
-  deadline.  An expired wait is retried with a deterministic,
-  exponentially growing window (``rpc_timeout · 2^attempt``, bounded by
-  ``rpc_retries`` extra attempts); exhaustion escalates to a restart,
-  exactly as a ``BrokenProcessPool`` from a crashed worker does.
-* **Restart and replay.**  The supervisor keeps, per shard, a periodic
-  ``rts-snapshot-v1`` checkpoint (every ``snapshot_every`` completed
-  batches) plus a parent-side *journal* of the operations applied since
-  — routed slices, registrations, terminations, in order.  On worker
-  death it rebuilds the pool, restores the checkpoint through the
-  proven engine-agnostic path (``docs/ROBUSTNESS.md``), replays the
-  journal, then re-submits the failed call.  Because the replayed
-  worker reaches exactly the pre-crash state, the re-submitted batch
-  emits exactly the fault-free events — maturity decisions are
-  decision-for-decision identical to a run with no faults.
-* **Exactly-once.**  Events re-derived *during* replay were already
-  emitted before the crash; the supervisor suppresses them against a
-  per-shard set of emitted event keys (the same dedup discipline as
-  ``dt/reliable.py``'s receiver watermark).  A replayed event *not* in
-  that set is counted as a replay orphan — the sanitizer's
-  ``shard-replay-exactly-once`` invariant requires zero.
-* **Escalation.**  After ``max_restarts`` failed recoveries a shard is
-  escalated per ``on_shard_failure``: ``"fail"`` raises a structured
-  :class:`~repro.shard.errors.ShardFailedError`; ``"degrade"``
-  quarantines the shard — subsequent slices are dropped with explicit
-  loss accounting (see :meth:`SupervisedExecutor.supervision`).
+Supervision itself — RPC deadlines with retry, restart with checkpoint
+and journal replay, exactly-once event suppression, quarantine — lives
+in :class:`~repro.shard.executor.ParallelExecutor`, whose defaults turn
+restarts off.  :class:`SupervisedExecutor` is the preset that turns them
+on: a 30 s RPC deadline and three restarts per shard.
 
 Fault injection for tests and the chaos harness is seeded and
 in-worker: a :class:`ShardFaultPlan` (the shard-layer analogue of
@@ -46,16 +21,10 @@ semantics and the determinism contract across restarts.
 from __future__ import annotations
 
 import random
-import time
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..obs.observer import NULL_OBS
-from ..obs.profiler import PhaseProfiler
-from .errors import ShardError, ShardFailedError, ShardRPCError
-from .executor import ShardExecutor, ShardOutcome
-from .wire import EventKey, ShardSlice, encode_queries
+from .executor import ParallelExecutor
 
 __all__ = ["ShardFaultPlan", "SupervisedExecutor"]
 
@@ -148,111 +117,11 @@ class ShardFaultPlan:
         )
 
 
-class _WorkerDeath(Exception):
-    """Internal: a shard worker crashed or stopped answering."""
+class SupervisedExecutor(ParallelExecutor):
+    """:class:`~repro.shard.executor.ParallelExecutor` with restarts on.
 
-    def __init__(self, kind: str, cause: BaseException):
-        self.kind = kind  # "crash" | "hang"
-        self.cause = cause
-        super().__init__(f"worker {kind}: {cause!r}")
-
-
-class _ShardState:
-    """Supervision bookkeeping for one shard."""
-
-    __slots__ = (
-        "pool",
-        "config",
-        "base_snapshot",
-        "journal",
-        "emitted",
-        "batches",
-        "since_snapshot",
-        "restarts",
-        "replayed",
-        "timeouts",
-        "orphans",
-        "quarantined",
-        "failure",
-        "loss",
-        "crash_at",
-        "hang_at",
-        "slow_at",
-    )
-
-    def __init__(self, config: dict):
-        self.pool = None
-        self.config = dict(config)
-        #: Last committed rts-snapshot-v1 blob (the restart base).
-        self.base_snapshot: Optional[dict] = None
-        #: Completed ops since the base snapshot, in application order.
-        self.journal: List[tuple] = []
-        #: Event keys emitted since the base snapshot (replay dedup).
-        self.emitted: Set[EventKey] = set()
-        #: Fresh-batch ordinal (fault ticks key on this).
-        self.batches = 0
-        self.since_snapshot = 0
-        self.restarts = 0
-        self.replayed = 0
-        self.timeouts = 0
-        #: Replayed events never emitted pre-crash (must stay 0).
-        self.orphans = 0
-        self.quarantined = False
-        self.failure: Optional[str] = None
-        #: Explicit loss accounting for a quarantined shard.
-        self.loss: Dict[str, int] = {
-            "batches": 0,
-            "elements": 0,
-            "registers": 0,
-            "terminates": 0,
-        }
-        self.crash_at: Set[int] = set()
-        self.hang_at: Set[int] = set()
-        self.slow_at: Set[int] = set()
-
-
-def _kill_pool(pool) -> None:
-    """Tear down a pool whose worker may be dead or unresponsive."""
-    if pool is None:
-        return
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
-        try:
-            proc.kill()
-        except Exception:
-            pass  # already gone
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-class SupervisedExecutor(ShardExecutor):
-    """Fault-tolerant parallel executor: per-shard restart + journal replay.
-
-    Parameters
-    ----------
-    mp_context:
-        ``multiprocessing`` start-method name, as for
-        :class:`~repro.shard.executor.ParallelExecutor`.
-    rpc_timeout:
-        Seconds a worker RPC may take before its wait is retried; None
-        disables deadlines (crash detection via ``BrokenProcessPool``
-        still applies).  Each retry doubles the window.
-    rpc_retries:
-        Extra waits after the first expiry before the worker is treated
-        as hung and restarted.
-    backoff_base / backoff_cap:
-        Deterministic exponential backoff slept before restart attempt
-        ``i``: ``min(backoff_base · 2^(i-1), backoff_cap)`` seconds.
-    max_restarts:
-        Per-shard restart budget; exceeding it escalates.
-    on_shard_failure:
-        ``"fail"`` raises :class:`ShardFailedError`; ``"degrade"``
-        quarantines the shard with loss accounting.
-    snapshot_every:
-        Completed fresh batches between periodic per-shard checkpoints
-        (bounds journal length and replay work).
-    faults:
-        Optional :class:`ShardFaultPlan` injected into the workers (test
-        and chaos-harness hook).
+    Takes the same options; only the defaults of ``rpc_timeout`` (30 s)
+    and ``max_restarts`` (3) differ.
     """
 
     name = "supervised"
@@ -260,507 +129,11 @@ class SupervisedExecutor(ShardExecutor):
     def __init__(
         self,
         mp_context: Optional[str] = None,
+        *,
         rpc_timeout: Optional[float] = 30.0,
-        rpc_retries: int = 2,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         max_restarts: int = 3,
-        on_shard_failure: str = "fail",
-        snapshot_every: int = 16,
-        faults: Optional[ShardFaultPlan] = None,
+        **options,
     ) -> None:
-        if rpc_timeout is not None and rpc_timeout <= 0:
-            raise ValueError("rpc_timeout must be positive or None")
-        if rpc_retries < 0 or max_restarts < 0:
-            raise ValueError("rpc_retries and max_restarts must be >= 0")
-        if backoff_base < 0 or backoff_cap < 0:
-            raise ValueError("backoff must be non-negative")
-        if on_shard_failure not in ("fail", "degrade"):
-            raise ValueError(
-                "on_shard_failure must be 'fail' or 'degrade', "
-                f"got {on_shard_failure!r}"
-            )
-        if snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
-        self._mp_context = mp_context
-        self.rpc_timeout = rpc_timeout
-        self.rpc_retries = rpc_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.max_restarts = max_restarts
-        self.on_shard_failure = on_shard_failure
-        self.snapshot_every = snapshot_every
-        self.faults = faults
-        self._states: List[_ShardState] = []
-        self._obs = NULL_OBS
-        self._profiler = PhaseProfiler(NULL_OBS)
-
-    # -- wiring ------------------------------------------------------------
-
-    def bind_observability(self, obs) -> None:
-        """Attach the parent system's telemetry sink (restart metrics,
-        replay counters, and ``recover``-phase timings land there)."""
-        self._obs = obs
-        self._profiler = PhaseProfiler(obs)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(
-        self, configs: List[dict], snapshots: Optional[List[dict]] = None
-    ) -> None:
-        self.close()
-        states = [_ShardState(config) for config in configs]
-        if self.faults is not None:
-            for k, st in enumerate(states):
-                st.crash_at = set(self.faults.crash.get(k, ()))
-                st.hang_at = set(self.faults.hang.get(k, ()))
-                st.slow_at = set(self.faults.slow.get(k, ()))
-        self._states = states
-        try:
-            for k, st in enumerate(states):
-                if snapshots is not None:
-                    st.base_snapshot = snapshots[k]
-                st.pool = self._make_pool(k)
-            # A fresh start has no checkpoint yet; take one immediately so
-            # every restart goes through the same restore+replay path.
-            for k, st in enumerate(states):
-                if st.base_snapshot is None:
-                    st.base_snapshot = self._call(
-                        k, "snapshot", self._snapshot_submit
-                    )
-        except BaseException:
-            self.close()
-            raise
-
-    def close(self) -> None:
-        """Shut down every shard pool; idempotent and exception-safe.
-
-        Each state's pool is detached before shutdown, so a second
-        ``close()`` is a no-op and one failing ``shutdown()`` cannot
-        abort teardown of the remaining pools (the first error is
-        re-raised once all pools have been offered teardown).  The
-        per-shard states are retained: supervision tallies
-        (:meth:`supervision`, ``restarts_total`` & co.) stay readable
-        after close.
-        """
-        first_error: Optional[BaseException] = None
-        for st in self._states:
-            pool, st.pool = st.pool, None
-            if pool is None:
-                continue
-            try:
-                pool.shutdown(wait=True, cancel_futures=True)
-            except Exception as exc:
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-
-    def _make_pool(self, shard: int):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        from . import worker
-
-        st = self._states[shard]
-        ctx = (
-            multiprocessing.get_context(self._mp_context)
-            if self._mp_context is not None
-            else None
-        )
-        config = dict(st.config)
-        config.pop("faults", None)
-        if st.crash_at or st.hang_at or st.slow_at:
-            plan = self.faults
-            config["faults"] = {
-                "crash": sorted(st.crash_at),
-                "hang": sorted(st.hang_at),
-                "slow": sorted(st.slow_at),
-                "hang_seconds": plan.hang_seconds if plan else 3600.0,
-                "slow_seconds": plan.slow_seconds if plan else 0.05,
-            }
-        return ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=ctx,
-            initializer=worker.init_shard,
-            initargs=(config, st.base_snapshot),
-        )
-
-    # -- supervised call machinery ----------------------------------------
-
-    def _submit(self, st: _ShardState, pool_call):
-        """Submit to the shard's pool; a broken pool is a worker death."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            return pool_call(st.pool)
-        except BrokenProcessPool as exc:
-            raise _WorkerDeath("crash", exc) from exc
-
-    def _await(self, st: _ShardState, shard: int, op: str, fut):
-        """Wait for one RPC under the deadline/retry discipline."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        attempts = self.rpc_retries + 1
-        for attempt in range(attempts):
-            timeout = (
-                None
-                if self.rpc_timeout is None
-                else self.rpc_timeout * (2 ** attempt)
-            )
-            try:
-                return fut.result(timeout=timeout)
-            except _FuturesTimeout as exc:
-                st.timeouts += 1
-                self._obs.shard_rpc_timeout(shard, op)
-                last = exc
-            except BrokenProcessPool as exc:
-                raise _WorkerDeath("crash", exc) from exc
-            except ShardError:
-                raise
-            except Exception as exc:
-                # A worker-side application error: the worker is alive
-                # and consistent, so no restart can help.  Surface it
-                # with shard attribution.
-                raise ShardRPCError(shard, op, exc) from exc
-        raise _WorkerDeath("hang", last)
-
-    def _call(self, shard: int, op: str, pool_call, journal_entry=None):
-        """One supervised RPC: recover across worker deaths until it lands.
-
-        Returns None when the shard became quarantined before the call
-        could complete (the caller accounts the loss); otherwise the
-        RPC's result.  ``journal_entry``, when given, is appended to the
-        shard's journal after the call commits.
-        """
-        st = self._states[shard]
-        while True:
-            if st.quarantined:
-                return None
-            try:
-                fut = self._submit(st, pool_call)
-                result = self._await(st, shard, op, fut)
-            except _WorkerDeath as death:
-                # Quarantine (recover -> False) exits via the check above.
-                self._recover(shard, op, death)
-                continue
-            if journal_entry is not None:
-                st.journal.append(journal_entry)
-            return result
-
-    def _recover(self, shard: int, op: str, death: _WorkerDeath) -> bool:
-        """Restart a dead shard: kill pool, restore checkpoint, replay.
-
-        Returns True when the shard is healthy again, False when it was
-        quarantined (``on_shard_failure="degrade"``); raises
-        :class:`ShardFailedError` under ``"fail"``.
-        """
-        st = self._states[shard]
-        t_recover = self._profiler.start()
-        try:
-            while True:
-                if st.restarts >= self.max_restarts:
-                    if self.on_shard_failure == "degrade":
-                        self._quarantine(shard, death)
-                        return False
-                    raise ShardFailedError(
-                        shard, op, st.restarts, death.cause
-                    ) from death.cause
-                st.restarts += 1
-                self._obs.shard_restart(shard)
-                delay = min(
-                    self.backoff_base * (2 ** (st.restarts - 1)),
-                    self.backoff_cap,
-                )
-                if delay > 0:
-                    time.sleep(delay)
-                _kill_pool(st.pool)
-                st.pool = self._make_pool(shard)
-                try:
-                    self._replay(shard)
-                except _WorkerDeath as again:
-                    death = again
-                    continue
-                return True
-        finally:
-            self._profiler.stop("recover", t_recover)
-
-    def _replay(self, shard: int) -> None:
-        """Re-apply the journal to a freshly restored worker.
-
-        Replayed batches pass no fault ordinal, so scheduled faults
-        cannot re-fire mid-recovery.  Their re-derived events were all
-        emitted before the crash; any that were not is a replay orphan
-        (exactly-once violation, surfaced by the sanitizer).
-        """
-        from . import worker
-
-        st = self._states[shard]
-        for entry in st.journal:
-            kind = entry[0]
-            if kind == "register":
-                fut = self._submit(
-                    st, lambda pool, e=entry: pool.submit(worker.register, e[1])
-                )
-            elif kind == "terminate":
-                fut = self._submit(
-                    st, lambda pool, e=entry: pool.submit(worker.terminate, e[1])
-                )
-            else:
-                fut = self._submit(
-                    st,
-                    lambda pool, e=entry: pool.submit(
-                        worker.process, e[1], e[2], e[3], None, None
-                    ),
-                )
-            result = self._await(st, shard, f"replay:{kind}", fut)
-            if kind == "process":
-                keys = result[0]
-                st.replayed += 1
-                self._obs.shard_replayed(shard)
-                for key in keys:
-                    if key not in st.emitted:
-                        st.orphans += 1
-
-    def _quarantine(self, shard: int, death: _WorkerDeath) -> None:
-        st = self._states[shard]
-        st.quarantined = True
-        st.failure = repr(death.cause)
-        _kill_pool(st.pool)
-        st.pool = None
-
-    def _checkpoint(self, shard: int) -> None:
-        """Periodic per-shard snapshot: truncates the journal and the
-        emitted-key set (keys older than the checkpoint can never be
-        re-derived by a replay)."""
-        blob = self._call(shard, "snapshot", self._snapshot_submit)
-        if blob is None:
-            return  # quarantined mid-checkpoint; the old base stands
-        st = self._states[shard]
-        st.base_snapshot = blob
-        st.journal = []
-        st.emitted = set()
-        st.since_snapshot = 0
-
-    @staticmethod
-    def _snapshot_submit(pool):
-        from . import worker
-
-        return pool.submit(worker.snapshot)
-
-    # -- ShardExecutor surface ---------------------------------------------
-
-    def register(self, shard: int, queries: List) -> None:
-        st = self._states[shard]
-        encoded = encode_queries(queries)
-        if st.quarantined:
-            st.loss["registers"] += len(encoded)
-            return
-        from . import worker
-
-        result = self._call(
-            shard,
-            "register",
-            lambda pool: pool.submit(worker.register, encoded),
-            journal_entry=("register", encoded),
-        )
-        if result is None:
-            st.loss["registers"] += len(encoded)
-
-    def process(
-        self, slices: Dict[int, ShardSlice], trace: Optional[tuple] = None
-    ) -> Dict[int, ShardOutcome]:
-        from . import worker
-
-        pending: Dict[int, tuple] = {}
-        for shard, sl in slices.items():
-            st = self._states[shard]
-            if st.quarantined:
-                st.loss["batches"] += 1
-                st.loss["elements"] += len(sl)
-                continue
-            values, weights, timestamps = sl.encode()
-            tick = st.batches + 1
-            try:
-                fut = self._submit(
-                    st,
-                    lambda pool, v=values, w=weights, t=timestamps, tk=tick: (
-                        pool.submit(worker.process, v, w, t, trace, tk)
-                    ),
-                )
-            except _WorkerDeath:
-                fut = None  # detected at submit time; recovered below
-            pending[shard] = (fut, values, weights, timestamps, tick)
-        out: Dict[int, ShardOutcome] = {}
-        for shard, (fut, values, weights, timestamps, tick) in pending.items():
-            outcome = self._finish_batch(
-                shard, fut, values, weights, timestamps, tick, trace
-            )
-            if outcome is not None:
-                out[shard] = outcome
-        return out
-
-    def _finish_batch(
-        self, shard, fut, values, weights, timestamps, tick, trace
-    ) -> Optional[ShardOutcome]:
-        from . import worker
-
-        st = self._states[shard]
-        while True:
-            if st.quarantined:
-                st.loss["batches"] += 1
-                st.loss["elements"] += len(timestamps)
-                return None
-            try:
-                if fut is None:
-                    fut = self._submit(
-                        st,
-                        lambda pool: pool.submit(
-                            worker.process, values, weights, timestamps,
-                            trace, tick,
-                        ),
-                    )
-                keys, busy, payload = self._await(st, shard, "process", fut)
-            except _WorkerDeath as death:
-                fut = None
-                # The fault that killed this attempt has fired; strip it
-                # (and anything earlier) so the retry cannot re-trigger.
-                st.crash_at = {t for t in st.crash_at if t > tick}
-                st.hang_at = {t for t in st.hang_at if t > tick}
-                self._recover(shard, "process", death)
-                continue
-            # Commit: the batch is applied on the worker; journal it and
-            # record its events for replay suppression.
-            st.batches = tick
-            st.since_snapshot += 1
-            st.journal.append(("process", values, weights, timestamps))
-            keys = [k for k in keys if k not in st.emitted]
-            st.emitted.update(keys)
-            if st.since_snapshot >= self.snapshot_every:
-                self._checkpoint(shard)
-            return keys, busy, payload
-
-    def terminate(self, shard: int, query_ids: List[object]) -> int:
-        st = self._states[shard]
-        ids = list(query_ids)
-        if st.quarantined:
-            st.loss["terminates"] += len(ids)
-            return len(ids)
-        from . import worker
-
-        result = self._call(
-            shard,
-            "terminate",
-            lambda pool: pool.submit(worker.terminate, ids),
-            journal_entry=("terminate", ids),
-        )
-        if result is None:
-            # Quarantined mid-call: router bookkeeping is authoritative
-            # for the removal count; the unserved work is loss-accounted.
-            st.loss["terminates"] += len(ids)
-            return len(ids)
-        return result
-
-    def collected_weight(self, shard: int, query_id: object) -> int:
-        st = self._states[shard]
-        if not st.quarantined:
-            from . import worker
-
-            result = self._call(
-                shard,
-                "collected_weight",
-                lambda pool: pool.submit(worker.collected_weight, query_id),
-            )
-            if result is not None:
-                return result
-        raise ShardRPCError(
-            shard,
-            "collected_weight",
-            RuntimeError(f"shard {shard} is quarantined ({st.failure})"),
-        )
-
-    def snapshot(self, shard: int) -> dict:
-        st = self._states[shard]
-        if st.quarantined:
-            # Best available: the last committed checkpoint.  Work since
-            # it is what the loss accounting records as unrecoverable.
-            return st.base_snapshot
-        self._checkpoint(shard)
-        return self._states[shard].base_snapshot
-
-    def drain_telemetry(self) -> Dict[int, dict]:
-        from . import worker
-
-        out: Dict[int, dict] = {}
-        for shard, st in enumerate(self._states):
-            if st.quarantined:
-                continue
-            payload = self._call(
-                shard,
-                "drain_telemetry",
-                lambda pool: pool.submit(worker.drain_telemetry),
-            )
-            if payload is not None:
-                out[shard] = payload
-        return out
-
-    def describe(self, shard: int) -> Dict[str, object]:
-        st = self._states[shard]
-        if not st.quarantined:
-            from . import worker
-
-            result = self._call(
-                shard, "describe", lambda pool: pool.submit(worker.describe)
-            )
-            if result is not None:
-                return result
-        return {
-            "quarantined": True,
-            "failure": st.failure,
-            "loss": dict(st.loss),
-            "counters": {},
-        }
-
-    # -- introspection ------------------------------------------------------
-
-    def supervision(self) -> Dict[str, object]:
-        """Per-shard supervision accounting (restart/replay/loss state)."""
-        return {
-            "restarts": [st.restarts for st in self._states],
-            "replayed_batches": [st.replayed for st in self._states],
-            "rpc_timeouts": [st.timeouts for st in self._states],
-            "replay_orphans": [st.orphans for st in self._states],
-            "journal_depth": [len(st.journal) for st in self._states],
-            "quarantined": [
-                k for k, st in enumerate(self._states) if st.quarantined
-            ],
-            "loss": {
-                k: dict(st.loss)
-                for k, st in enumerate(self._states)
-                if st.quarantined
-            },
-        }
-
-    @property
-    def restarts_total(self) -> int:
-        return sum(st.restarts for st in self._states)
-
-    @property
-    def replayed_total(self) -> int:
-        return sum(st.replayed for st in self._states)
-
-    @property
-    def rpc_timeouts_total(self) -> int:
-        return sum(st.timeouts for st in self._states)
-
-    @property
-    def replay_orphans_total(self) -> int:
-        return sum(st.orphans for st in self._states)
-
-    def __repr__(self) -> str:
-        return (
-            f"SupervisedExecutor(shards={len(self._states)}, "
-            f"max_restarts={self.max_restarts}, "
-            f"on_shard_failure={self.on_shard_failure!r}, "
-            f"restarts={self.restarts_total})"
+        super().__init__(
+            mp_context, rpc_timeout=rpc_timeout, max_restarts=max_restarts, **options
         )

@@ -85,7 +85,8 @@ class ShardedRTSSystem:
         spec dict from a snapshot.  ``policy_options`` feed the named
         form (e.g. ``domain=(0, 100_000)`` for the grid).
     executor:
-        ``"serial"`` (default), ``"parallel"``, or a
+        ``"serial"`` (default), ``"parallel"``, ``"supervised"`` (the
+        parallel executor with restarts on), or a
         :class:`ShardExecutor` instance.
     observability:
         Parent-level telemetry sink.  The router emits the system-level
@@ -166,9 +167,9 @@ class ShardedRTSSystem:
     def _bind_executor(self) -> None:
         """Hand the executor the parent telemetry sink when it wants one.
 
-        The supervised executor emits restart/replay metrics and
+        The process executor emits restart/replay metrics and
         ``recover``-phase timings through the parent's observability;
-        the plain executors expose no such hook.
+        the serial executor exposes no such hook.
         """
         bind = getattr(self.executor, "bind_observability", None)
         if bind is not None:

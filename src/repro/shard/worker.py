@@ -1,7 +1,8 @@
 """Shard worker: the code that runs inside a parallel shard process.
 
 Each shard of a :class:`~repro.shard.system.ShardedRTSSystem` under the
-:class:`~repro.shard.executor.ParallelExecutor` is a persistent child
+:class:`~repro.shard.executor.ParallelExecutor` (either its
+``"parallel"`` or its ``"supervised"`` preset) is a persistent child
 process holding one resident :class:`~repro.core.system.RTSSystem`.  The
 pool is sized to exactly one worker, so every call for a shard lands in
 the same process and the engine state never crosses the boundary — only
@@ -70,9 +71,8 @@ def register(query_objs: List[dict]) -> int:
 def _maybe_fault(tick: Optional[int]) -> None:
     """Fire a scheduled fault for this fresh-batch ordinal, if any.
 
-    ``tick`` is None for replayed batches (and for unsupervised
-    executors), so faults only ever fire on fresh work — recovery can
-    never re-trigger the fault that caused it.
+    ``tick`` is None for replayed batches, so faults only ever fire on
+    fresh work — recovery can never re-trigger the fault that caused it.
     """
     if tick is None or _FAULTS is None:
         return
@@ -103,7 +103,7 @@ def process(
     element is the piggybacked ``rts-metrics-v1`` registry delta plus the
     descend-phase span record (child of the router's ``trace`` context).
 
-    ``fault_tick`` is the supervisor's fresh-batch ordinal for this
+    ``fault_tick`` is the executor's fresh-batch ordinal for this
     shard; it keys the seeded fault schedule and is None on replay.
     """
     _maybe_fault(fault_tick)

@@ -114,6 +114,21 @@ class TestSemantics:
         assert engine.alive_count == 11
         assert engine.tree_count == 1
 
+    def test_register_batch_on_loaded_engine_follows_eq8(self):
+        """A small batch merges only the slots Eq. 8 picks: the bulk tree stays."""
+        from repro.sanitize import collect
+
+        engine = DTEngine(dims=1)
+        engine.register_batch([q(i, i + 5, 50, f"q{i}") for i in range(1000)])
+        (big_slot,) = [s for s, t in enumerate(engine._trees) if t is not None]
+        big = engine._trees[big_slot]
+        engine.process(StreamElement(3.0, 7), 1)
+        engine.register_batch([q(0, 10, 5, "new")])
+        assert engine._trees[big_slot] is big
+        assert engine._locator["new"] == 0
+        assert engine.alive_count == 1001
+        assert collect(engine, "full") == []
+
     def test_terminate_unknown_returns_false(self):
         assert DTEngine(dims=1).terminate("ghost") is False
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro import Query, StreamElement
 from repro.shard import ShardedRTSSystem, ShardRPCError
-from repro.shard.executor import ParallelExecutor
+from repro.shard.executor import ParallelExecutor, _ShardState, make_executor
 
 QUERIES = [
     Query([(0, 50)], 5, query_id="a"),
@@ -33,29 +33,41 @@ class _StubPool:
             raise RuntimeError("pool teardown exploded")
 
 
-def test_close_is_idempotent():
-    executor = ParallelExecutor()
+#: Both process-executor presets share the lifecycle code under test.
+PRESETS = ["parallel", "supervised"]
+
+
+def _pools(executor):
+    return [st.pool for st in executor._states if st.pool is not None]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_close_is_idempotent(preset):
+    executor = make_executor(preset)
     executor.start([{"dims": 1, "engine": "dt"}])
     executor.close()
-    executor.close()  # second close: detached pool list, no-op
-    assert executor._pools == []
+    executor.close()  # second close: detached pools, no-op
+    assert _pools(executor) == []
 
 
-def test_close_offers_shutdown_to_every_pool():
-    executor = ParallelExecutor()
+@pytest.mark.parametrize("preset", PRESETS)
+def test_close_offers_shutdown_to_every_pool(preset):
+    executor = make_executor(preset)
     failing, healthy = _StubPool(fail=True), _StubPool()
-    executor._pools = [failing, healthy]
+    executor._states = [_ShardState({}), _ShardState({})]
+    executor._states[0].pool, executor._states[1].pool = failing, healthy
     with pytest.raises(RuntimeError, match="teardown exploded"):
         executor.close()
-    # The failing pool did not abort the rest, and the list is detached:
-    # a retry cannot double-shutdown.
+    # The failing pool did not abort the rest, and the pools are
+    # detached: a retry cannot double-shutdown.
     assert healthy.shutdowns == 1
-    assert executor._pools == []
+    assert _pools(executor) == []
     executor.close()
     assert failing.shutdowns == 1
 
 
-def test_start_cleans_up_partial_initialization(monkeypatch):
+@pytest.mark.parametrize("preset", PRESETS)
+def test_start_cleans_up_partial_initialization(preset, monkeypatch):
     import concurrent.futures
 
     created = []
@@ -68,11 +80,11 @@ def test_start_cleans_up_partial_initialization(monkeypatch):
         return pool
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", flaky_pool)
-    executor = ParallelExecutor()
+    executor = make_executor(preset)
     with pytest.raises(OSError, match="no more processes"):
         executor.start([{"dims": 1, "engine": "dt"}] * 2)
     assert created[0].shutdowns == 1
-    assert executor._pools == []
+    assert _pools(executor) == []
 
 
 def test_sharded_system_exit_closes_executor_on_error():
@@ -81,7 +93,7 @@ def test_sharded_system_exit_closes_executor_on_error():
         with ShardedRTSSystem(shards=2, executor=executor) as system:
             system.register_batch(QUERIES)
             raise RuntimeError("body failed")
-    assert executor._pools == []
+    assert _pools(executor) == []
 
 
 def _kill_workers(pool):
@@ -95,13 +107,13 @@ def test_killed_worker_surfaces_structured_error(mp_context):
     with ShardedRTSSystem(shards=2, executor=executor) as system:
         system.register_batch(QUERIES)
         system.process_batch([StreamElement(30, 1)])
-        _kill_workers(executor._pools[0])
+        _kill_workers(executor._states[0].pool)
         with pytest.raises(ShardRPCError) as excinfo:
             system.process_batch([StreamElement(40, 1)])
         assert excinfo.value.shard == 0
         assert excinfo.value.op == "process"
     # close() after the broken pool must not raise (covered by __exit__).
-    assert executor._pools == []
+    assert _pools(executor) == []
 
 
 def test_close_after_broken_pool_with_observability():
@@ -113,19 +125,19 @@ def test_close_after_broken_pool_with_observability():
     )
     system.register_batch(QUERIES)
     system.process_batch([StreamElement(30, 1)])
-    for pool in executor._pools:
+    for pool in _pools(executor):
         _kill_workers(pool)
     # Teardown drains telemetry from dead workers; the structured RPC
     # failure is absorbed, not raised.
     system.close()
-    assert executor._pools == []
+    assert _pools(executor) == []
 
 
 def test_register_failure_carries_shard_attribution():
     executor = ParallelExecutor()
     with ShardedRTSSystem(shards=2, executor=executor) as system:
         system.register_batch(QUERIES)  # spawns both workers
-        _kill_workers(executor._pools[1])
+        _kill_workers(executor._states[1].pool)
         with pytest.raises(ShardRPCError) as excinfo:
             system.register_batch(
                 [
@@ -135,3 +147,33 @@ def test_register_failure_carries_shard_attribution():
             )
         assert excinfo.value.shard == 1
         assert excinfo.value.op == "register"
+
+
+def test_restarts_off_keeps_no_replay_state():
+    """With ``max_restarts=0`` nothing a restart would read is kept."""
+    from repro.sanitize import collect
+
+    with ShardedRTSSystem(
+        shards=2, executor="parallel", executor_options={"snapshot_every": 16}
+    ) as system:
+        system.register_batch(QUERIES)
+        for i in range(40):
+            system.process_batch(
+                [StreamElement(7 * i % 100, 1), StreamElement((7 * i + 50) % 100, 1)]
+            )
+        executor = system.executor
+        assert executor.supervision()["journal_depth"] == [0, 0]
+        assert all(
+            not st.emitted and st.base_snapshot is None for st in executor._states
+        )
+        assert collect(system, "full") == []
+        # The shard bookkeeping checks cover "parallel" too: a miscounted
+        # journal and a quarantined shard holding a pool are both caught.
+        executor._states[0].since_snapshot = 1
+        executor._states[1].quarantined = True
+        assert sorted(v.invariant for v in collect(system, "full")) == [
+            "shard-journal-consistency",
+            "shard-quarantine-accounting",
+        ]
+        executor._states[0].since_snapshot = 0
+        executor._states[1].quarantined = False
