@@ -1,29 +1,25 @@
-"""Single-endpoint-tree RTS processing with global rebuilding (Section 4).
+"""One endpoint tree and the shared batched-ingestion driver (Section 4).
 
 :class:`TreeInstance` bundles one (static) endpoint tree with the query
 trackers living on it and implements the per-element hot path: counter
 maintenance along the descent paths, then the heap-drain slack inspection
 at each touched node.
 
-:class:`StaticDTEngine` wraps a single :class:`TreeInstance` into the full
-:class:`~repro.core.engine.Engine` interface.  It is the algorithm of
-Section 4 verbatim: ideal when all queries are registered up front (the
-paper's "one-time registration" setting), with *global rebuilding* keeping
-space at ``O(m_alive log m_alive)``.  Mid-stream registration is supported
-only via a full rebuild — which is exactly the naive dynamization that the
-logarithmic method of Section 5 (:mod:`repro.core.logmethod`) improves
-upon, so this engine doubles as the ablation baseline for that design
-choice.
+:func:`bisect_batch` is the slack-aware batch driver, and
+:func:`apply_collected` / :func:`flush_collected` move bulk deltas into
+and out of each tree's columnar mirror.  The engines built on them — the
+logarithmic method and its one-tree Section 4 variant — live in
+:mod:`repro.core.logmethod`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.observer import NULL_OBS
 from ..streams.element import StreamElement
 from ..structures.heap import AddressableMinHeap
-from .batch import PreparedBatch, prepare_batch
+from .batch import PreparedBatch
 from .endpoint_tree import EndpointTree, ETNode
 from .engine import Engine, EngineError, WorkCounters
 from .events import MaturityEvent
@@ -388,222 +384,3 @@ class TreeInstance:
             "primary_nodes": nodes,
             "heap_entries": heap_entries,
         }
-
-
-class StaticDTEngine(Engine):
-    """Section 4's algorithm: one endpoint tree, global rebuilding.
-
-    ``register_batch`` is the intended entry point (one-time registration).
-    ``register`` mid-stream triggers a *full* rebuild of the tree — an
-    O(m log m) operation per registration that this engine accepts for
-    completeness and for ablating the logarithmic method against.
-    """
-
-    name = "DT-static"
-
-    def __init__(self, dims: int = 1, heap_factory=AddressableMinHeap):
-        super().__init__(dims)
-        self._heap_factory = heap_factory
-        self._instance: Optional[TreeInstance] = None
-        #: Mutation epoch for the batched fast path: any state change not
-        #: driven by the batch driver itself (scalar process, register,
-        #: terminate) advances it, orphaning the trees' bulk mirrors.
-        self._bulk_epoch = 0
-        #: Bulk mirrors holding deltas not yet written to real node
-        #: counters.  Flushed lazily — before any code path that reads
-        #: or mutates the real counters (see :meth:`_bulk_flush`) — so
-        #: consecutive all-bulk batches never pay a per-node write-back.
-        self._bulk_dirty: Dict[int, object] = {}
-        #: Adaptive backoff state for :func:`bisect_batch` — consecutive
-        #: fuel-exhausted batches, and batches left to replay scalar.
-        self._bulk_strikes = 0
-        self._bulk_backoff = 0
-
-    # -- registration --------------------------------------------------
-
-    def register(self, query: Query) -> None:
-        self.validate_query(query)
-        if self._instance is not None and self._instance.contains(query.query_id):
-            raise EngineError(f"query id {query.query_id!r} already registered")
-        self._bulk_flush()
-        self._bulk_epoch += 1
-        entries = self._alive_entries()
-        entries.append((query, query.threshold, 0))
-        self._instance = TreeInstance(
-            entries, self.dims, self.counters, self._heap_factory, self.obs
-        )
-        if self.obs.enabled and len(entries) > 1:
-            # Mid-stream registration forces the full rebuild this engine
-            # exists to ablate; the initial build is not a rebuild.
-            self.obs.rebuild("static-register", len(entries))
-
-    def register_batch(self, queries: Iterable[Query]) -> None:
-        self._bulk_flush()
-        self._bulk_epoch += 1
-        entries = self._alive_entries()
-        seen = {query.query_id for query, _tau, _consumed in entries}
-        for query in queries:
-            self.validate_query(query)
-            if query.query_id in seen:
-                raise EngineError(f"query id {query.query_id!r} already registered")
-            seen.add(query.query_id)
-            entries.append((query, query.threshold, 0))
-        self._instance = TreeInstance(
-            entries, self.dims, self.counters, self._heap_factory, self.obs
-        )
-
-    def restore_entries(self, entries: Iterable) -> None:
-        """Checkpoint restore: one tree over re-based thresholds.
-
-        ``(query, consumed)`` pairs become the ``(query, tau_q - consumed,
-        consumed)`` triples a rebuild would produce — exactly Section 4's
-        threshold adjustment, so all future maturity events are identical
-        to the pre-checkpoint run's.
-        """
-        if self._instance is not None and self._instance.alive:
-            raise EngineError("restore_entries requires a fresh engine")
-        self._bulk_flush()
-        self._bulk_epoch += 1
-        rebased: List[Tuple[Query, int, int]] = []
-        for query, consumed in entries:
-            self.validate_query(query)
-            remaining = query.threshold - consumed
-            if remaining < 1:
-                raise EngineError(
-                    f"query {query.query_id!r} already matured at checkpoint "
-                    f"time (consumed {consumed} of {query.threshold})"
-                )
-            rebased.append((query, remaining, consumed))
-        self._instance = TreeInstance(
-            rebased, self.dims, self.counters, self._heap_factory, self.obs
-        )
-
-    def attach_observability(self, obs) -> None:
-        super().attach_observability(obs)
-        if self._instance is not None:
-            self._instance.set_observability(self.obs)
-
-    def _alive_entries(self) -> List[Tuple[Query, int, int]]:
-        if self._instance is None:
-            return []
-        return self._instance.alive_entries()
-
-    # -- stream processing ------------------------------------------------
-
-    def _bulk_flush(self) -> None:
-        """Settle deferred bulk deltas before touching real counters.
-
-        Must run before every epoch bump: an orphaned mirror (epoch
-        mismatch) is simply dropped, so it must never hold unflushed
-        deltas.
-        """
-        if self._bulk_dirty:
-            flush_collected(self._bulk_dirty)
-
-    def process(self, element: StreamElement, timestamp: int) -> List[MaturityEvent]:
-        self.validate_element(element)
-        if self._bulk_dirty:
-            flush_collected(self._bulk_dirty)
-        self._bulk_epoch += 1
-        if self._instance is None:
-            return []
-        matured = self._instance.process(element)
-        events = [
-            MaturityEvent(query=query, timestamp=timestamp, weight_seen=w)
-            for query, w in matured
-        ]
-        self._maybe_rebuild()
-        return events
-
-    def process_batch(
-        self, elements: Sequence[StreamElement], timestamp: int
-    ) -> List[MaturityEvent]:
-        """Slack-aware batched ingestion (docs/PERFORMANCE.md).
-
-        Bulk-applies every batch range whose total per-node weight stays
-        below the node's minimum remaining heap slack; bisects otherwise,
-        down to scalar replay — so maturity events are bit-identical to
-        element-at-a-time processing.  Bulk-applied ranges cannot mature
-        queries, so the global-rebuilding trigger (alive halved) can only
-        fire inside scalar leaves, where :meth:`process` already handles
-        it.
-        """
-        batch = prepare_batch(elements, self.dims)
-        if not batch.vectorizable:
-            return super().process_batch(batch.elements, timestamp)
-        dirty = self._bulk_dirty
-        scalar_elements = batch.elements
-
-        def try_bulk(lo: int, hi: int, hints=None, stash=None) -> bool:
-            instance = self._instance
-            if instance is None:
-                return True
-            out: List[Tuple[object, object]] = []
-            if not instance.collect_batch(
-                batch, lo, hi, out, self._bulk_epoch, hints, stash
-            ):
-                return False
-            apply_collected(out, dirty, self.counters)
-            return True
-
-        def run_scalar(
-            lo: int, hi: int, events: List[MaturityEvent], hints=None, stash=None
-        ) -> None:
-            # process() flushes the deferred deltas before reading real
-            # counters; afterwards the range's own bumps are folded back
-            # into the mirrors so they stay exact without a rebuild.
-            old_epoch = self._bulk_epoch
-            for i in range(lo, hi):
-                events.extend(self.process(scalar_elements[i], timestamp + i))
-            instance = self._instance
-            if instance is not None:
-                instance.resync_batch(
-                    batch, lo, hi, old_epoch, self._bulk_epoch, hints, stash
-                )
-
-        # Deferred deltas stay in the mirrors across batches; every real-
-        # counter reader flushes via _bulk_flush first.
-        return bisect_batch(self, batch, timestamp, try_bulk, run_scalar)
-
-    # -- termination ------------------------------------------------------
-
-    def terminate(self, query_id: object) -> bool:
-        if self._instance is None:
-            return False
-        self._bulk_flush()
-        self._bulk_epoch += 1
-        removed = self._instance.terminate(query_id)
-        if removed:
-            self._maybe_rebuild()
-        return removed
-
-    def _maybe_rebuild(self) -> None:
-        instance = self._instance
-        if instance is not None and instance.needs_rebuild:
-            entries = instance.alive_entries()
-            self._instance = TreeInstance(
-                entries, self.dims, self.counters, self._heap_factory, self.obs
-            )
-            if self.obs.enabled:
-                self.obs.rebuild(
-                    "halved",
-                    len(entries),
-                    heap_entries=self._instance.stats()["heap_entries"],
-                )
-
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def alive_count(self) -> int:
-        return self._instance.alive if self._instance is not None else 0
-
-    def collected_weight(self, query_id: object) -> int:
-        if self._instance is None:
-            raise KeyError(f"query {query_id!r} is not alive")
-        self._bulk_flush()
-        return self._instance.collected_weight(query_id)
-
-    def describe(self) -> Dict[str, object]:
-        payload = super().describe()
-        payload["tree"] = self._instance.stats() if self._instance else None
-        return payload

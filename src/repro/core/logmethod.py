@@ -23,6 +23,19 @@ Each incoming element updates the counters of every tree (``O(log^2 m)``
 for d = 1).  Global rebuilding (Section 4) applies *per tree*: when a
 tree's alive count halves, it is rebuilt in place, which preserves P3
 because alive counts only shrink between merges.
+
+The module holds all three DT engines:
+
+* :class:`DTEngine` — the logarithmic method above (``"dt"``);
+* :class:`StaticDTEngine` — Section 4's single tree with global
+  rebuilding (``"dt-static"``).  It is the logarithmic method with every
+  registration merging *all* trees: with every slot emptied, Eq. (8)
+  picks the smallest slot that fits every alive query, so one tree holds
+  them all.  A mid-stream ``register`` therefore rebuilds the whole tree
+  — the naive dynamization Section 5 improves upon, kept as the
+  ablation baseline for that design choice;
+* :class:`ScanDTEngine` — the logarithmic method without the per-node
+  min-heaps (``"dt-scan"``).
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..streams.element import StreamElement
-from ..structures.heap import AddressableMinHeap
+from ..structures.heap import AddressableMinHeap, ScanMinList
 from .batch import prepare_batch
 from .dt_engine import TreeInstance, apply_collected, bisect_batch, flush_collected
 from .engine import Engine, EngineError
@@ -334,3 +347,51 @@ class DTEngine(Engine):
             None if tree is None else tree.stats() for tree in self._trees
         ]
         return payload
+
+
+class StaticDTEngine(DTEngine):
+    """Section 4's algorithm: one endpoint tree, global rebuilding.
+
+    ``register_batch`` is the intended entry point (one-time registration).
+    Every registration merges all trees, so ``register`` mid-stream
+    triggers a *full* rebuild of the tree — an O(m log m) operation per
+    registration that this engine accepts for completeness and for
+    ablating the logarithmic method against.
+    """
+
+    name = "DT-static"
+
+    def _merge_into_slot(self, new_entries: List[Tuple[Query, int, int]]) -> None:
+        # Alive queries first, new ones last: the order fixes the heap
+        # tie-breaks, hence the order of same-element maturity events.
+        entries: List[Tuple[Query, int, int]] = []
+        for slot, tree in enumerate(self._trees):
+            if tree is not None:
+                entries.extend(tree.alive_entries())
+                self._trees[slot] = None
+        rebuilt = bool(entries)
+        entries.extend(new_entries)
+        super()._merge_into_slot(entries)
+        if rebuilt and self.obs.enabled:
+            # Registering on a live tree forces the full rebuild this
+            # engine exists to ablate; the initial build is not a rebuild.
+            self.obs.rebuild("static-register", len(entries))
+
+    def describe(self) -> Dict[str, object]:
+        payload = super().describe()
+        tree = next((t for t in self._trees if t is not None), None)
+        payload["tree"] = tree.stats() if tree is not None else None
+        return payload
+
+
+class ScanDTEngine(DTEngine):
+    """Ablation: DT without the per-node min-heaps of Section 4.
+
+    Slack inspection scans every query at a node on each counter
+    bump — the naive strategy the paper calls "overly expensive".
+    """
+
+    name = "DT-scan"
+
+    def __init__(self, dims: int = 1):
+        super().__init__(dims, heap_factory=ScanMinList)

@@ -31,21 +31,7 @@ def _engine_registry() -> Dict[str, Type[Engine]]:
     from ..baselines.naive import NaiveEngine
     from ..baselines.rtree_engine import RTreeEngine
     from ..baselines.seg_intv_engine import SegIntvEngine
-    from ..structures.heap import ScanMinList
-    from .dt_engine import StaticDTEngine
-    from .logmethod import DTEngine
-
-    class ScanDTEngine(DTEngine):
-        """Ablation: DT without the per-node min-heaps of Section 4.
-
-        Slack inspection scans every query at a node on each counter
-        bump — the naive strategy the paper calls "overly expensive".
-        """
-
-        name = "DT-scan"
-
-        def __init__(self, dims: int = 1):
-            super().__init__(dims, heap_factory=ScanMinList)
+    from .logmethod import DTEngine, ScanDTEngine, StaticDTEngine
 
     return {
         "dt": DTEngine,

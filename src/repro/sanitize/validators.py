@@ -19,7 +19,7 @@ from ..baselines.interval_engine import IntervalTreeEngine
 from ..baselines.naive import NaiveEngine
 from ..baselines.rtree_engine import RTreeEngine
 from ..baselines.seg_intv_engine import SegIntvEngine
-from ..core.dt_engine import StaticDTEngine, TreeInstance
+from ..core.dt_engine import TreeInstance
 from ..core.endpoint_tree import EndpointTree, ETNode
 from ..core.engine import Engine
 from ..core.logmethod import DTEngine
@@ -678,7 +678,7 @@ def validate_engine_counters(engine: Engine, level: str) -> Iterator[Violation]:
 @register_checker(DTEngine)
 def validate_dt_engine(engine: DTEngine, level: str) -> Iterator[Violation]:
     """Logarithmic-method properties P2/P3 and locator consistency."""
-    subject = f"DTEngine(dims={engine.dims})"
+    subject = f"{type(engine).__name__}(dims={engine.dims})"
     trees = engine._trees
     locator = engine._locator
     for qid, slot in locator.items():
@@ -718,14 +718,6 @@ def validate_dt_engine(engine: DTEngine, level: str) -> Iterator[Violation]:
     for tree in trees:
         if tree is not None:
             yield from validate_tree_instance(tree, level)
-
-
-@register_checker(StaticDTEngine)
-def validate_static_dt_engine(
-    engine: StaticDTEngine, level: str
-) -> Iterator[Violation]:
-    if engine._instance is not None:
-        yield from validate_tree_instance(engine._instance, level)
 
 
 @register_checker(NaiveEngine)

@@ -177,7 +177,7 @@ class TestMirrorLifecycle:
         system = RTSSystem(dims=1, engine="dt-static")
         for i in range(4):
             system.register(Query([(10 * i, 10 * i + 15)], 1000, query_id=f"q{i}"))
-        ct = system.engine._instance.tree._bulk
+        ct = next(t for t in system.engine._trees if t is not None).tree._bulk
         assert ct is not None and ct.epoch == -1  # frozen at the rebuild boundary
         hidx = ct.heap_idx
         assert np.array_equal(
@@ -188,13 +188,13 @@ class TestMirrorLifecycle:
         assert np.isinf(ct.slack[mask]).all()
         # A batched run keeps the identity through apply/charge.
         system.process_batch([StreamElement(float(v % 40), 2) for v in range(64)])
-        ct = system.engine._instance.tree._bulk
+        ct = next(t for t in system.engine._trees if t is not None).tree._bulk
         assert np.array_equal(ct.slack[ct.heap_idx], ct.mins - ct.cnts[ct.heap_idx])
 
     def test_refresh_stamp_fast_path(self):
         system = RTSSystem(dims=1, engine="dt-static")
         system.register(Query([(0, 50)], 10_000, query_id="q"))
-        ct = system.engine._instance.tree._bulk
+        ct = next(t for t in system.engine._trees if t is not None).tree._bulk
         counters = system.engine.counters
         before = ct.cnts.copy()
         # Nothing moved since the freeze: refresh must only adopt the

@@ -1,10 +1,14 @@
 """Unit tests for TreeInstance and the static (Section 4) DT engine."""
 
+import pickle
+
 import pytest
 
-from repro import Query, StreamElement
-from repro.core.dt_engine import StaticDTEngine, TreeInstance
+from repro import Observability, Query, RTSSystem, StreamElement
+from repro.core.dt_engine import TreeInstance
 from repro.core.engine import EngineError, WorkCounters
+from repro.core.logmethod import StaticDTEngine
+from repro.core.system import make_engine
 
 
 def q(lo, hi, tau, qid):
@@ -141,3 +145,51 @@ class TestStaticDTEngine:
         for t in range(1, 100):
             assert engine.process(StreamElement(5.0, 1000), t) == []
         assert engine.alive_count == 1
+
+    def test_midstream_register_records_static_rebuild(self):
+        obs = Observability()
+        system = RTSSystem(dims=1, engine="dt-static", observability=obs)
+        system.register([(0, 10)], threshold=5, query_id="a")
+        assert obs.metrics.family_total("rts_rebuilds_total") == 0
+        system.register([(2, 8)], threshold=5, query_id="b")
+        assert obs.metrics.value("rts_rebuilds_total", kind="static-register") == 1
+        assert system.engine.tree_count == 1
+
+
+class TestSameElementDispatchOrder:
+    """Pins the order of maturity events that fire at one element.
+
+    Four queries mature at t=4: a, b registered up front, c, d after two
+    elements.  The order follows each engine's tree layout and heap
+    tie-breaks; both engines must keep it, scalar and batched.
+    """
+
+    @pytest.mark.parametrize(
+        "engine, expected",
+        [("dt", ["a", "c", "b", "d"]), ("dt-static", ["c", "a", "b", "d"])],
+    )
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_order_at_one_element(self, engine, expected, batched):
+        eng = make_engine(engine, 1)
+        eng.register_batch([q(0, 10, 4, "a"), q(2, 8, 4, "b")])
+        events = []
+        for t in (1, 2):
+            events.extend(eng.process(StreamElement(5.0, 1), t))
+        eng.register(q(0, 10, 2, "c"))
+        eng.register(q(4, 6, 2, "d"))
+        if batched:
+            events.extend(eng.process_batch([StreamElement(5.0, 1)] * 3, 3))
+        else:
+            for t in (3, 4, 5):
+                events.extend(eng.process(StreamElement(5.0, 1), t))
+        assert [(e.query.query_id, e.timestamp) for e in events] == [
+            (qid, 4) for qid in expected
+        ]
+
+
+def test_dt_engine_classes_are_module_level():
+    for name in ("dt", "dt-static", "dt-scan"):
+        a = RTSSystem(dims=1, engine=name)
+        b = RTSSystem(dims=1, engine=name)
+        assert type(a.engine) is type(b.engine)
+        assert pickle.loads(pickle.dumps(type(a.engine))) is type(a.engine)

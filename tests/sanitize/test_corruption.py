@@ -22,9 +22,9 @@ def _invariants(obj, level="full"):
     return {v.invariant for v in collect(obj, level)}
 
 
-def _dt_system():
+def _dt_system(engine="dt"):
     """A DT system with live trackers in the normal-round state."""
-    system = RTSSystem(dims=1, engine="dt")
+    system = RTSSystem(dims=1, engine=engine)
     system.register([(0, 10)], threshold=1000, query_id="a")
     system.register([(5, 20)], threshold=800, query_id="b")
     system.register([(2, 8)], threshold=900, query_id="c")
@@ -144,8 +144,9 @@ class TestDTBoundSanitizer:
 
 
 class TestEngineSanitizers:
-    def test_locator_corruption_detected(self):
-        system = _dt_system()
+    @pytest.mark.parametrize("engine_name", ["dt", "dt-static"])
+    def test_locator_corruption_detected(self, engine_name):
+        system = _dt_system(engine_name)
         engine = system.engine
         qid = next(iter(engine._locator))
         engine._locator[qid] = len(engine._trees) + 5  # point at no tree
