@@ -3,33 +3,31 @@
 :class:`TreeInstance` bundles one (static) endpoint tree with the query
 trackers living on it and implements the per-element hot path: counter
 maintenance along the descent paths, then the heap-drain slack inspection
-at each touched node.
+at each due node.  Its counters and heap minima live in one int64 store
+(``cnts`` / ``mins``, one column per last-dimension node) that the scalar
+path and the batched path both read and write directly.
 
 :func:`bisect_batch` is the slack-aware batch driver, and
-:func:`apply_collected` / :func:`flush_collected` move bulk deltas into
-and out of each tree's columnar mirror.  The engines built on them — the
-logarithmic method and its one-tree Section 4 variant — live in
-:mod:`repro.core.logmethod`.
+:func:`apply_collected` adds a safe range's deltas to the store.  The
+engines built on them — the logarithmic method and its one-tree Section 4
+variant — live in :mod:`repro.core.logmethod`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from ..obs.observer import NULL_OBS
 from ..streams.element import StreamElement
-from ..structures.heap import AddressableMinHeap
+from ..structures.heap import AddressableMinHeap, ScanMinList
 from .batch import PreparedBatch
-from .endpoint_tree import EndpointTree, ETNode
+from .endpoint_tree import EndpointTree, ETNode, sync_min
 from .engine import Engine, EngineError, WorkCounters
 from .events import MaturityEvent
 from .query import Query
 from .tracker import QueryTracker, TrackerState
-
-try:  # numpy backs the batched bulk-application path only
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None
 
 #: Ranges at most this long skip the bulk attempt and replay element by
 #: element — below the cutoff a vectorized pass costs more than the
@@ -39,9 +37,8 @@ BATCH_SCALAR_CUTOFF = 4
 #: Failed bulk attempts allowed per batch before the driver stops trying
 #: and replays the rest scalar.  On slack-starved workloads (signals due
 #: inside almost every range) bisection would otherwise pay a vectorized
-#: pass — and, when a round ended meanwhile, a full heap-min refresh —
-#: per level per failure; the fuel bound keeps the worst case within a
-#: small constant factor of plain scalar processing.
+#: pass per level per failure; the fuel bound keeps the worst case within
+#: a small constant factor of plain scalar processing.
 BATCH_FAIL_FUEL = 24
 
 #: Consecutive fuel-exhausted batches before the driver backs off to
@@ -55,33 +52,25 @@ BATCH_BACKOFF_STRIKES = 2
 BATCH_BACKOFF_ELEMENTS = 16384
 
 
-def apply_collected(out, dirty, counters: WorkCounters) -> None:
-    """Apply the ``(state, deltas)`` pairs a safe ``bulk_collect`` built.
+def apply_collected(out, counters: WorkCounters) -> None:
+    """Apply the ``(columnar tree, deltas)`` pairs a safe ``bulk_collect``
+    built.
 
     Safety (``min H(u) > c(u) + delta(u)`` at every touched node) means
     no heap drain is needed: the range cannot fire a single signal, so
     bumping the counters *is* the whole of Section 4's per-element work
-    for the range.  The bumps land in each tree's vectorized mirror and
-    are written back to the real nodes lazily (``state.flush()`` via
-    ``dirty``); one bump per touched node is what lands in the
-    machine-independent accounting — the saved work is the point.
+    for the range.  Each tree's deltas are added to its slice of the
+    counter store in place; one bump per touched node is what lands in
+    the machine-independent accounting — the saved work is the point.
     """
     bumps = 0
-    for state, deltas in out:
-        state.apply(deltas)
-        dirty[id(state)] = state
+    for col, deltas in out:
         # deltas[-1] is the columnar scratch slot (paths padding), not a
-        # node; only real node bumps enter the accounting.
-        bumps += int(_np.count_nonzero(deltas[:-1]))
+        # node; only real node bumps enter the store and the accounting.
+        real = deltas[:-1]
+        col.cnts += real
+        bumps += int(_np.count_nonzero(real))
     counters.counter_bumps += bumps
-
-
-def flush_collected(dirty) -> None:
-    """Settle every deferred mirror delta onto the real Section 4 node
-    counters."""
-    for state in dirty.values():
-        state.flush()
-    dirty.clear()
 
 
 def bisect_batch(engine: Engine, batch: PreparedBatch, timestamp: int, try_bulk, run_scalar):
@@ -93,22 +82,21 @@ def bisect_batch(engine: Engine, batch: PreparedBatch, timestamp: int, try_bulk,
     (True) or declines (False), in which case the range is split in half
     and both halves are retried — down to :data:`BATCH_SCALAR_CUTOFF`
     (or until the failure fuel runs out), where
-    ``run_scalar(lo, hi, events, hints)`` replays the engine's exact
-    per-element code path.  Because bulk application only ever happens
-    on ranges that provably produce no events, and scalar leaves replay
-    the exact per-element code path (including rebuild checks), the
-    event stream is bit-identical to one-at-a-time processing.
+    ``run_scalar(lo, hi, events, hints, stash)`` replays the engine's
+    exact per-element code path.  Because bulk application only ever
+    happens on ranges that provably produce no events, and scalar leaves
+    replay the exact per-element code path (including rebuild checks),
+    the event stream is bit-identical to one-at-a-time processing.
 
     Delta vectors are additive over disjoint element ranges, so the
-    driver caches each attempted range's per-state deltas (``stash``)
+    driver caches each attempted range's per-tree deltas (``stash``)
     and hands every *right* half the exact difference ``parent - left``
     as ``hints`` — a right sibling never pays a second vectorized
-    routing pass, and a fuel-exhausted right half resyncs its scalar
-    replay for free.  The cached vectors depend only on the batch values
-    and the frozen skeleton, so they stay exact across scalar replays,
-    heap mutations, and epoch bumps within the batch; a mid-batch
-    rebuild replaces the state object itself, which misses the
-    state-keyed lookup and routes fresh.
+    routing pass.  The cached vectors depend only on the batch values
+    and the frozen skeleton, so they stay exact across scalar replays
+    and heap mutations within the batch; a mid-batch rebuild replaces
+    the columnar tree itself, which misses the tree-keyed lookup and
+    routes fresh.
     """
     events: List[MaturityEvent] = []
     obs = engine.obs
@@ -195,9 +183,27 @@ class TreeInstance:
         Data-space dimensionality.
     counters:
         Shared work-counter sink.
+
+    ``cnts`` / ``mins`` are the tree's counter store (see
+    :class:`~repro.core.endpoint_tree.EndpointTree`); ``nodes`` maps a
+    store column to its node.  ``total`` is the weight ingested since
+    construction, which bounds every counter; the engines keep it at or
+    below :data:`~repro.core.endpoint_tree.COUNTER_MAX`.
     """
 
-    __slots__ = ("trackers", "tree", "built_count", "alive", "_counters", "_obs")
+    __slots__ = (
+        "trackers",
+        "tree",
+        "cnts",
+        "mins",
+        "nodes",
+        "total",
+        "built_count",
+        "alive",
+        "_scan",
+        "_counters",
+        "_obs",
+    )
 
     def __init__(
         self,
@@ -217,21 +223,27 @@ class TreeInstance:
             tracker = QueryTracker(query, tau, consumed)
             self.trackers[query.query_id] = tracker
             items.append((query.rect, tracker.nodes))
-        self.tree = EndpointTree(items, 0, dims, counters)
-        # Deduplicate by identity but keep registration order so the
+        tree = self.tree = EndpointTree(items, 0, dims, counters)
+        cnts = self.cnts = tree.cnts
+        mins = self.mins = tree.mins
+        self.nodes = tree.nodes
+        self.total = 0
+        # Deduplicate by column but keep registration order so the
         # heapify sweep is deterministic (dict preserves insertion).
         heapified: Dict[int, ETNode] = {}
         for tracker in self.trackers.values():
-            tracker.start(counters, heap_factory, obs)
+            tracker.start(cnts, mins, counters, heap_factory, obs)
             for node in tracker.nodes:
-                heapified[id(node)] = node
+                heapified[node.idx] = node
         for node in heapified.values():
             node.heap.heapify()
-        # Rebuild boundary: freeze the columnar mirror while the
-        # skeleton is fresh, so no batch pays the pointer-graph walk.
-        self.tree.freeze(counters)
+            sync_min(mins, node)
         self.built_count = len(self.trackers)
         self.alive = self.built_count
+        #: The no-heap ablation inspects every touched node on every
+        #: bump: pre-filtering by ``mins`` would hand it the very
+        #: per-node minimum whose absence it measures.
+        self._scan = heap_factory is ScanMinList
 
     def set_observability(self, obs) -> None:
         """Re-point the telemetry sink (engines attach after construction)."""
@@ -243,26 +255,46 @@ class TreeInstance:
         """Feed one element; return ``(query, W(q))`` for each maturity.
 
         Implements the two per-element steps of Section 4: bump ``c(u)``
-        along the descent path(s), then drain each touched node's heap —
-        popping sigma entries while the minimum is at most ``c(u)`` and
-        letting the owning tracker run the DT protocol step.
+        along the descent path(s) — one fancy-indexed add on the store —
+        then drain each due node's heap, popping sigma entries while the
+        minimum is at most ``c(u)`` and letting the owning tracker run
+        the DT protocol step.  The due nodes (``mins <= cnts``) are
+        picked once, before the first drain, and drained in descent
+        order.  That is exact: a query's canonical regions are disjoint,
+        so the element lies in at most one of them, and a drain re-keys
+        the query only at that node and at nodes this element does not
+        touch — always above their counters (see
+        :meth:`QueryTracker.on_signal`).
         """
-        matured: List[Tuple[Query, int]] = []
         counters = self._counters
-        obs = self._obs
-        touched = self.tree.update(element.value, element.weight)
+        weight = element.weight
+        touched = self.tree.columns(element.value)
+        cnts = self.cnts
+        now = cnts[touched] + weight
+        cnts[touched] = now
+        self.total += weight
         counters.counter_bumps += len(touched)
-        for node in touched:
-            heap = node.heap
+        matured: List[Tuple[Query, int]] = []
+        if self._scan:
+            due_cols, due_counts = touched.tolist(), now.tolist()
+        else:
+            due = self.mins[touched] <= now
+            if not _np.count_nonzero(due):
+                return matured
+            due_cols, due_counts = touched[due].tolist(), now[due].tolist()
+        obs = self._obs
+        nodes = self.nodes
+        for i, c in zip(due_cols, due_counts):
+            heap = nodes[i].heap
             if heap is None:
-                continue
-            c = node.counter
+                continue  # heap-less (scan ablation, or c(u) at COUNTER_MAX)
+            node = nodes[i]
             while True:
                 entry = heap.first_due(c)
                 if entry is None:
                     break
                 tracker: QueryTracker = entry.payload
-                weight_seen = tracker.on_signal(node, entry, counters, obs)
+                weight_seen = tracker.on_signal(node, entry, c, counters, obs)
                 if weight_seen is not None:
                     matured.append((tracker.query, weight_seen))
                     self.alive -= 1
@@ -274,14 +306,13 @@ class TreeInstance:
         lo: int,
         hi: int,
         out,
-        epoch: int,
         hints=None,
         stash=None,
     ) -> bool:
         """Slack-check the batch range ``[lo, hi)`` against this tree.
 
-        Appends ``(state, deltas)`` pairs to ``out`` and returns True
-        when the range is bulk-safe here (see
+        Appends ``(columnar tree, deltas)`` pairs to ``out`` and returns
+        True when the range is bulk-safe here (see
         :meth:`~repro.core.endpoint_tree.EndpointTree.bulk_collect`);
         nothing is applied either way — the caller applies via
         :func:`apply_collected` once every participating tree agrees.
@@ -291,8 +322,6 @@ class TreeInstance:
             batch.weights_f64,
             batch.indices(lo, hi),
             out,
-            self._counters,
-            epoch,
             hints,
             stash,
         )
@@ -302,21 +331,16 @@ class TreeInstance:
         batch: PreparedBatch,
         lo: int,
         hi: int,
-        old_epoch: int,
-        new_epoch: int,
         hints=None,
         stash=None,
     ) -> None:
-        """Fold a scalar-replayed range into this tree's bulk mirrors."""
-        self.tree.bulk_resync(
-            batch.values,
-            batch.weights_f64,
-            batch.indices(lo, hi),
-            old_epoch,
-            new_epoch,
-            hints,
-            stash,
-        )
+        """Hook the batch driver calls after replaying ``[lo, hi)`` scalar.
+
+        The replay wrote this tree's counter store directly and kept its
+        heap minima exact as it went, so nothing is left to fold back.
+        The call stays so the layer keeps its name in traced runs
+        (perfbench's ledger times it; it reads about zero).
+        """
 
     # -- management ---------------------------------------------------------
 

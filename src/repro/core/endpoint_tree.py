@@ -32,97 +32,101 @@ of such a node is the box ``I(u_0) x I(u_1) x ... x I(u_{d-1})`` along the
 chain of trees that leads to it, and the regions of a query's canonical
 nodes form a disjoint partition of ``R_q``.
 
+Counter store
+-------------
+The counters ``c(u)`` and the heap minima ``min H(u)`` of all
+last-dimension nodes live in two int64 columns, ``cnts`` and ``mins``,
+owned by the top-level tree; each node knows its column (``ETNode.idx``)
+and each last-dimension tree owns a contiguous slice, laid out as a
+:class:`ColumnarTree`.  The scalar descent bumps the columns of one path
+with a fancy-indexed add, the batched path adds whole delta vectors, and
+both read the same values — there is no second copy to keep in step.
+
 The tree is *static*: dynamic registration is provided one level up by the
 logarithmic method (:mod:`repro.core.logmethod`), exactly as in Section 5.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import compress as _compress
-from operator import attrgetter, is_not, itemgetter
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from ..structures.bst import build_skeleton as _build_skeleton
-from ..structures.heap import AddressableMinHeap, bulk_min_keys
+from ..structures.heap import AddressableMinHeap
 from .engine import WorkCounters
 from .geometry import PLUS_INFINITY, BoundaryKey, Rect, encoded_key
 
-try:  # numpy backs the batched bulk-collection path only
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None
-
-#: Hot-key cache bound: repeated element values replay their cached
-#: descent (a tuple of last-dimension nodes) instead of re-walking the
-#: tree.  The cache is safe because the skeleton is immutable — rebuilds
-#: construct a brand-new EndpointTree.  Cleared wholesale when full.
+#: Hot-key cache bound (d >= 2): repeated element values replay their
+#: cached descent (the column indices of the last-dimension nodes it
+#: touches) instead of re-walking the tree.  The cache is safe because the
+#: skeleton is immutable — rebuilds construct a brand-new EndpointTree.
+#: Cleared wholesale when full.
 HOT_CACHE_LIMIT = 4096
 
-#: C-level field sweeps for the columnar flatten/refresh hot loops.
-_GET_COUNTER = attrgetter("counter")
-_GET_HEAP = attrgetter("heap")
+#: Largest value an int64 counter column holds.  Every counter of a tree
+#: is at most the weight ingested since the tree was built, so the
+#: engines keep that running total at or below this bound (a tree about
+#: to cross it is rebuilt first; docs/API.md).  It doubles as the
+#: ``mins`` entry of a node whose heap is empty or absent; heap keys
+#: above it are stored as it, which can only make a node look due early
+#: (the drain then finds nothing), never late.
+COUNTER_MAX = int(_np.iinfo(_np.int64).max)
+
 _KEY_VALUE = itemgetter(0)
 _KEY_BIT = itemgetter(1)
-_IS_NOT_NONE = partial(is_not, None)
-
-#: Node counters are mirrored in float64 arrays on the bulk path; stay
-#: well below 2^53 so every mirrored value and sum is exactly
-#: representable.  Beyond this total weight the tree simply stops
-#: offering bulk application (scalar processing is unaffected).
-MAX_EXACT_COUNTER = float(1 << 52)
 
 _INF = float("inf")
 
+#: The (empty) column array of an element that descends nowhere.
+_NO_COLUMNS = _np.empty(0, dtype=_np.intp)
+_NO_COLUMNS.flags.writeable = False
+
+
+def sync_min(mins, node: "ETNode") -> None:
+    """Store ``min H(u)`` (the Section 4 heap minimum) in ``mins[u.idx]``.
+
+    Heap operations at ``u`` re-read it (O(1) each), so the column is
+    exact at every slack check without any sweep over the heaps.
+    """
+    top = node.heap.min_key
+    mins[node.idx] = COUNTER_MAX if top is None or top > COUNTER_MAX else top
+
 
 class ColumnarTree:
-    """Structure-of-arrays image of one last-dimension tree.
+    """Array layout of one last-dimension tree and its counter columns.
 
-    Built once per :class:`EndpointTree` (the skeleton is immutable —
-    rebuilds construct a brand-new tree), the columnar image freezes the
-    pointer graph into parallel numpy arrays in BFS order (root at index
-    0, children of consecutive nodes laid out consecutively — the
-    Eytzinger layout generalized to non-complete skeletons via explicit
-    child-index arrays):
+    Built once, when the top-level :class:`EndpointTree` lays out its
+    counter store (the skeleton is immutable — rebuilds construct a
+    brand-new tree).  Nodes are numbered in BFS order (root at index 0,
+    children of consecutive nodes laid out consecutively — the Eytzinger
+    layout generalized to non-complete skeletons via explicit child-index
+    arrays):
 
     frozen skeleton columns
         ``left`` / ``right`` / ``parent`` / ``depth`` — child, parent
-        and depth indices (-1 for "none"); ``lo`` / ``hi`` — encoded
-        jurisdiction bounds per node; ``leaf_lows`` / ``leaf_ids`` — the
-        leaves' encoded jurisdiction lows in key order plus their node
-        indices (the ``searchsorted`` routing table); ``paths`` — one
-        row per sorted leaf holding its full root-to-leaf node-index
+        and depth indices (-1 for "none"); ``leaf_lows`` / ``leaf_ids``
+        — the leaves' encoded jurisdiction lows in key order plus their
+        node indices (the ``searchsorted`` routing table); ``paths`` —
+        one row per sorted leaf holding its full root-to-leaf node-index
         path, padded with the sentinel index ``n`` so a whole batch
-        descends with one gather + one ``bincount``; ``heap_idx`` /
-        ``heaps`` — the nodes owning a heap (the only ones that can veto
-        a range; the heap set is fixed before any stream processing).
+        descends with one gather + one ``bincount``.
 
-    refreshable mirror columns
-        ``cnts`` — float64 mirror of the *logical* counters ``c(u)``
-        (real node counters plus not-yet-flushed bulk deltas); ``pend``
-        — bulk deltas accepted but not yet written back to the real
-        ``ETNode.counter`` ints (:meth:`flush` settles them; the write-
-        back is deferred so one Python loop covers many applied ranges);
-        ``mins`` — cached float64 of each heap's minimum sigma (+inf
-        when empty), refreshed whenever the engine's ``heap_ops``
-        counter moved; ``alive`` — which heap-bearing nodes still held
-        entries at the last min refresh.  Both ``cnts`` and the per-
-        range delta vectors carry one extra scratch slot at index ``n``
-        that absorbs the ``paths`` padding.
-
-    ``epoch`` is the engine mutation epoch the mirror is synchronized
-    to; any engine mutation outside the batch driver's control (scalar
-    ``process``, register, terminate) advances the epoch and orphans the
-    mirror, and :meth:`refresh` re-syncs it from the real counters
-    without rebuilding the frozen skeleton columns.  ``guard`` /
-    ``usable`` track the remaining exactly-representable float64
-    headroom; the mirror disables itself before rounding could bite.
+    counter columns
+        ``cnts`` / ``mins`` — this tree's contiguous slice of the owning
+        tree's int64 counter store, in the same BFS order: local node
+        ``i`` is store column ``base + i`` (its ``ETNode.idx``).
+        ``cnts[i]`` is the counter ``c(u)`` itself — there is no other
+        copy — and ``mins[i]`` is ``min H(u)`` (:data:`COUNTER_MAX` when
+        the heap is empty or absent).
     """
 
     __slots__ = (
-        # frozen skeleton columns
         "nodes",
         "n",
+        "base",
         "left",
         "right",
         "parent",
@@ -131,35 +135,21 @@ class ColumnarTree:
         "leaf_lows",
         "leaf_ids",
         "levels",
-        "heap_idx",
-        "heaps",
-        "_peek_mins",
-        "_lo",
-        "_hi",
+        "cnts",
+        "mins",
         "_paths",
         "_pos_cache",
-        # refreshable mirror columns
-        "cnts",
-        "pend",
-        "mins",
-        "slack",
-        "heap_pos",
-        "alive",
-        "heap_stamp",
-        "rounds_stamp",
-        "bump_stamp",
-        "epoch",
-        "guard",
-        "usable",
+        "_low_list",
+        "_path_lens",
     )
 
-    def __init__(self, root: ETNode, epoch: int, counters) -> None:
+    def __init__(self, root: ETNode, base: int = 0) -> None:
         # BFS flatten: visiting node i appends both its children, so
         # siblings are adjacent, nodes are depth-sorted, and the root
         # sits at index 0.  That pairing makes the whole layout
         # arithmetic — the k-th internal node (in BFS order) got the
         # k-th child pair, at slots ``2k+1`` and ``2k+2`` of the append
-        # sequence — so the walk only records the node objects and which
+        # sequence — so the walk only numbers the nodes and records which
         # of them are internal; every index column falls out vectorized.
         nodes: List[ETNode] = [root]
         internal_list: List[int] = []
@@ -168,6 +158,7 @@ class ColumnarTree:
         i = 0
         while i < len(nodes):
             node = nodes[i]
+            node.idx = base + i
             child = node.left
             if child is not None:
                 iapp(i)
@@ -177,6 +168,7 @@ class ColumnarTree:
         n = len(nodes)
         self.nodes = nodes
         self.n = n
+        self.base = base
         internal = _np.array(internal_list, dtype=_np.intp)
         k = _np.arange(len(internal), dtype=_np.intp)
         lefts = _np.full(n, -1, dtype=_np.intp)
@@ -203,25 +195,12 @@ class ColumnarTree:
         self.parent = parent
         self.depth = depths
         self.height = height = d - 1
-        # Heaps are captured once here: the heap set is fixed before any
-        # stream processing (tracker.start attaches them during
-        # TreeInstance construction), so this first-bulk-use scan is
-        # exhaustive.
-        heap_list = list(map(_GET_HEAP, nodes))
-        has_heap = list(map(_IS_NOT_NONE, heap_list))
-        self.heap_idx = _np.nonzero(
-            _np.fromiter(has_heap, dtype=bool, count=n)
-        )[0]
-        self.heaps = heaps = list(_compress(heap_list, has_heap))
-        self.heap_pos = _np.full(n, -1, dtype=_np.intp)
-        self.heap_pos[self.heap_idx] = _np.arange(len(heaps), dtype=_np.intp)
-        self._peek_mins = bool(heaps) and set(map(type, heaps)) == {
-            AddressableMinHeap
-        }
-        self._lo = None  # encoded jurisdiction bounds, built on demand
-        self._hi = None
         self._paths = None  # root-to-leaf path matrix, built on demand
         self._pos_cache = None
+        self._low_list = None  # scalar routing table, built on demand
+        self._path_lens = None
+        self.cnts = None  # views into the owner's store (see EndpointTree)
+        self.mins = None
 
         # Leaf routing table: the leaves' encoded jurisdiction lows in
         # key order.  A leaf's low is its BST key, so key order is the
@@ -255,108 +234,6 @@ class ColumnarTree:
                 par = internal[a:b]
                 self.levels.append((par, int(lefts[par[0]]), int(rights[par[-1]]) + 1))
 
-        self.cnts = _np.empty(n + 1, dtype=_np.float64)
-        cnts = self.cnts
-        cnts[:n] = _np.fromiter(map(_GET_COUNTER, nodes), _np.float64, count=n)
-        cnts[n] = 0.0
-        self.pend = _np.zeros(n + 1, dtype=_np.float64)
-        self.mins = _np.empty(0, dtype=_np.float64)
-        self.slack = None
-        self.alive = _np.zeros(len(heaps), dtype=bool)
-        self.refresh_mins()
-        self.heap_stamp = counters.heap_ops
-        self.rounds_stamp = counters.rounds
-        self.bump_stamp = counters.counter_bumps
-        self.epoch = epoch
-        self.guard = MAX_EXACT_COUNTER - float(cnts[:n].max())
-        self.usable = self.guard > 0.0
-
-    def refresh(self, epoch: int, counters) -> None:
-        """Re-sync the mirror columns from the real pointer-graph state.
-
-        Called when the engine epoch moved outside the batch driver's
-        control; any deferred deltas must already have been flushed (the
-        driver flushes before every epoch bump), so re-reading the real
-        counters is exact.  The frozen skeleton columns are untouched.
-        When the engine work stamps prove nothing moved since the last
-        sync — no counter bump, heap op, or round transition anywhere in
-        the engine — the mirror is already exact and only the epoch
-        advances (the common case right after a rebuild-boundary
-        :meth:`EndpointTree.freeze`, where the epoch moved because of
-        registrations that built *this very* tree).
-        """
-        if (
-            counters.counter_bumps == self.bump_stamp
-            and counters.heap_ops == self.heap_stamp
-            and counters.rounds == self.rounds_stamp
-        ):
-            self.epoch = epoch
-            return
-        n = self.n
-        cnts = self.cnts
-        cnts[:n] = _np.fromiter(map(_GET_COUNTER, self.nodes), _np.float64, count=n)
-        cnts[n] = 0.0
-        self.pend[:] = 0.0
-        self.refresh_mins()
-        self.heap_stamp = counters.heap_ops
-        self.rounds_stamp = counters.rounds
-        self.bump_stamp = counters.counter_bumps
-        self.epoch = epoch
-        self.guard = MAX_EXACT_COUNTER - float(cnts[:n].max())
-        self.usable = self.guard > 0.0
-
-    def refresh_mins(self) -> None:
-        heaps = self.heaps
-        if self._peek_mins:
-            # Addressable heaps keep their minimum at the array root, so
-            # read it via the heap module's bulk sweep instead of paying
-            # a ``min_key`` property call per heap (this runs over every
-            # heap on each refresh).
-            mins = _np.array(bulk_min_keys(heaps, _INF), dtype=_np.float64)
-        else:
-            mins = _np.array(
-                [
-                    _INF if mk is None else mk
-                    for mk in (heap.min_key for heap in heaps)
-                ],
-                dtype=_np.float64,
-            )
-        if mins.shape == self.mins.shape:
-            self.mins[:] = mins
-        else:  # first fill
-            self.mins = mins
-        self.alive = mins < _INF
-        # Full-length slack column ``min H(u) - c(u)`` (+inf at heap-less
-        # nodes): the bulk safety check reduces to one vectorized
-        # ``deltas >= slack`` sweep, no per-probe gather.  The DT
-        # invariant keeps every entry positive between refreshes.
-        n = self.n
-        slack = self.slack
-        if slack is None or slack.shape[0] != n:
-            slack = self.slack = _np.full(n, _INF, dtype=_np.float64)
-        else:
-            slack[:] = _INF
-        hidx = self.heap_idx
-        slack[hidx] = mins - self.cnts[hidx]
-
-    def bounds(self):
-        """Encoded per-node jurisdiction bounds ``(lo, hi)`` columns.
-
-        Built on demand — the descent itself only needs the leaf routing
-        table; these full columns serve the columnar↔pointer sanitizer
-        cross-check and introspection.
-        """
-        lo = self._lo
-        if lo is None:
-            nodes = self.nodes
-            lo = self._lo = _np.array(
-                [encoded_key(nd.lo) for nd in nodes], dtype=_np.float64
-            )
-            self._hi = _np.array(
-                [encoded_key(nd.hi) for nd in nodes], dtype=_np.float64
-            )
-        return lo, self._hi
-
     def paths(self):
         """Root-to-leaf path matrix (one row per sorted leaf), on demand.
 
@@ -385,6 +262,24 @@ class ColumnarTree:
                 cur = climb[cur]
             self._paths = paths
         return paths
+
+    def path(self, value: float):
+        """Local node indices of ``value``'s root-to-leaf descent.
+
+        The scalar Section 4 descent as one row of :meth:`paths`, found
+        by a binary search over the leaf lows (kept as a Python list for
+        this, so the search costs no numpy dispatch).  Same nodes, same
+        root-first order as the pointer walk; empty when ``value`` lies
+        left of the leftmost endpoint.
+        """
+        lows = self._low_list
+        if lows is None:
+            lows = self._low_list = self.leaf_lows.tolist()
+            self._path_lens = (self.depth[self.leaf_ids] + 1).tolist()
+        pos = bisect_right(lows, value) - 1
+        if pos < 0:
+            return _NO_COLUMNS
+        return self.paths()[pos, : self._path_lens[pos]]
 
     def _positions(self, values, dim):
         """Leaf slot of every batch element (cached per batch).
@@ -416,10 +311,12 @@ class ColumnarTree:
         gathered :meth:`paths` rows, or for a range so large the path
         block would dwarf the tree through the level-synchronous
         gather/scatter over :attr:`levels`.  Both produce identical
-        deltas.  Returns None when nothing routes; the result
-        has ``n + 1`` slots (the last one is scratch absorbing the path
-        padding) and ``deltas[0]`` — the root's delta — is the total
-        routed weight of the range.
+        deltas.  Returns None when nothing routes; the result is int64
+        (``bincount`` sums in float64, exact because a vectorizable
+        batch weighs less than 2^53 in all), has ``n + 1`` slots (the
+        last one is scratch absorbing the path padding), and
+        ``deltas[0]`` — the root's delta — is the total routed weight of
+        the range.
         """
         cache = self._pos_cache
         if (cache is not None and cache[0] is values) or (
@@ -457,7 +354,7 @@ class ColumnarTree:
                 touched.ravel(),
                 weights=wrep,
                 minlength=n + 1,
-            )
+            ).astype(_np.int64)
         # ``pos`` rides in whole-batch order on the full fast path and in
         # ``sel`` order otherwise; the weight vector must ride the same
         # order (secondary trees pass ``sel`` permuted by an earlier
@@ -470,43 +367,11 @@ class ColumnarTree:
             pos = pos[mask]
             w = w[mask]
         leaf_deltas = _np.bincount(pos, weights=w, minlength=len(self.leaf_lows))
-        deltas = _np.zeros(n + 1, dtype=_np.float64)
+        deltas = _np.zeros(n + 1, dtype=_np.int64)
         deltas[self.leaf_ids] = leaf_deltas
         for par, child_start, child_end in self.levels:
             deltas[par] = deltas[child_start:child_end].reshape(-1, 2).sum(axis=1)
         return deltas
-
-    def apply(self, deltas) -> None:
-        """Accept a safe range's deltas (deferred; see :meth:`flush`)."""
-        self.cnts += deltas
-        self.pend += deltas
-        self.slack -= deltas[: self.n]
-        # deltas[0] is the root's delta == the range's total routed
-        # weight, an upper bound on any node's growth.
-        self.guard -= float(deltas[0])
-        if self.guard <= 0.0:
-            self.usable = False
-
-    def charge(self, deltas) -> None:
-        """Fold a scalar-replayed range's deltas into the mirror."""
-        self.cnts += deltas
-        self.slack -= deltas[: self.n]
-        self.guard -= float(deltas[0])
-        if self.guard <= 0.0:
-            self.usable = False
-
-    def flush(self) -> None:
-        """Write deferred deltas back to the real node counters."""
-        pend = self.pend
-        n = self.n
-        idx = _np.nonzero(pend[:n])[0]
-        if idx.size:
-            nodes = self.nodes
-            for i, v in zip(idx.tolist(), pend[idx].astype(_np.int64).tolist()):
-                nodes[i].counter += v
-            pend[idx] = 0.0
-        pend[n] = 0.0
-        self.cnts[n] = 0.0
 
 
 class ETNode:
@@ -518,9 +383,10 @@ class ETNode:
         Boundary keys of the jurisdiction interval ``I(u) = [lo, hi)``.
     left, right:
         Children (both None for a leaf).
-    counter:
-        The weight counter ``c(u)``.  Only meaningful on last-dimension
-        nodes; kept at 0 elsewhere.
+    idx:
+        The node's column in the owning tree's counter store: ``c(u)``
+        is ``cnts[idx]`` and ``min H(u)`` is ``mins[idx]``.
+        Last-dimension nodes only; -1 elsewhere (only they count weight).
     heap:
         The min-heap ``H(u)`` of sigma values (lazily created; None until a
         query tracker attaches an entry).  Last-dimension nodes only.
@@ -529,14 +395,14 @@ class ETNode:
         queries assigned to this node (None when no query uses this node).
     """
 
-    __slots__ = ("lo", "hi", "left", "right", "counter", "heap", "secondary")
+    __slots__ = ("lo", "hi", "left", "right", "idx", "heap", "secondary")
 
     def __init__(self, lo: BoundaryKey, hi: BoundaryKey):
         self.lo = lo
         self.hi = hi
         self.left: Optional[ETNode] = None
         self.right: Optional[ETNode] = None
-        self.counter = 0
+        self.idx = -1
         self.heap: Optional[AddressableMinHeap] = None
         self.secondary: Optional["EndpointTree"] = None
 
@@ -552,7 +418,7 @@ class ETNode:
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else "internal"
-        return f"ETNode({kind}, I=[{self.lo!r}, {self.hi!r}), c={self.counter})"
+        return f"ETNode({kind}, I=[{self.lo!r}, {self.hi!r}), col={self.idx})"
 
 
 def build_skeleton(keys: Sequence[BoundaryKey]) -> Optional[ETNode]:
@@ -650,6 +516,13 @@ class EndpointTree:
         The dimension this level indexes (0-based).
     counters:
         Shared work-counter sink for machine-independent accounting.
+
+    The top-level tree (``dim == 0``) owns the *counter store*: two int64
+    columns with one entry per last-dimension node of every level —
+    ``cnts`` (the counters ``c(u)``) and ``mins`` (the heap minima
+    ``min H(u)``).  Each last-dimension tree owns a contiguous slice of
+    them (its :class:`ColumnarTree`), and ``nodes`` maps a column back to
+    its :class:`ETNode`.  Levels below the top hold None for all three.
     """
 
     __slots__ = (
@@ -660,7 +533,10 @@ class EndpointTree:
         "size",
         "_flat",
         "_hot_cache",
-        "_bulk",
+        "_col",
+        "cnts",
+        "mins",
+        "nodes",
     )
 
     def __init__(
@@ -677,8 +553,9 @@ class EndpointTree:
         self._counters = counters
         self.size = len(items)
         self._flat = None  # lazy secondary-dimension routing index
-        self._hot_cache: dict = {}  # value point -> tuple of touched nodes
-        self._bulk: Optional[ColumnarTree] = None  # columnar batch engine
+        self._hot_cache: Optional[dict] = None  # d >= 2: point -> columns
+        self._col: Optional[ColumnarTree] = None  # last-dimension layout
+        self.cnts = self.mins = self.nodes = None
 
         keys = set()
         usable: List[Tuple[Rect, List[ETNode]]] = []
@@ -695,62 +572,109 @@ class EndpointTree:
         if counters is not None:
             counters.rebuilds += 1
 
-        if self.root is None:
-            return
+        if self.root is not None:
+            if self.last_dim:
+                for rect, sink in usable:
+                    iv = rect.intervals[dim]
+                    sink.extend(canonical_nodes(self.root, iv.lo, iv.hi))
+            else:
+                # Group queries by canonical node, then recurse per node.
+                per_node: dict[int, Tuple[ETNode, List[Tuple[Rect, List[ETNode]]]]] = {}
+                for rect, sink in usable:
+                    iv = rect.intervals[dim]
+                    for node in canonical_nodes(self.root, iv.lo, iv.hi):
+                        bucket = per_node.get(id(node))
+                        if bucket is None:
+                            per_node[id(node)] = (node, [(rect, sink)])
+                        else:
+                            bucket[1].append((rect, sink))
+                for node, assigned in per_node.values():
+                    node.secondary = EndpointTree(assigned, dim + 1, ndims, counters)
+        if dim == 0:
+            self._lay_out_store()
 
-        if self.last_dim:
-            for rect, sink in usable:
-                iv = rect.intervals[dim]
-                sink.extend(canonical_nodes(self.root, iv.lo, iv.hi))
-        else:
-            # Group queries by canonical node, then recurse per node.
-            per_node: dict[int, Tuple[ETNode, List[Tuple[Rect, List[ETNode]]]]] = {}
-            for rect, sink in usable:
-                iv = rect.intervals[dim]
-                for node in canonical_nodes(self.root, iv.lo, iv.hi):
-                    bucket = per_node.get(id(node))
-                    if bucket is None:
-                        per_node[id(node)] = (node, [(rect, sink)])
-                    else:
-                        bucket[1].append((rect, sink))
-            for node, assigned in per_node.values():
-                node.secondary = EndpointTree(assigned, dim + 1, ndims, counters)
+    def _lay_out_store(self) -> None:
+        """Number every last-dimension node and allocate the counter store.
+
+        Each last-dimension tree (the tree itself in 1-D, every secondary
+        of the last level otherwise) is flattened into a
+        :class:`ColumnarTree` whose nodes take the next contiguous run of
+        columns.  Counters start at zero and every ``mins`` entry at
+        :data:`COUNTER_MAX` (no heap yet); the owner of the trackers
+        fills ``mins`` once their heaps are built.
+        """
+        cols: List[ColumnarTree] = []
+        base = 0
+        stack: List[EndpointTree] = [self]
+        while stack:
+            tree = stack.pop()
+            if tree.root is None:
+                continue
+            if tree.last_dim:
+                col = tree._col = ColumnarTree(tree.root, base)
+                col.paths()  # the descent's gather matrix, built with the tree
+                cols.append(col)
+                base += col.n
+            else:
+                stack.extend(reversed(tree._ensure_flat()[2]))
+        cnts = self.cnts = _np.zeros(base, dtype=_np.int64)
+        mins = self.mins = _np.full(base, COUNTER_MAX, dtype=_np.int64)
+        nodes = self.nodes = []
+        for col in cols:
+            col.cnts = cnts[col.base : col.base + col.n]
+            col.mins = mins[col.base : col.base + col.n]
+            nodes.extend(col.nodes)
+        if not self.last_dim:
+            self._hot_cache = {}
 
     # -- stream-side operations -------------------------------------------
 
-    def update(self, point: Sequence[float], weight: int) -> Sequence[ETNode]:
+    def update(self, point: Sequence[float], weight: int):
         """Add one element: bump ``c(u)`` along every relevant descent.
 
-        Returns the last-dimension nodes whose counters changed, so the
-        engine can run the slack-inspection (heap drain) step on each.
-        The element itself is not stored anywhere (Section 4: "we then
-        discard e forever").
-
-        Repeated value points are served from the hot-key cache: the
-        descent is a pure function of the point (the skeleton never
-        changes), so the touched-node tuple can be replayed directly.
+        Returns the store columns of the last-dimension nodes whose
+        counters changed (see :meth:`columns`), so the engine can run the
+        slack-inspection (heap drain) step on them.  The element itself
+        is not stored anywhere (Section 4: "we then discard e forever").
+        Top-level tree only.
         """
+        touched = self.columns(point)
+        self.cnts[touched] += weight
+        return touched
+
+    def columns(self, point: Sequence[float]):
+        """Store columns of the last-dimension nodes ``point`` descends
+        through (Section 4), as an index array in descent order.
+
+        In one dimension the tree's own :class:`ColumnarTree` answers
+        with a binary search (its local indices are the store columns).
+        Otherwise repeated value points are served from the hot-key
+        cache: the descent is a pure function of the point (the skeleton
+        never changes), so the array is replayed directly.  Either way a
+        bump is one fancy-indexed add.  Top-level tree only.
+        """
+        if self.last_dim:  # one dimension: a row of the path matrix
+            col = self._col
+            return _NO_COLUMNS if col is None else col.path(point[0])
         cache = self._hot_cache
         key = point if type(point) is tuple else tuple(point)
         touched = cache.get(key)
-        if touched is not None:
-            for node in touched:
-                node.counter += weight
-            return touched
-        out: List[ETNode] = []
-        self._descend(point, weight, out)
-        if len(cache) >= HOT_CACHE_LIMIT:
-            cache.clear()
-        cache[key] = tuple(out)
-        return out
+        if touched is None:
+            out: List[int] = []
+            self._descend(point, out)
+            touched = _np.array(out, dtype=_np.intp)
+            if len(cache) >= HOT_CACHE_LIMIT:
+                cache.clear()
+            cache[key] = touched
+        return touched
 
-    def _descend(self, point: Sequence[float], weight: int, touched: List[ETNode]) -> None:
+    def _descend(self, point: Sequence[float], touched: List[int]) -> None:
         """Iterative multi-level descent (depth-safe, no Python recursion).
 
         Visits secondary trees in exactly the order the recursive
         formulation did — pre-order along each descent path — so the
-        ``touched`` sequence (and therefore the heap-drain order in the
-        engine) is unchanged.
+        ``touched`` column sequence (and therefore the heap-drain order
+        in the engine) is unchanged.
         """
         stack: List[EndpointTree] = [self]
         while stack:
@@ -763,8 +687,7 @@ class EndpointTree:
                 continue  # below the leftmost endpoint: ignored (Section 4)
             if tree.last_dim:
                 while True:
-                    node.counter += weight
-                    touched.append(node)
+                    touched.append(node.idx)
                     left = node.left
                     if left is None:
                         break
@@ -819,39 +742,7 @@ class EndpointTree:
         self._flat = flat
         return flat
 
-    def _columnar(self, epoch: int, counters) -> ColumnarTree:
-        """The tree's :class:`ColumnarTree`, flattened once and refreshed
-        whenever the engine epoch moved outside the batch driver."""
-        state = self._bulk
-        if state is None:
-            state = self._bulk = ColumnarTree(self.root, epoch, counters)
-        elif state.epoch != epoch:
-            state.refresh(epoch, counters)
-        return state
-
-    def freeze(self, counters) -> None:
-        """Pre-build the columnar mirrors at a rebuild boundary.
-
-        Rebuilds construct a brand-new skeleton, so the flatten — the
-        only part of the columnar lifecycle that walks the pointer graph
-        — belongs to construction, not to the first batch that happens
-        to arrive.  The mirror is left stale (``epoch = -1``): the first
-        batched use re-syncs the refreshable columns, which is cheap (and
-        free when the engine stamps prove nothing moved since).
-        """
-        if _np is None or self.root is None:
-            return
-        if self.last_dim:
-            if self._bulk is None:
-                state = self._bulk = ColumnarTree(self.root, -1, counters)
-                state.paths()  # the descent's gather matrix, also frozen
-            return
-        for secondary in self._ensure_flat()[2]:
-            secondary.freeze(counters)
-
-    def bulk_collect(
-        self, values, weights, sel, out, counters, epoch, hints=None, stash=None
-    ) -> bool:
+    def bulk_collect(self, values, weights, sel, out, hints=None, stash=None) -> bool:
         """Slack-check a batch sub-range for bulk application.
 
         ``values``/``weights`` are the full batch arrays of a
@@ -864,73 +755,40 @@ class EndpointTree:
         then observationally identical to element-at-a-time processing
         (and produces zero events).
 
-        The check runs entirely on the tree's :class:`ColumnarTree`
-        image (one vectorized comparison over the heap-bearing nodes the
-        range actually touches); on success ``(state, deltas)`` is
-        appended to ``out`` for the caller to apply once *every*
-        participating tree agrees.  On False nothing has been applied
-        and ``out`` must be discarded.
+        The check is one vectorized comparison per last-dimension tree
+        against its slice of the counter store, which is exact at all
+        times (``mins`` follows every heap operation); on success
+        ``(columnar tree, int64 deltas)`` is appended to ``out`` for the
+        caller to apply once *every* participating tree agrees.  On
+        False nothing has been applied and ``out`` must be discarded.
 
-        ``hints`` maps mirror states to precomputed delta vectors (or
+        ``hints`` maps columnar trees to precomputed delta vectors (or
         None for "routes nowhere"): deltas are additive over disjoint
         element sets, so the bisection driver derives a right half's
-        deltas as ``parent - left`` instead of re-routing (exact — the
-        sums are integers below 2^53).  ``stash``, when given, collects
-        this range's per-state deltas so the driver can derive siblings.
+        deltas as ``parent - left`` instead of re-routing.  ``stash``,
+        when given, collects this range's per-tree deltas so the driver
+        can derive siblings.
         """
         root = self.root
         if root is None or len(sel) == 0:
             return True
         if self.last_dim:
-            state = self._columnar(epoch, counters)
-            if not state.usable:
-                return False
-            if hints is not None and state in hints:
-                deltas = hints[state]
+            col = self._col
+            if hints is not None and col in hints:
+                deltas = hints[col]
             else:
-                deltas = state.route(values, weights, sel, self.dim)
+                deltas = col.route(values, weights, sel, self.dim)
             if stash is not None:
-                stash[state] = deltas
+                stash[col] = deltas
             if deltas is None:
                 return True
-            if state.rounds_stamp != counters.rounds:
-                # A round ended since the cache was taken.  Round
-                # transitions are the only place sigma keys can *decrease*
-                # (re-slacking to c + lambda_new, or the final-phase switch
-                # to c + 1 — see tracker._end_round), so cached mins may
-                # read high and must be fully refreshed before they can
-                # admit a range.
-                state.refresh_mins()
-                state.rounds_stamp = counters.rounds
-                state.heap_stamp = counters.heap_ops
-            # One vectorized sweep against the maintained slack column
-            # ``min H(u) - c(u)``: a node violates iff its delta reaches
-            # the slack (the DT invariant keeps fresh slack positive, so
-            # untouched nodes — delta zero — can never trigger here).
-            d = deltas[: state.n]
-            viol = d >= state.slack
-            if viol.any():
-                if state.heap_stamp == counters.heap_ops:
-                    return False  # mins are current: a signal would fire
-                # Between round transitions sigma keys only move up, so a
-                # stale min reads low and the violation may be spurious.
-                # Re-read just the violating heaps (usually a handful)
-                # instead of paying a full refresh on every failed probe.
-                heaps = state.heaps
-                mins = state.mins
-                slack = state.slack
-                cnts = state.cnts
-                hpos = state.heap_pos
-                for j in _np.nonzero(viol)[0].tolist():
-                    p = hpos[j]
-                    mk = heaps[p].min_key
-                    m = _INF if mk is None else mk
-                    mins[p] = m
-                    s = m - cnts[j]
-                    slack[j] = s
-                    if d[j] >= s:
-                        return False  # a signal would fire inside the range
-            out.append((state, deltas))
+            # A node would signal inside the range iff its counter plus
+            # the range's delta reaches its heap minimum.  Untouched
+            # nodes (delta zero) never trigger here: between elements
+            # no due signal is left undrained, so ``cnts < mins``.
+            if (col.cnts + deltas[: col.n] >= col.mins).any():
+                return False
+            out.append((col, deltas))
             return True
         v = values[sel, self.dim]
         order = _np.argsort(v, kind="stable")
@@ -945,94 +803,11 @@ class EndpointTree:
                 weights,
                 sorted_sel[starts[j] : stops[j]],
                 out,
-                counters,
-                epoch,
                 hints,
                 stash,
             ):
                 return False
         return True
-
-    def bulk_resync(
-        self,
-        values,
-        weights,
-        sel,
-        old_epoch: int,
-        new_epoch: int,
-        hints=None,
-        stash=None,
-    ) -> None:
-        """Re-synchronize live mirrors after a scalar replay of ``sel``.
-
-        The scalar path bumped real node counters directly; folding the
-        same routed deltas into each mirror's ``cnts`` (and advancing its
-        epoch) keeps the mirror exact without a rebuild.  Mirrors at an
-        unexpected epoch are marked stale instead — their frozen skeleton
-        columns survive and only the mirror columns re-read the real
-        counters on next use.  Subtrees the range never touches still get
-        their epoch advanced (their counters didn't move).
-        """
-        if self.root is None:
-            return
-        if self.last_dim:
-            state = self._bulk
-            if state is None:
-                return
-            if state.epoch != old_epoch:
-                state.epoch = -1  # stale: refresh from real counters on next use
-                return
-            if len(sel):
-                if hints is not None and state in hints:
-                    deltas = hints[state]
-                else:
-                    deltas = state.route(values, weights, sel, self.dim)
-                if stash is not None:
-                    stash[state] = deltas
-                if deltas is not None:
-                    state.charge(deltas)
-            state.epoch = new_epoch
-            return
-        los, his, secondaries = self._ensure_flat()
-        if len(sel):
-            v = values[sel, self.dim]
-            order = _np.argsort(v, kind="stable")
-            sorted_v = v[order]
-            sorted_sel = sel[order]
-            empty = sorted_sel[:0]
-            starts = _np.searchsorted(sorted_v, los, side="left")
-            stops = _np.searchsorted(sorted_v, his, side="left")
-            for j, secondary in enumerate(secondaries):
-                a = starts[j]
-                b = stops[j]
-                secondary.bulk_resync(
-                    values,
-                    weights,
-                    sorted_sel[a:b] if a < b else empty,
-                    old_epoch,
-                    new_epoch,
-                    hints,
-                    stash,
-                )
-        else:
-            for secondary in secondaries:
-                secondary.bulk_resync(values, weights, sel, old_epoch, new_epoch)
-
-    def bulk_flush(self) -> None:
-        """Settle any deferred bulk deltas on this tree (and subtrees).
-
-        The batch driver flushes through its dirty-state set; this
-        recursive walk exists for introspection paths that must see
-        settled counters without the driver's bookkeeping (tests, debug).
-        """
-        if self.last_dim:
-            if self._bulk is not None:
-                self._bulk.flush()
-            return
-        if self.root is None:
-            return
-        for secondary in self._ensure_flat()[2]:
-            secondary.bulk_flush()
 
     # -- introspection -------------------------------------------------------
 
@@ -1046,7 +821,8 @@ class EndpointTree:
         """
         sink: List[ETNode] = []
         self._collect_canonical(rect, sink)
-        return sum(node.counter for node in sink)
+        cnts = self.cnts
+        return sum(cnts.item(node.idx) for node in sink)
 
     def _collect_canonical(self, rect: Rect, sink: List[ETNode]) -> None:
         if rect.is_empty():

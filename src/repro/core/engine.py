@@ -44,8 +44,6 @@ class WorkCounters:
     ``rebuilds``
         Structure (re)constructions: global rebuilding, logarithmic-method
         merges, baseline skeleton rebuilds.
-    ``node_visits``
-        Tree nodes touched while descending / stabbing any structure.
     """
 
     __slots__ = (
@@ -55,7 +53,6 @@ class WorkCounters:
         "messages",
         "rounds",
         "rebuilds",
-        "node_visits",
     )
 
     def __init__(self) -> None:
@@ -69,7 +66,6 @@ class WorkCounters:
         self.messages = 0
         self.rounds = 0
         self.rebuilds = 0
-        self.node_visits = 0
 
     def snapshot(self) -> Dict[str, int]:
         """Return the current counter values as a plain dict."""

@@ -45,7 +45,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..streams.element import StreamElement
 from ..structures.heap import AddressableMinHeap, ScanMinList
 from .batch import prepare_batch
-from .dt_engine import TreeInstance, apply_collected, bisect_batch, flush_collected
+from .dt_engine import TreeInstance, apply_collected, bisect_batch
+from .endpoint_tree import COUNTER_MAX
 from .engine import Engine, EngineError
 from .events import MaturityEvent
 from .query import Query
@@ -73,29 +74,10 @@ class DTEngine(Engine):
         self._trees: List[Optional[TreeInstance]] = []
         #: query_id -> slot index of the tree currently managing it.
         self._locator: Dict[object, int] = {}
-        #: Mutation epoch for the batched fast path: any state change not
-        #: driven by the batch driver itself (scalar process, register,
-        #: terminate) advances it, orphaning the trees' bulk mirrors.
-        self._bulk_epoch = 0
-        #: Bulk mirrors holding deltas not yet written to real node
-        #: counters.  Flushed lazily — before any code path that reads
-        #: or mutates the real counters (see :meth:`_bulk_flush`) — so
-        #: consecutive all-bulk batches never pay a per-node write-back.
-        self._bulk_dirty: Dict[int, object] = {}
         #: Adaptive backoff state for :func:`bisect_batch` — consecutive
         #: fuel-exhausted batches, and batches left to replay scalar.
         self._bulk_strikes = 0
         self._bulk_backoff = 0
-
-    def _bulk_flush(self) -> None:
-        """Settle deferred bulk deltas before touching real counters.
-
-        Must run before every epoch bump: an orphaned mirror (epoch
-        mismatch) is simply dropped, so it must never hold unflushed
-        deltas.
-        """
-        if self._bulk_dirty:
-            flush_collected(self._bulk_dirty)
 
     # -- registration (Section 5) ----------------------------------------
 
@@ -103,8 +85,6 @@ class DTEngine(Engine):
         self.validate_query(query)
         if query.query_id in self._locator:
             raise EngineError(f"query id {query.query_id!r} already registered")
-        self._bulk_flush()
-        self._bulk_epoch += 1
         self._merge_into_slot([(query, query.threshold, 0)])
 
     def register_batch(self, queries: Iterable[Query]) -> None:
@@ -126,8 +106,6 @@ class DTEngine(Engine):
             seen.add(query.query_id)
             new_entries.append((query, query.threshold, 0))
         if new_entries:
-            self._bulk_flush()
-            self._bulk_epoch += 1
             self._merge_into_slot(new_entries)
 
     def restore_entries(self, entries: Iterable) -> None:
@@ -156,8 +134,6 @@ class DTEngine(Engine):
                 )
             rebased.append((query, remaining, consumed))
         if rebased:
-            self._bulk_flush()
-            self._bulk_epoch += 1
             self._merge_into_slot(rebased)
 
     def _merge_into_slot(self, new_entries: List[Tuple[Query, int, int]]) -> None:
@@ -202,15 +178,40 @@ class DTEngine(Engine):
 
     # -- stream processing (Section 5) --------------------------------------
 
+    def _make_room(self, weight: int) -> None:
+        """Keep every tree's counters in int64 for an ingest of ``weight``.
+
+        A tree's counters never exceed the weight it has ingested since
+        it was built (``total``).  A tree the ingest would carry past
+        :data:`COUNTER_MAX` is rebuilt first — Section 4's rebuild, which
+        re-bases every threshold by the weight already collected and
+        starts the counters at zero.  An ingest heavier than the bound
+        itself cannot fit any tree: it raises before any state changes.
+        (``process`` runs the same rule inline, per tree.)
+        """
+        if weight > COUNTER_MAX:
+            raise EngineError(
+                f"ingest weight {weight} exceeds the counter bound "
+                f"{COUNTER_MAX} (2^63 - 1)"
+            )
+        for slot, tree in enumerate(self._trees):
+            if tree is not None and tree.total > COUNTER_MAX - weight:
+                self._rebuild_slot(slot, "overflow")
+
     def process(self, element: StreamElement, timestamp: int) -> List[MaturityEvent]:
         self.validate_element(element)
-        if self._bulk_dirty:
-            flush_collected(self._bulk_dirty)
-        self._bulk_epoch += 1
+        weight = element.weight
+        room = COUNTER_MAX - weight
+        if room < 0:
+            self._make_room(weight)  # raises: no tree can take it
         events: List[MaturityEvent] = []
         for slot, tree in enumerate(self._trees):
             if tree is None:
                 continue
+            if tree.total > room:
+                tree = self._rebuild_slot(slot, "overflow")
+                if tree is None:
+                    continue
             for query, weight_seen in tree.process(element):
                 del self._locator[query.query_id]
                 events.append(
@@ -237,38 +238,36 @@ class DTEngine(Engine):
         """
         batch = prepare_batch(elements, self.dims)
         if not batch.vectorizable:
+            if batch.size:
+                self._make_room(max(e.weight for e in batch.elements))
             return super().process_batch(batch.elements, timestamp)
-        dirty = self._bulk_dirty
+        weights = batch.weights
+        self._make_room(int(weights.sum()))
         scalar_elements = batch.elements
 
         def try_bulk(lo: int, hi: int, hints=None, stash=None) -> bool:
             out: List[Tuple[object, object]] = []
             for tree in self._trees:
                 if tree is not None and not tree.collect_batch(
-                    batch, lo, hi, out, self._bulk_epoch, hints, stash
+                    batch, lo, hi, out, hints, stash
                 ):
                     return False
-            apply_collected(out, dirty, self.counters)
+            apply_collected(out, self.counters)
+            ingested = int(weights[lo:hi].sum())
+            for tree in self._trees:
+                if tree is not None:
+                    tree.total += ingested
             return True
 
         def run_scalar(
             lo: int, hi: int, events: List[MaturityEvent], hints=None, stash=None
         ) -> None:
-            # process() flushes the deferred deltas before reading real
-            # counters; afterwards the range's own bumps are folded back
-            # into every tree's mirrors so they stay exact without a
-            # rebuild.
-            old_epoch = self._bulk_epoch
             for i in range(lo, hi):
                 events.extend(self.process(scalar_elements[i], timestamp + i))
             for tree in self._trees:
                 if tree is not None:
-                    tree.resync_batch(
-                        batch, lo, hi, old_epoch, self._bulk_epoch, hints, stash
-                    )
+                    tree.resync_batch(batch, lo, hi, hints, stash)
 
-        # Deferred deltas stay in the mirrors across batches; every real-
-        # counter reader flushes via _bulk_flush first.
         return bisect_batch(self, batch, timestamp, try_bulk, run_scalar)
 
     # -- termination ------------------------------------------------------
@@ -279,8 +278,6 @@ class DTEngine(Engine):
             return False
         tree = self._trees[slot]
         assert tree is not None, "locator points at an empty slot"
-        self._bulk_flush()
-        self._bulk_epoch += 1
         removed = tree.terminate(query_id)
         if removed:
             del self._locator[query_id]
@@ -288,28 +285,27 @@ class DTEngine(Engine):
                 self._rebuild_slot(slot)
         return removed
 
-    def _rebuild_slot(self, slot: int) -> None:
+    def _rebuild_slot(self, slot: int, kind: str = "halved") -> Optional[TreeInstance]:
         """Per-tree global rebuilding (Section 4) in place.
 
         Rebuilding never grows the alive count, so property P3 holds for
         the slot afterwards.  A tree whose queries all disappeared becomes
-        an empty placeholder.
+        an empty placeholder.  ``kind`` labels the trigger in telemetry:
+        ``"halved"`` (alive count halved) or ``"overflow"`` (see
+        :meth:`_make_room`).  Returns the new tree, or None.
         """
         tree = self._trees[slot]
         assert tree is not None
         entries = tree.alive_entries()
         if not entries:
             self._trees[slot] = None
-            return
-        self._trees[slot] = TreeInstance(
+            return None
+        tree = self._trees[slot] = TreeInstance(
             entries, self.dims, self.counters, self._heap_factory, self.obs
         )
         if self.obs.enabled:
-            self.obs.rebuild(
-                "halved",
-                len(entries),
-                heap_entries=self._trees[slot].stats()["heap_entries"],
-            )
+            self.obs.rebuild(kind, len(entries), heap_entries=tree.stats()["heap_entries"])
+        return tree
 
     # -- introspection ------------------------------------------------------
 
@@ -333,7 +329,6 @@ class DTEngine(Engine):
         return [tree.alive if tree is not None else 0 for tree in self._trees]
 
     def collected_weight(self, query_id: object) -> int:
-        self._bulk_flush()
         slot = self._locator.get(query_id)
         if slot is None:
             raise KeyError(f"query {query_id!r} is not alive")

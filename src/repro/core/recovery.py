@@ -208,9 +208,9 @@ class DurableSystem:
         Returns the JSON-compatible snapshot; the caller persists it, and
         from then on only operations after this instant need replaying.
 
-        Safe to call while a batched engine has deferred columnar deltas
-        outstanding: the snapshot reads W(q) through ``collected_weight``,
-        which flushes pending deltas into the canonical counters first.
+        Safe to call right after a batched ingest: the snapshot reads
+        W(q) through ``collected_weight``, straight from the one counter
+        store that bulk and scalar ingestion both update in place.
         """
         snap = self.system.snapshot()
         self.wal.clear()

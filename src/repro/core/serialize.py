@@ -136,13 +136,11 @@ def system_to_obj(system) -> Dict[str, Any]:
     Requires the engine to have been named via the registry (the default);
     a hand-constructed engine instance has no serializable spec.
 
-    Batched engines may hold weight in deferred columnar deltas (the
-    ``ColumnarTree`` ``pend`` column) when a checkpoint lands between
-    batches.  That is safe here: ``collected_weight`` is a counter read,
-    and every counter reader settles outstanding deltas via the engine's
-    ``_bulk_flush`` before answering — so the snapshot always captures
-    the post-flush canonical W(q), and the round-trip is byte-identical
-    whether or not a batched descent was in flight.
+    A checkpoint may land right after a batched descent: the DT engines
+    keep each counter in exactly one place (the tree's int64 counter
+    store, which bulk ranges and scalar elements both update in place),
+    so ``collected_weight`` reads the canonical W(q) directly and the
+    round-trip is byte-identical either way.
     """
     spec = getattr(system, "engine_spec", None)
     if spec is None:

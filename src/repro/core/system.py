@@ -218,13 +218,14 @@ class RTSSystem:
             element = value
         else:
             element = StreamElement(value, weight)
-        self._clock += 1
+        now = self._clock + 1
         obs_on = self.obs.enabled
         if obs_on:
             # Stamp the logical clock *before* engine work so interior
             # hooks (round ends, rebuilds) carry the right arrival index.
-            self.obs.element_processed(self._clock, element.weight)
-        events = self.engine.process(element, self._clock)
+            self.obs.element_processed(now, element.weight)
+        events = self.engine.process(element, now)
+        self._clock = now  # an element the engine rejects takes no tick
         for event in events:
             self._status[event.query.query_id] = QueryStatus.MATURED
             self._maturity_times[event.query.query_id] = event.timestamp
@@ -287,13 +288,12 @@ class RTSSystem:
         if not batch:
             return []
         start = self._clock + 1
-        self._clock += len(batch)
+        end = self._clock + len(batch)
         obs_on = self.obs.enabled
         if obs_on:
-            self.obs.batch_processed(
-                self._clock, len(batch), sum(e.weight for e in batch)
-            )
+            self.obs.batch_processed(end, len(batch), sum(e.weight for e in batch))
         events = self.engine.process_batch(prepared, start)
+        self._clock = end  # a batch the engine rejects takes no ticks
         for event in events:
             self._status[event.query.query_id] = QueryStatus.MATURED
             self._maturity_times[event.query.query_id] = event.timestamp

@@ -39,7 +39,7 @@ from typing import List, Optional, Tuple
 
 from ..obs.observer import NULL_OBS
 from ..structures.heap import AddressableMinHeap, HeapEntry
-from .endpoint_tree import ETNode
+from .endpoint_tree import COUNTER_MAX, ETNode, sync_min
 from .engine import WorkCounters
 from .query import Query
 
@@ -84,6 +84,11 @@ class QueryTracker:
         Simulated DT messages attributable to this query alone (the
         per-instance view of ``WorkCounters.messages``), letting the
         sanitizer check the O(h log tau) bound of Section 3.2 per query.
+    cnts, mins:
+        The owning tree's counter store (bound by :meth:`start`): the
+        tracker reads ``c(u)`` as ``cnts[u.idx]`` and, after every heap
+        operation it performs at ``u``, writes the new ``min H(u)`` into
+        ``mins[u.idx]``.
     """
 
     __slots__ = (
@@ -98,6 +103,8 @@ class QueryTracker:
         "w_run",
         "rounds_run",
         "msgs",
+        "cnts",
+        "mins",
     )
 
     def __init__(self, query: Query, tau: int, consumed: int = 0):
@@ -118,24 +125,35 @@ class QueryTracker:
         self.w_run = 0
         self.rounds_run = 0
         self.msgs = 0
+        self.cnts = None
+        self.mins = None
 
     # -- setup -------------------------------------------------------------
 
     def start(
-        self, counters: WorkCounters, heap_factory=AddressableMinHeap, obs=NULL_OBS
+        self,
+        cnts,
+        mins,
+        counters: WorkCounters,
+        heap_factory=AddressableMinHeap,
+        obs=NULL_OBS,
     ) -> None:
         """Begin tracking on a freshly built tree (all counters zero).
 
         Must be called exactly once, after tree construction has filled
-        ``self.nodes``.  Installs one sigma entry per canonical node
-        (*unordered*: the owner heapifies each node's heap once after all
-        trackers have started) and opens the first round (or goes straight
-        to the final phase when ``tau <= 6h``).  ``heap_factory`` selects
-        the per-node container (the real min-heap, or the scan list for
-        the ablation).
+        ``self.nodes``; ``cnts``/``mins`` are that tree's counter store.
+        Installs one sigma entry per canonical node (*unordered*: the
+        owner heapifies each node's heap once after all trackers have
+        started, then fills ``mins``) and opens the first round (or goes
+        straight to the final phase when ``tau <= 6h``).  With every
+        counter at zero the first keys are ``1`` and ``lambda``.
+        ``heap_factory`` selects the per-node container (the real
+        min-heap, or the scan list for the ablation).
         """
         if self.entries:
             raise RuntimeError("tracker already started")
+        self.cnts = cnts
+        self.mins = mins
         h = len(self.nodes)
         if h == 0:
             self.state = TrackerState.INERT
@@ -147,9 +165,7 @@ class QueryTracker:
             if obs.enabled:
                 obs.dt_final_phase(self.query.query_id, self.tau)
             for node in self.nodes:
-                entry = node.ensure_heap(heap_factory).push_unordered(
-                    node.counter + 1, self
-                )
+                entry = node.ensure_heap(heap_factory).push_unordered(1, self)
                 self.entries.append(entry)
                 counters.heap_ops += 1
         else:
@@ -163,22 +179,31 @@ class QueryTracker:
                 obs.dt_messages("slack", h)
                 obs.dt_slack(self.query.query_id, self.lam, h)
             for node in self.nodes:
-                entry = node.ensure_heap(heap_factory).push_unordered(
-                    node.counter + self.lam, self
-                )
+                entry = node.ensure_heap(heap_factory).push_unordered(self.lam, self)
                 self.entries.append(entry)
                 counters.heap_ops += 1
 
     # -- signal handling ----------------------------------------------------
 
     def on_signal(
-        self, node: ETNode, entry: HeapEntry, counters: WorkCounters, obs=NULL_OBS
+        self,
+        node: ETNode,
+        entry: HeapEntry,
+        c: int,
+        counters: WorkCounters,
+        obs=NULL_OBS,
     ) -> Optional[int]:
         """Handle one due signal (``c(u) >= sigma_q(u)``) at ``node``.
 
-        Returns the total collected weight ``W(q)`` when the query matures
-        on this signal, else None.  On maturity the tracker detaches all
-        its heap entries and transitions to DONE.
+        ``c`` is the node's counter ``c(u)``, which the draining caller
+        already holds.  Returns the total collected weight ``W(q)`` when
+        the query matures on this signal, else None.  On maturity the
+        tracker detaches all its heap entries and transitions to DONE.
+
+        Every key this writes is above its node's counter — at a round
+        end ``c(u) + lambda'`` or ``c(u) + 1`` at every node — except
+        ``sigma + lambda`` at this node, which the caller's drain re-pops
+        while it is still due.  So no signal is left due anywhere.
         """
         counters.messages += 1  # the participant's one-bit signal
         self.msgs += 1
@@ -186,9 +211,9 @@ class QueryTracker:
             obs.dt_messages("signal")
         if self.state is TrackerState.FINAL:
             # Weighted delta forwarding: sigma was cbar + 1.
-            delta = node.counter - (entry.key - 1)
+            delta = c - (entry.key - 1)
             self.w_run += delta
-            node.heap.update_key(entry, node.counter + 1)
+            self._rekey(node, entry, c + 1)
             counters.heap_ops += 1
             if self.w_run >= self.tau:
                 self._mature(counters)
@@ -199,7 +224,7 @@ class QueryTracker:
         # drain loop re-pops the entry if the weighted increment covered
         # several slacks (Section 7's "repeat Line 1").
         self.signals += 1
-        node.heap.update_key(entry, entry.key + self.lam)
+        self._rekey(node, entry, entry.key + self.lam)
         counters.heap_ops += 1
         if self.signals < len(self.nodes):
             return None
@@ -213,9 +238,9 @@ class QueryTracker:
         self.msgs += 2 * h
         counters.rounds += 1
         self.rounds_run += 1
-        w_now = 0
-        for node in self.nodes:
-            w_now += node.counter
+        cnts = self.cnts
+        counts = [cnts.item(node.idx) for node in self.nodes]
+        w_now = sum(counts)
         if obs.enabled:
             obs.dt_messages("collect", h)
             obs.dt_messages("report", h)
@@ -235,8 +260,8 @@ class QueryTracker:
             self.w_run = w_now
             if obs.enabled:
                 obs.dt_final_phase(self.query.query_id, tau_prime)
-            for node, entry in zip(self.nodes, self.entries):
-                node.heap.update_key(entry, node.counter + 1)
+            for node, entry, c in zip(self.nodes, self.entries, counts):
+                self._rekey(node, entry, c + 1)
                 counters.heap_ops += 1
         else:
             self.lam = tau_prime // (2 * h)
@@ -246,10 +271,16 @@ class QueryTracker:
             if obs.enabled:
                 obs.dt_messages("slack", h)
                 obs.dt_slack(self.query.query_id, self.lam, h)
-            for node, entry in zip(self.nodes, self.entries):
-                node.heap.update_key(entry, node.counter + self.lam)
+            for node, entry, c in zip(self.nodes, self.entries, counts):
+                self._rekey(node, entry, c + self.lam)
                 counters.heap_ops += 1
         return None
+
+    def _rekey(self, node: ETNode, entry: HeapEntry, key: int) -> None:
+        """Move this query's sigma at ``node`` to ``key``, keeping
+        ``mins`` exact."""
+        node.heap.update_key(entry, key)
+        sync_min(self.mins, node)
 
     # -- teardown ----------------------------------------------------------
 
@@ -257,11 +288,20 @@ class QueryTracker:
         self.detach(counters)
 
     def detach(self, counters: WorkCounters) -> None:
-        """Remove every heap entry (maturity, termination, or rebuild)."""
+        """Remove every heap entry (maturity, termination, or rebuild).
+
+        A live tracker's entries are all attached (only this method
+        removes them), and each removal re-reads its node's minimum into
+        ``mins``.
+        """
+        mins = self.mins
+        cap = COUNTER_MAX
         for node, entry in zip(self.nodes, self.entries):
-            if entry.in_heap:
-                node.heap.remove(entry)
-                counters.heap_ops += 1
+            heap = node.heap
+            heap.remove(entry)
+            top = heap.min_key  # sync_min, inlined: TERMINATE's hot loop
+            mins[node.idx] = cap if top is None or top > cap else top
+        counters.heap_ops += len(self.entries)
         self.entries = []
         self.state = TrackerState.DONE
 
@@ -269,7 +309,8 @@ class QueryTracker:
 
     def collected_weight(self) -> int:
         """Exact ``W(q)`` relative to the tree epoch (sum of ``c(u)``)."""
-        return sum(node.counter for node in self.nodes)
+        cnts = self.cnts
+        return sum(cnts.item(node.idx) for node in self.nodes)
 
     @property
     def is_live(self) -> bool:

@@ -20,7 +20,7 @@ from ..baselines.naive import NaiveEngine
 from ..baselines.rtree_engine import RTreeEngine
 from ..baselines.seg_intv_engine import SegIntvEngine
 from ..core.dt_engine import TreeInstance
-from ..core.endpoint_tree import EndpointTree, ETNode
+from ..core.endpoint_tree import COUNTER_MAX, ColumnarTree, EndpointTree, ETNode
 from ..core.engine import Engine
 from ..core.logmethod import DTEngine
 from ..core.system import RTSSystem
@@ -130,12 +130,12 @@ def validate_scan_list(heap: ScanMinList, level: str) -> Iterator[Violation]:
 
 @register_checker(EndpointTree)
 def validate_endpoint_tree(tree: EndpointTree, level: str) -> Iterator[Violation]:
-    """Jurisdiction tiling, per-dimension layering, counter sanity."""
+    """Jurisdiction tiling, per-dimension layering, the counter store."""
     if not level_covers(level, "full"):
         return
     yield from _walk_level(tree)
-    for owner, state in _columnar_mirrors(tree):
-        yield from _validate_columnar_mirror(owner, state)
+    for owner, col in _column_trees(tree):
+        yield from _validate_counter_store(owner, col)
 
 
 def _walk_level(tree: EndpointTree) -> Iterator[Violation]:
@@ -173,14 +173,6 @@ def _walk_level(tree: EndpointTree) -> Iterator[Violation]:
                 )
             stack.append(left)
             stack.append(right)
-        if node.counter < 0:
-            yield Violation(
-                "counter-negative",
-                f"node counter c(u) = {node.counter} is negative",
-                section="S4",
-                subject=subject,
-                context=_ctx(dim=tree.dim, counter=node.counter),
-            )
         if tree.last_dim:
             if node.secondary is not None:
                 yield Violation(
@@ -200,14 +192,14 @@ def _walk_level(tree: EndpointTree) -> Iterator[Violation]:
                     subject=subject,
                     context=_ctx(dim=tree.dim),
                 )
-            if node.counter != 0:
+            if node.idx != -1:
                 yield Violation(
                     "dimension-layering",
-                    "non-final-dimension node carries a counter "
+                    "non-final-dimension node owns a counter column "
                     "(only last-dimension nodes count weight)",
                     section="S6",
                     subject=subject,
-                    context=_ctx(dim=tree.dim, counter=node.counter),
+                    context=_ctx(dim=tree.dim, column=node.idx),
                 )
             if node.secondary is not None:
                 if node.secondary.dim != tree.dim + 1:
@@ -221,142 +213,67 @@ def _walk_level(tree: EndpointTree) -> Iterator[Violation]:
                 yield from _walk_level(node.secondary)
 
 
-def _columnar_mirrors(tree: EndpointTree) -> Iterator[Tuple[EndpointTree, object]]:
-    """Yield ``(owning last-dim tree, ColumnarTree)`` over all levels."""
+def _column_trees(tree: EndpointTree) -> Iterator[Tuple[EndpointTree, ColumnarTree]]:
+    """Yield ``(last-dim tree, its ColumnarTree)`` over all levels."""
     if tree.last_dim:
-        state = tree._bulk
-        if state is not None:
-            yield tree, state
+        if tree._col is not None:
+            yield tree, tree._col
         return
     for node in tree.iter_nodes():
         if node.secondary is not None:
-            yield from _columnar_mirrors(node.secondary)
+            yield from _column_trees(node.secondary)
 
 
-def _validate_columnar_mirror(tree: EndpointTree, state) -> Iterator[Violation]:
-    """Columnar <-> pointer cross-check (docs/PERFORMANCE.md).
+def _validate_counter_store(tree: EndpointTree, col: ColumnarTree) -> Iterator[Violation]:
+    """The one counter store, on one last-dimension tree's slice of it.
 
-    The frozen skeleton columns must be an exact image of the pointer
-    graph at all times (the skeleton is immutable), and the maintained
-    mirror columns must satisfy their internal identities
-    (``slack = mins - cnts`` at heap-bearing nodes, the ``heap_pos``
-    inverse map).  The counter identity is checked separately by
-    :func:`_validate_columnar_counters`, which needs the engine's
-    work-counter sink for its freshness gate.
+    ``cnts`` holds every ``c(u)`` and nothing else does, so the Section 4
+    identities are checked on it directly: counters are non-negative and
+    every internal node counts exactly what its two children count (an
+    element bumps a whole root-to-leaf path).  ``mins`` must equal each
+    heap's minimum key, capped at :data:`COUNTER_MAX` — the value an
+    empty or absent heap reads — because the slack checks trust it.
     """
     import numpy as np
 
-    def bad(ident, msg, **ctx):
-        return Violation(
-            ident, msg, section="S4", subject=f"ColumnarTree(n={state.n})",
-            context=_ctx(dim=tree.dim, **ctx),
-        )
-
-    nodes = state.nodes
-    n = state.n
-    if n != len(nodes) or nodes[0] is not tree.root:
-        yield bad("columnar-skeleton", "node table does not start at the tree root")
-        return
-    left, right, parent, depth = state.left, state.right, state.parent, state.depth
-    for i, node in enumerate(nodes):
-        li, ri, pi = int(left[i]), int(right[i]), int(parent[i])
-        if node.left is None:
-            if li != -1 or ri != -1:
-                yield bad(
-                    "columnar-skeleton",
-                    f"leaf node {i} has child indices ({li}, {ri})",
-                    node=i,
-                )
-        elif (
-            li < 0
-            or ri < 0
-            or nodes[li] is not node.left
-            or nodes[ri] is not node.right
-        ):
-            yield bad(
-                "columnar-skeleton",
-                f"child indices ({li}, {ri}) of node {i} do not match the "
-                "pointer graph",
-                node=i,
-            )
-        if i == 0:
-            if pi != -1 or int(depth[i]) != 0:
-                yield bad("columnar-skeleton", "root has a parent or depth != 0")
-        elif (
-            pi < 0
-            or (nodes[pi].left is not node and nodes[pi].right is not node)
-            or int(depth[i]) != int(depth[pi]) + 1
-        ):
-            yield bad(
-                "columnar-skeleton",
-                f"parent/depth of node {i} do not match the pointer graph",
-                node=i,
-            )
-    # Leaf routing table: one slot per leaf, strictly increasing encoded
-    # lows (ties are impossible — leaf jurisdictions tile the line).
-    leaf_count = sum(1 for nd in nodes if nd.left is None)
-    if state.leaf_ids.size != leaf_count or not (
-        np.diff(state.leaf_lows) > 0
-    ).all():
-        yield bad(
-            "columnar-leaf-table",
-            "leaf routing table is not a strictly sorted image of the leaves",
-            leaves=leaf_count,
-        )
-    # Heap columns: exactly the heap-bearing nodes, heap_pos the inverse.
-    with_heaps = [i for i, nd in enumerate(nodes) if nd.heap is not None]
-    if list(state.heap_idx) != with_heaps or any(
-        state.heaps[k] is not nodes[i].heap
-        or int(state.heap_pos[i]) != k
-        for k, i in enumerate(with_heaps)
-    ):
-        yield bad(
-            "columnar-heap-index",
-            "heap_idx/heaps/heap_pos do not mirror the heap-bearing nodes",
-            heaps=len(with_heaps),
-        )
-    # Mirror-internal identity: slack = mins - cnts at heap nodes, +inf
-    # elsewhere (maintained incrementally by apply/charge/refresh).
-    if state.slack is not None and len(state.heap_idx):
-        hidx = state.heap_idx
-        expect = state.mins - state.cnts[hidx]
-        if not np.array_equal(state.slack[hidx], expect):
-            yield bad(
-                "columnar-slack",
-                "slack column diverges from mins - cnts at heap-bearing nodes",
-            )
-        rest = np.ones(n, dtype=bool)
-        rest[hidx] = False
-        if not np.isposinf(state.slack[:n][rest]).all():
-            yield bad(
-                "columnar-slack",
-                "slack column is finite at a node without a heap",
-            )
-
-
-def _validate_columnar_counters(tree: EndpointTree, state, counters) -> Iterator[Violation]:
-    """Counter identity ``cnts - pend == c(u)`` under a freshness gate.
-
-    Exact while no scalar bump is awaiting a mirror refresh (epoch -1
-    explicitly marks a stale mirror); the gate compares the engine's
-    bump counter against the mirror's sync stamp, so mid-stream desync
-    windows are skipped instead of raising falsely.
-    """
-    import numpy as np
-
-    if state.epoch == -1 or counters.counter_bumps != state.bump_stamp:
-        return
-    nodes = state.nodes
-    n = state.n
-    real = np.fromiter((nd.counter for nd in nodes), dtype=np.float64, count=n)
-    if not np.array_equal(state.cnts[:n] - state.pend[:n], real):
+    cnts, mins, base = col.cnts, col.mins, col.base
+    subject = f"ColumnarTree(base={base}, n={col.n})"
+    neg = np.flatnonzero(cnts < 0)
+    if neg.size:
+        i = int(neg[0])
         yield Violation(
-            "columnar-counters",
-            "cnts - pend diverges from the real node counters",
+            "counter-negative",
+            f"{neg.size} counter(s) negative; c(u) = {cnts.item(i)} at "
+            f"column {base + i}",
             section="S4",
-            subject=f"ColumnarTree(n={n})",
-            context=_ctx(dim=tree.dim),
+            subject=subject,
+            context=_ctx(dim=tree.dim, column=base + i, counter=cnts.item(i)),
         )
+    par = np.flatnonzero(col.left >= 0)
+    off = par[cnts[par] != cnts[col.left[par]] + cnts[col.right[par]]]
+    if off.size:
+        i = int(off[0])
+        yield Violation(
+            "counter-sum",
+            f"{off.size} internal node(s) with c(u) != c(left) + c(right); "
+            f"first at column {base + i}: {cnts.item(i)} != "
+            f"{cnts.item(int(col.left[i]))} + {cnts.item(int(col.right[i]))}",
+            section="S4",
+            subject=subject,
+            context=_ctx(dim=tree.dim, column=base + i),
+        )
+    for i, node in enumerate(col.nodes):
+        top = None if node.heap is None else node.heap.min_key
+        want = COUNTER_MAX if top is None or top > COUNTER_MAX else top
+        if mins.item(i) != want:
+            yield Violation(
+                "min-column",
+                f"mins = {mins.item(i)} at column {base + i} but the heap "
+                f"minimum is {top!r}",
+                section="S4",
+                subject=repr(node),
+                context=_ctx(dim=tree.dim, column=base + i, min_key=top),
+            )
 
 
 def _last_dim_nodes(tree: EndpointTree) -> Iterator[Tuple[EndpointTree, ETNode]]:
@@ -560,13 +477,6 @@ def validate_tree_instance(inst: TreeInstance, level: str) -> Iterator[Violation
 
     yield from validate_endpoint_tree(inst.tree, level)
 
-    # The engine's work-counter sink is in reach here, so the columnar
-    # counter identity gets its sound freshness gate (see
-    # _validate_columnar_mirror; the structural columns were already
-    # checked by the tree validator above).
-    for owner, state in _columnar_mirrors(inst.tree):
-        yield from _validate_columnar_counters(owner, state, inst._counters)
-
     # One walk over every last-dimension node: heap integrity, drain
     # quiescence, and entry-ownership, plus the node -> owning-tree map
     # needed for the canonical disjointness check below.
@@ -582,14 +492,15 @@ def validate_tree_instance(inst: TreeInstance, level: str) -> Iterator[Violation
             continue
         yield from _validate_heap_like(heap, level)
         min_key = heap.min_key
-        if min_key is not None and min_key <= node.counter:
+        counter = inst.cnts.item(node.idx)
+        if min_key is not None and min_key <= counter:
             yield Violation(
                 "heap-quiescence",
                 f"due signal left undrained: min sigma {min_key!r} <= "
-                f"c(u) = {node.counter}",
+                f"c(u) = {counter}",
                 section="S4",
                 subject=repr(node),
-                context=_ctx(min_key=min_key, counter=node.counter),
+                context=_ctx(min_key=min_key, counter=counter),
             )
         for entry in heap.entries():
             if id(entry) not in live_entry_ids:

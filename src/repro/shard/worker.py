@@ -119,7 +119,7 @@ def process(
     elements = decode_elements(values, weights)
     if _np is not None and isinstance(values, _np.ndarray):
         # Keep the columnar view alive across the wire: the shard's dt
-        # engines descend their ColumnarTree mirrors straight off these
+        # engines descend their columnar trees straight off these
         # arrays.  1-D wire payloads are the (n,) fast form of (n, 1).
         rows = values if values.ndim == 2 else values.reshape(-1, 1)
         prepared = PreparedBatch.from_arrays(elements, rows, weights)

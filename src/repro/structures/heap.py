@@ -323,14 +323,3 @@ class ScanMinList(Generic[P]):
 
         check(self)
 
-
-def bulk_min_keys(heaps, empty_key):
-    """Minimum key of each addressable heap, ``empty_key`` for empty ones.
-
-    The columnar mirror re-reads every heap minimum on each refresh;
-    this helper keeps that sweep inside the heap module (one root read
-    per heap, no per-heap property dispatch from the caller's side).
-    Only valid for :class:`AddressableMinHeap` instances, whose minimum
-    sits at the array root.
-    """
-    return [arr[0].key if arr else empty_key for arr in (h._arr for h in heaps)]

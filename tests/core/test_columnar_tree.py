@@ -4,26 +4,25 @@ The :class:`~repro.core.endpoint_tree.ColumnarTree` freezes one
 last-dimension endpoint tree into parallel numpy columns (BFS order,
 arithmetic child indexing) so the batched driver descends whole ranges
 with one gather + one bincount.  These tests pin the layout invariants
-— the things the sanitizer's columnar↔pointer cross-check also guards
-at runtime — plus the routing exactness and the freeze/refresh/flush
-lifecycle against the pointer graph as ground truth.
+against the pointer graph as ground truth, the routing exactness, and
+the counter store (``cnts`` / ``mins``) that the scalar and batched
+paths share.
 """
 
 import numpy as np
 import pytest
 
 from repro import Query, RTSSystem, StreamElement
-from repro.core.endpoint_tree import ColumnarTree, build_skeleton
-from repro.core.engine import WorkCounters
+from repro.core.endpoint_tree import COUNTER_MAX, ColumnarTree, build_skeleton
 
 
 def keys_of(*values):
     return [(float(v), 0) for v in values]
 
 
-def make_columnar(*key_values, epoch=0):
+def make_columnar(*key_values):
     root = build_skeleton(keys_of(*key_values))
-    return root, ColumnarTree(root, epoch, WorkCounters())
+    return root, ColumnarTree(root)
 
 
 class TestLayoutInvariants:
@@ -157,51 +156,35 @@ class TestRouting:
 
 
 class TestMirrorLifecycle:
-    """cnts/pend/slack bookkeeping and the deferred write-back."""
+    """The int64 counter store that replaced the float64 mirror.
 
-    def test_apply_then_flush_writes_real_counters(self):
-        root, ct = make_columnar(1, 2, 3, 4)
-        vals = np.array([[2.0], [3.5], [4.0]])
-        weights = np.array([5.0, 7.0, 2.0])
-        deltas = ct.route(vals, weights, np.arange(3), 0)
-        ct.apply(deltas)
-        assert np.array_equal(ct.pend, deltas)
-        assert float(ct.cnts[0]) == 14.0  # root delta == total routed weight
-        assert root.counter == 0  # deferred: real counters untouched
-        ct.flush()
-        assert root.counter == 14
-        assert not ct.pend.any()
-        assert float(ct.cnts[ct.n]) == 0.0  # scratch slot cleared
+    ``cnts`` is c(u) and ``mins`` is min H(u); there is no second copy,
+    so no flush, refresh or resync step exists between the paths.
+    """
 
-    def test_slack_column_tracks_min_minus_count(self):
+    def test_min_column_tracks_heap_minima(self):
         system = RTSSystem(dims=1, engine="dt-static")
         for i in range(4):
             system.register(Query([(10 * i, 10 * i + 15)], 1000, query_id=f"q{i}"))
-        ct = next(t for t in system.engine._trees if t is not None).tree._bulk
-        assert ct is not None and ct.epoch == -1  # frozen at the rebuild boundary
-        hidx = ct.heap_idx
-        assert np.array_equal(
-            ct.slack[hidx], ct.mins - ct.cnts[hidx]
-        )
-        mask = np.ones(ct.n, dtype=bool)
-        mask[hidx] = False
-        assert np.isinf(ct.slack[mask]).all()
-        # A batched run keeps the identity through apply/charge.
-        system.process_batch([StreamElement(float(v % 40), 2) for v in range(64)])
-        ct = next(t for t in system.engine._trees if t is not None).tree._bulk
-        assert np.array_equal(ct.slack[ct.heap_idx], ct.mins - ct.cnts[ct.heap_idx])
 
-    def test_refresh_stamp_fast_path(self):
-        system = RTSSystem(dims=1, engine="dt-static")
-        system.register(Query([(0, 50)], 10_000, query_id="q"))
-        ct = next(t for t in system.engine._trees if t is not None).tree._bulk
-        counters = system.engine.counters
-        before = ct.cnts.copy()
-        # Nothing moved since the freeze: refresh must only adopt the
-        # epoch, not rebuild the mirror columns.
-        ct.refresh(41, counters)
-        assert ct.epoch == 41
-        assert np.array_equal(ct.cnts, before)
+        def check():
+            inst = next(t for t in system.engine._trees if t is not None)
+            for node in inst.nodes:
+                top = None if node.heap is None else node.heap.min_key
+                want = COUNTER_MAX if top is None else top
+                assert int(inst.mins[node.idx]) == want
+            assert inst.cnts.dtype == np.int64 and inst.mins.dtype == np.int64
+
+        check()
+        # Batched and scalar ingestion keep the column exact with no
+        # refresh step in between.
+        system.process_batch([StreamElement(float(v % 40), 2) for v in range(64)])
+        check()
+        for v in range(40):
+            system.process(StreamElement(float(v), 7))
+        check()
+        system.terminate("q1")
+        check()
 
     def test_scalar_interleave_resyncs_mirror(self):
         system = RTSSystem(dims=1, engine="dt-static")
@@ -210,10 +193,3 @@ class TestMirrorLifecycle:
         system.process(StreamElement(5.0, 3))  # epoch bump + counter bumps
         system.process_batch([StreamElement(float(v), 1) for v in range(32)])
         assert system.engine.collected_weight("q") == 67
-
-    def test_guard_disables_mirror_before_rounding(self):
-        _root, ct = make_columnar(1, 2)
-        deltas = np.zeros(ct.n + 1)
-        deltas[0] = ct.guard + 1.0
-        ct.apply(deltas)
-        assert not ct.usable

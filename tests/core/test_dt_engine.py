@@ -6,9 +6,11 @@ import pytest
 
 from repro import Observability, Query, RTSSystem, StreamElement
 from repro.core.dt_engine import TreeInstance
+from repro.core.endpoint_tree import COUNTER_MAX
 from repro.core.engine import EngineError, WorkCounters
 from repro.core.logmethod import StaticDTEngine
 from repro.core.system import make_engine
+from repro.core.tracker import TrackerState
 
 
 def q(lo, hi, tau, qid):
@@ -185,6 +187,170 @@ class TestSameElementDispatchOrder:
         assert [(e.query.query_id, e.timestamp) for e in events] == [
             (qid, 4) for qid in expected
         ]
+
+
+class TestPrecomputedDueSet:
+    """One element drains several touched nodes; its due nodes are picked
+    once, before the first drain, and ``mins`` follows every re-key.
+
+    Dimension-0 keys 0, 10, 20, 40: an element at 15 descends root ->
+    [0,20) -> [10,20), one at 25 reaches [20,40).  q = [0,40) (tau 20,
+    lambda 5) owns [0,20) and [20,40); r = [10,20) (tau 4, final phase)
+    and s = [10,20) (tau 30) share [10,20).  In 2-D every rectangle spans
+    [0,100) in dimension 1, so the same nodes sit in secondary trees.
+
+    * Key element 2 (weight 13 at 15) drains [0,20) first: q's second
+      signal ends its round and, with 2 left of tau, opens the final
+      phase — re-keying q at [0,20) and at the untouched [20,40) — while
+      r, due at the later-touched [10,20), matures on the same element.
+    * That re-key *lowers* q's sigma at [20,40) from 10 to 6; key
+      element 3 (weight 2 at 25) takes the counter to 7 and matures q.
+      A ``mins`` entry left at 10 would miss it, scalar or batched.
+    * Key element 4 matures s at [10,20).
+
+    Fillers at 45 touch no heap, so batched runs also apply ranges in
+    bulk between the key elements.
+    """
+
+    KEYS = [(25.0, 5), (15.0, 13), (25.0, 2), (15.0, 20)]
+
+    def _stream(self, dims):
+        elements, at = [], []
+        for x, w in self.KEYS:
+            elements.extend(self._element(45.0, 1, dims) for _ in range(9))
+            at.append(len(elements) + 1)  # 1-based timestamp
+            elements.append(self._element(x, w, dims))
+        return elements, at
+
+    @staticmethod
+    def _element(x, w, dims):
+        return StreamElement(x if dims == 1 else (x, 50.0), w)
+
+    @staticmethod
+    def _queries(dims):
+        def rect(lo, hi):
+            return [(lo, hi)] if dims == 1 else [(lo, hi), (0, 100)]
+
+        return [
+            Query(rect(0, 40), 20, query_id="q"),
+            Query(rect(10, 20), 4, query_id="r"),
+            Query(rect(10, 20), 30, query_id="s"),
+        ]
+
+    def _events(self, engine, dims, batched):
+        eng = make_engine(engine, dims)
+        eng.register_batch(self._queries(dims))
+        elements, _at = self._stream(dims)
+        if batched:
+            events = eng.process_batch(elements, 1)
+        else:
+            events = []
+            for t, element in enumerate(elements, 1):
+                events.extend(eng.process(element, t))
+        return [(e.query.query_id, e.timestamp, e.weight_seen) for e in events]
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("engine", ["dt", "dt-static", "dt-scan"])
+    def test_events_match_naive(self, engine, batched, dims):
+        _elements, at = self._stream(dims)
+        expected = [("r", at[1], 13), ("q", at[2], 20), ("s", at[3], 33)]
+        assert self._events("baseline", dims, False) == expected
+        assert self._events(engine, dims, batched) == expected
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_round_ends_on_the_shared_element(self, dims):
+        eng = make_engine("dt", dims)
+        eng.register_batch(self._queries(dims))
+        elements, at = self._stream(dims)
+        tracker = eng._trees[eng._locator["q"]].trackers["q"]
+        events = []
+        for t, element in enumerate(elements[: at[1]], 1):
+            events.extend(eng.process(element, t))
+        assert [e.query.query_id for e in events] == ["r"]
+        assert tracker.rounds_run == 1 and tracker.state is TrackerState.FINAL
+
+
+class TestCounterBound:
+    """Counters live in int64 columns: no tree's running total may pass
+    COUNTER_MAX.  An ingest that would carry a tree past it rebuilds that
+    tree first (counters restart at zero, thresholds re-based); one that
+    is heavier than the bound itself raises before any state changes."""
+
+    @staticmethod
+    def _replay(engine, dims, queries, ops, obs=None):
+        system = RTSSystem(dims=dims, engine=engine, observability=obs)
+        system.register_batch(queries)
+        events = []
+        for op in ops:
+            if isinstance(op, list):
+                events.extend(system.process_batch(op))
+            else:
+                events.extend(system.process(op))
+        return [(e.query.query_id, e.timestamp, e.weight_seen) for e in events]
+
+    @staticmethod
+    def _setup(dims, heavy):
+        def rect(lo, hi):
+            return [(lo, hi)] if dims == 1 else [(lo, hi), (0, 100)]
+
+        def el(x, w):
+            return StreamElement(x if dims == 1 else (x, 50.0), w)
+
+        queries = [
+            Query(rect(0, 10), 2 * heavy + 10, query_id="a"),
+            Query(rect(5, 20), heavy + 30, query_id="b"),
+            Query(rect(0, 30), 2 * heavy + 25, query_id="c"),
+        ]
+        return queries, el
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("engine", ["dt", "dt-static"])
+    def test_scalar_ingest_rebuilds_before_overflow(self, engine, dims):
+        heavy = 1 << 62
+        queries, el = self._setup(dims, heavy)
+        ops = [el(7.0, heavy), el(15.0, heavy - 1), el(7.0, heavy)]
+        ops += [el(x, 3) for x in (7.0, 15.0, 25.0) * 6]
+        obs = Observability()
+        got = self._replay(engine, dims, queries, ops, obs)
+        assert got == self._replay("baseline", dims, queries, ops)
+        assert {qid for qid, _t, _w in got} == {"a", "b", "c"}
+        # 2^62 + (2^62 - 1) is the bound exactly; the third element
+        # would pass it.
+        assert obs.metrics.value("rts_rebuilds_total", kind="overflow") == 1
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("engine", ["dt", "dt-static"])
+    def test_batched_ingest_rebuilds_before_overflow(self, engine, dims):
+        # Two scalar elements leave the tree 11 below the bound; the next
+        # batch weighs 40 and is vectorizable, so it descends in bulk.
+        heavy = (COUNTER_MAX - 11) // 2
+        queries, el = self._setup(dims, heavy)
+        batch = [el(x, 1) for x in (7.0, 15.0, 25.0, 45.0) * 10]
+        ops = [el(7.0, heavy), el(15.0, heavy), batch, batch]
+        obs = Observability()
+        got = self._replay(engine, dims, queries, ops, obs)
+        assert got == self._replay("baseline", dims, queries, ops)
+        assert {qid for qid, _t, _w in got} == {"b", "c"}
+        assert obs.metrics.value("rts_rebuilds_total", kind="overflow") == 1
+
+    @pytest.mark.parametrize("engine", ["dt", "dt-static"])
+    def test_overweight_ingest_raises_before_any_change(self, engine):
+        system = RTSSystem(dims=1, engine=engine)
+        system.register([(0, 10)], threshold=50, query_id="a")
+        system.process(StreamElement(5.0, 3))
+
+        def state():
+            return system.now, system.progress("a"), system.work_counters.snapshot()
+
+        before = state()
+        too_heavy = COUNTER_MAX + 1
+        with pytest.raises(EngineError, match="counter bound"):
+            system.process(StreamElement(5.0, too_heavy))
+        with pytest.raises(EngineError, match="counter bound"):
+            system.process_batch([StreamElement(5.0, 1), StreamElement(5.0, too_heavy)])
+        assert state() == before
+        assert system.process_batch([StreamElement(5.0, 47)])[0].timestamp == 2
 
 
 def test_dt_engine_classes_are_module_level():

@@ -1,22 +1,31 @@
 """Unit tests for the per-query distributed-tracking state machine."""
 
+import numpy as np
 import pytest
 
 from repro import Query, Rect
-from repro.core.endpoint_tree import ETNode
+from repro.core.endpoint_tree import COUNTER_MAX, ETNode
 from repro.core.engine import WorkCounters
 from repro.core.geometry import Interval
 from repro.core.tracker import FINAL_PHASE_FACTOR, QueryTracker, TrackerState
 
 
 def make_nodes(count):
-    """Stand-alone leaf nodes usable as DT participants."""
-    return [ETNode((float(i), 0), (float(i) + 1, 0)) for i in range(count)]
+    """Stand-alone leaf nodes usable as DT participants (columns 0..)."""
+    nodes = [ETNode((float(i), 0), (float(i) + 1, 0)) for i in range(count)]
+    for i, node in enumerate(nodes):
+        node.idx = i
+    return nodes
+
+
+def store(size=8):
+    """A fresh counter store: zero counters, every heap minimum empty."""
+    return np.zeros(size, dtype=np.int64), np.full(size, COUNTER_MAX, dtype=np.int64)
 
 
 def attach(tracker, nodes):
     tracker.nodes = list(nodes)
-    tracker.start(WorkCounters())
+    tracker.start(*store(), WorkCounters())
     for node in nodes:
         if node.heap is not None:
             node.heap.heapify()
@@ -24,14 +33,15 @@ def attach(tracker, nodes):
 
 def bump(tracker, node, weight, counters):
     """Simulate one element hitting ``node``: counter bump + heap drain."""
-    node.counter += weight
+    tracker.cnts[node.idx] += weight
+    c = int(tracker.cnts[node.idx])
     heap = node.heap
     matured = None
     while heap is not None:
-        entry = heap.first_due(node.counter)
+        entry = heap.first_due(c)
         if entry is None:
             break
-        result = entry.payload.on_signal(node, entry, counters)
+        result = entry.payload.on_signal(node, entry, c, counters)
         if result is not None:
             matured = result
     return matured
@@ -40,7 +50,7 @@ def bump(tracker, node, weight, counters):
 class TestStartStates:
     def test_inert_without_nodes(self):
         tracker = QueryTracker(Query([(0, 1)], 5), 5)
-        tracker.start(WorkCounters())
+        tracker.start(*store(), WorkCounters())
         assert tracker.state is TrackerState.INERT
         assert not tracker.is_live
 
@@ -48,7 +58,7 @@ class TestStartStates:
         tracker = QueryTracker(Query([(0, 1)], 5), 5)
         nodes = make_nodes(2)
         tracker.nodes = nodes
-        tracker.start(WorkCounters())
+        tracker.start(*store(), WorkCounters())
         assert tracker.state is TrackerState.FINAL  # tau=5 <= 6*2
         # sigma is c(u)+1 = 1 on every node
         assert all(e.key == 1 for e in tracker.entries)
@@ -58,7 +68,7 @@ class TestStartStates:
         tracker = QueryTracker(Query([(0, 1)], tau), tau)
         nodes = make_nodes(4)
         tracker.nodes = nodes
-        tracker.start(WorkCounters())
+        tracker.start(*store(), WorkCounters())
         assert tracker.state is TrackerState.ROUND
         assert tracker.lam == tau // (2 * 4)  # Eq. (2)
         assert all(e.key == tracker.lam for e in tracker.entries)
@@ -68,15 +78,15 @@ class TestStartStates:
         tau = FINAL_PHASE_FACTOR * h
         tracker = QueryTracker(Query([(0, 1)], tau), tau)
         tracker.nodes = make_nodes(h)
-        tracker.start(WorkCounters())
+        tracker.start(*store(), WorkCounters())
         assert tracker.state is TrackerState.FINAL
 
     def test_double_start_rejected(self):
         tracker = QueryTracker(Query([(0, 1)], 100), 100)
         tracker.nodes = make_nodes(2)
-        tracker.start(WorkCounters())
+        tracker.start(*store(), WorkCounters())
         with pytest.raises(RuntimeError):
-            tracker.start(WorkCounters())
+            tracker.start(*store(), WorkCounters())
 
     def test_invalid_tau_and_consumed(self):
         with pytest.raises(ValueError):
@@ -93,7 +103,7 @@ class TestExactMaturity:
         nodes = make_nodes(3)
         tracker.nodes = nodes
         attach_nodes = nodes
-        tracker.start(counters)
+        tracker.start(*store(), counters)
         for node in attach_nodes:
             node.heap.heapify()
         total = 0
@@ -114,7 +124,7 @@ class TestExactMaturity:
         tracker = QueryTracker(Query([(0, 1)], tau), tau)
         nodes = make_nodes(2)
         tracker.nodes = nodes
-        tracker.start(counters)
+        tracker.start(*store(), counters)
         for node in nodes:
             node.heap.heapify()
         weights = [123, 40, 300, 5, 90]  # cumsum crosses 500 at index 4
@@ -130,7 +140,7 @@ class TestExactMaturity:
         tracker = QueryTracker(Query([(0, 1)], tau), tau)
         nodes = make_nodes(4)
         tracker.nodes = nodes
-        tracker.start(counters)
+        tracker.start(*store(), counters)
         for node in nodes:
             node.heap.heapify()
         assert bump(tracker, nodes[0], 1_000_000, counters) == 1_000_000
@@ -140,7 +150,7 @@ class TestExactMaturity:
         tracker = QueryTracker(Query([(0, 1)], 20), 5, consumed=15)
         nodes = make_nodes(1)
         tracker.nodes = nodes
-        tracker.start(counters)
+        tracker.start(*store(), counters)
         nodes[0].heap.heapify()
         assert bump(tracker, nodes[0], 5, counters) == 20  # 15 + 5
 
@@ -150,7 +160,7 @@ class TestExactMaturity:
         tracker = QueryTracker(Query([(0, 1)], tau), tau)
         nodes = make_nodes(4)
         tracker.nodes = nodes
-        tracker.start(counters)
+        tracker.start(*store(), counters)
         for node in nodes:
             node.heap.heapify()
         i = 0
@@ -166,7 +176,7 @@ class TestDetach:
         tracker = QueryTracker(Query([(0, 1)], 100), 100)
         nodes = make_nodes(3)
         tracker.nodes = nodes
-        tracker.start(counters)
+        tracker.start(*store(), counters)
         for node in nodes:
             node.heap.heapify()
         tracker.detach(counters)
@@ -178,7 +188,7 @@ class TestDetach:
         tracker = QueryTracker(Query([(0, 1)], 3), 3)
         nodes = make_nodes(1)
         tracker.nodes = nodes
-        tracker.start(counters)
+        tracker.start(*store(), counters)
         nodes[0].heap.heapify()
         bump(tracker, nodes[0], 3, counters)
         assert tracker.state is TrackerState.DONE
@@ -188,11 +198,11 @@ class TestDetach:
         tracker = QueryTracker(Query([(0, 1)], 1000), 1000)
         nodes = make_nodes(3)
         tracker.nodes = nodes
-        tracker.start(WorkCounters())
+        tracker.start(*store(), WorkCounters())
         for node in nodes:
             node.heap.heapify()
-        nodes[0].counter += 5
-        nodes[2].counter += 11
+        tracker.cnts[nodes[0].idx] += 5
+        tracker.cnts[nodes[2].idx] += 11
         assert tracker.collected_weight() == 16
 
 
@@ -202,19 +212,21 @@ class TestSharedNodes:
         node = make_nodes(1)[0]
         t1 = QueryTracker(Query([(0, 1)], 10, query_id="a"), 10)
         t2 = QueryTracker(Query([(0, 1)], 25, query_id="b"), 25)
+        cnts, mins = store()
         for t in (t1, t2):
             t.nodes = [node]
-            t.start(counters)
+            t.start(cnts, mins, counters)
         node.heap.heapify()
         matured = []
         for step in range(1, 30):
-            node.counter += 1
+            cnts[node.idx] += 1
+            c = int(cnts[node.idx])
             heap = node.heap
             while True:
-                entry = heap.first_due(node.counter)
+                entry = heap.first_due(c)
                 if entry is None:
                     break
-                result = entry.payload.on_signal(node, entry, counters)
+                result = entry.payload.on_signal(node, entry, c, counters)
                 if result is not None:
                     matured.append((entry.payload.query.query_id, step, result))
         assert matured == [("a", 10, 10), ("b", 25, 25)]

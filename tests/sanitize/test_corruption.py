@@ -64,8 +64,28 @@ class TestTreeSanitizer:
         node = inst.tree.root
         while node.left is not None:
             node = node.left
-        node.counter = -3
+        inst.cnts[node.idx] = -3
         assert "counter-negative" in _invariants(system)
+
+    def test_counter_sum_break_detected(self):
+        system = _dt_system()
+        inst = _first_instance(system)
+        node = inst.tree.root
+        while node.left is not None:
+            node = node.right
+        inst.cnts[node.idx] += 5  # a leaf bump its ancestors never saw
+        found = _invariants(system)
+        assert "counter-sum" in found
+        assert "counter-negative" not in found
+
+    def test_stale_min_column_detected(self):
+        system = _dt_system()
+        inst = _first_instance(system)
+        node = next(nd for nd in inst.nodes if nd.heap)
+        inst.mins[node.idx] += 1  # the slack checks would now read high
+        found = _invariants(system)
+        assert "min-column" in found
+        assert "counter-sum" not in found
 
     def test_canonical_set_mismatch_detected(self):
         system = _dt_system()
