@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import Interval, Rect
-from repro.structures.heap import AddressableMinHeap, ScanMinList
+from repro.structures.heap import MIN_CAP, HeapArena
 from repro.structures.interval_tree import CenteredIntervalTree
 from repro.structures.rtree import RTree
 from repro.structures.seg_intv_tree import SegIntvTree
@@ -14,18 +14,21 @@ from repro.structures.segment_tree import SegmentTree
 N = 5_000
 
 
-@pytest.mark.parametrize("cls", [AddressableMinHeap, ScanMinList])
-def test_heap_push_pop(benchmark, cls):
+@pytest.mark.parametrize("scan", [False, True], ids=["heap", "scan"])
+def test_heap_push_pop(benchmark, scan):
+    import numpy as np
+
     rnd = random.Random(0)
     keys = [rnd.randint(0, 10**6) for _ in range(2_000)]
 
     def run():
-        heap = cls()
-        entries = [heap.push(k, None) for k in keys]
-        for e in entries[: len(entries) // 2]:
-            heap.remove(e)
-        while heap:
-            heap.pop()
+        # Build one heap holding every key, remove half by id, then
+        # drain the rest minimum first.
+        mins = np.full(1, MIN_CAP, dtype=np.int64)
+        arena = HeapArena([0] * len(keys), keys, [None] * len(keys), [1] * len(keys), mins, scan)
+        arena.remove_run(0, len(keys) // 2)
+        while arena.top(0) is not None:
+            arena.remove(arena.first_due(0, MIN_CAP))
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -21,13 +21,12 @@ import numpy as _np
 
 from ..obs.observer import NULL_OBS
 from ..streams.element import StreamElement
-from ..structures.heap import AddressableMinHeap, ScanMinList
 from .batch import PreparedBatch
-from .endpoint_tree import EndpointTree, ETNode, sync_min
+from .endpoint_tree import EndpointTree
 from .engine import Engine, EngineError, WorkCounters
 from .events import MaturityEvent
 from .query import Query
-from .tracker import QueryTracker, TrackerState
+from .tracker import QueryTracker, TrackerState, start_trackers
 
 #: Ranges at most this long skip the bulk attempt and replay element by
 #: element — below the cutoff a vectorized pass costs more than the
@@ -53,8 +52,8 @@ BATCH_BACKOFF_ELEMENTS = 16384
 
 
 def apply_collected(out, counters: WorkCounters) -> None:
-    """Apply the ``(columnar tree, deltas)`` pairs a safe ``bulk_collect``
-    built.
+    """Apply the ``(last-dimension tree, deltas)`` pairs a safe
+    ``bulk_collect`` built.
 
     Safety (``min H(u) > c(u) + delta(u)`` at every touched node) means
     no heap drain is needed: the range cannot fire a single signal, so
@@ -64,11 +63,11 @@ def apply_collected(out, counters: WorkCounters) -> None:
     the machine-independent accounting — the saved work is the point.
     """
     bumps = 0
-    for col, deltas in out:
-        # deltas[-1] is the columnar scratch slot (paths padding), not a
-        # node; only real node bumps enter the store and the accounting.
+    for tree, deltas in out:
+        # deltas[-1] is the scratch slot (paths padding), not a node;
+        # only real node bumps enter the store and the accounting.
         real = deltas[:-1]
-        col.cnts += real
+        tree.cnts += real
         bumps += int(_np.count_nonzero(real))
     counters.counter_bumps += bumps
 
@@ -95,8 +94,8 @@ def bisect_batch(engine: Engine, batch: PreparedBatch, timestamp: int, try_bulk,
     routing pass.  The cached vectors depend only on the batch values
     and the frozen skeleton, so they stay exact across scalar replays
     and heap mutations within the batch; a mid-batch rebuild replaces
-    the columnar tree itself, which misses the tree-keyed lookup and
-    routes fresh.
+    the tree itself, which misses the tree-keyed lookup and routes
+    fresh.
     """
     events: List[MaturityEvent] = []
     obs = engine.obs
@@ -183,10 +182,13 @@ class TreeInstance:
         Data-space dimensionality.
     counters:
         Shared work-counter sink.
+    scan:
+        Build the no-heap ablation's arena (see
+        :class:`~repro.structures.heap.HeapArena`).
 
     ``cnts`` / ``mins`` are the tree's counter store (see
-    :class:`~repro.core.endpoint_tree.EndpointTree`); ``nodes`` maps a
-    store column to its node.  ``total`` is the weight ingested since
+    :class:`~repro.core.endpoint_tree.EndpointTree`) and ``arena`` holds
+    every sigma-heap.  ``total`` is the weight ingested since
     construction, which bounds every counter; the engines keep it at or
     below :data:`~repro.core.endpoint_tree.COUNTER_MAX`.
     """
@@ -196,7 +198,7 @@ class TreeInstance:
         "tree",
         "cnts",
         "mins",
-        "nodes",
+        "arena",
         "total",
         "built_count",
         "alive",
@@ -210,40 +212,38 @@ class TreeInstance:
         entries: Sequence[Tuple[Query, int, int]],
         dims: int,
         counters: WorkCounters,
-        heap_factory=AddressableMinHeap,
+        scan: bool = False,
         obs=NULL_OBS,
     ):
         self._counters = counters
         self._obs = obs
         self.trackers: Dict[object, QueryTracker] = {}
-        items = []
+        rects = []
         for query, tau, consumed in entries:
             if query.query_id in self.trackers:
                 raise EngineError(f"duplicate query id {query.query_id!r}")
-            tracker = QueryTracker(query, tau, consumed)
-            self.trackers[query.query_id] = tracker
-            items.append((query.rect, tracker.nodes))
-        tree = self.tree = EndpointTree(items, 0, dims, counters)
-        cnts = self.cnts = tree.cnts
-        mins = self.mins = tree.mins
-        self.nodes = tree.nodes
+            self.trackers[query.query_id] = QueryTracker(query, tau, consumed)
+            rects.append(query.rect)
+        tree = self.tree = EndpointTree(rects, dims, counters)
+        self.cnts = tree.cnts
+        self.mins = tree.mins
         self.total = 0
-        # Deduplicate by column but keep registration order so the
-        # heapify sweep is deterministic (dict preserves insertion).
-        heapified: Dict[int, ETNode] = {}
-        for tracker in self.trackers.values():
-            tracker.start(cnts, mins, counters, heap_factory, obs)
-            for node in tracker.nodes:
-                heapified[node.idx] = node
-        for node in heapified.values():
-            node.heap.heapify()
-            sync_min(mins, node)
+        self.arena = start_trackers(
+            list(self.trackers.values()),
+            tree.cnts,
+            tree.mins,
+            tree.qptr,
+            tree.qcols,
+            counters,
+            obs,
+            scan,
+        )
         self.built_count = len(self.trackers)
         self.alive = self.built_count
         #: The no-heap ablation inspects every touched node on every
         #: bump: pre-filtering by ``mins`` would hand it the very
         #: per-node minimum whose absence it measures.
-        self._scan = heap_factory is ScanMinList
+        self._scan = scan
 
     def set_observability(self, obs) -> None:
         """Re-point the telemetry sink (engines attach after construction)."""
@@ -283,18 +283,14 @@ class TreeInstance:
                 return matured
             due_cols, due_counts = touched[due].tolist(), now[due].tolist()
         obs = self._obs
-        nodes = self.nodes
+        arena = self.arena
         for i, c in zip(due_cols, due_counts):
-            heap = nodes[i].heap
-            if heap is None:
-                continue  # heap-less (scan ablation, or c(u) at COUNTER_MAX)
-            node = nodes[i]
             while True:
-                entry = heap.first_due(c)
-                if entry is None:
+                entry = arena.first_due(i, c)
+                if entry < 0:
                     break
-                tracker: QueryTracker = entry.payload
-                weight_seen = tracker.on_signal(node, entry, c, counters, obs)
+                tracker: QueryTracker = arena.payload(entry)
+                weight_seen = tracker.on_signal(arena, entry, c, counters, obs)
                 if weight_seen is not None:
                     matured.append((tracker.query, weight_seen))
                     self.alive -= 1
@@ -311,7 +307,7 @@ class TreeInstance:
     ) -> bool:
         """Slack-check the batch range ``[lo, hi)`` against this tree.
 
-        Appends ``(columnar tree, deltas)`` pairs to ``out`` and returns
+        Appends ``(last-dimension tree, deltas)`` pairs to ``out`` and returns
         True when the range is bulk-safe here (see
         :meth:`~repro.core.endpoint_tree.EndpointTree.bulk_collect`);
         nothing is applied either way — the caller applies via
@@ -349,7 +345,7 @@ class TreeInstance:
         tracker = self.trackers.get(query_id)
         if tracker is None or tracker.state is TrackerState.DONE:
             return False
-        tracker.detach(self._counters)
+        tracker.detach(self.arena, self._counters)
         self.alive -= 1
         return True
 
@@ -395,16 +391,11 @@ class TreeInstance:
 
     def stats(self) -> Dict[str, object]:
         """Structural snapshot of this tree (diagnostics)."""
-        heap_entries = 0
-        nodes = 0
-        for node in self.tree.iter_nodes():
-            nodes += 1
-            if node.heap is not None:
-                heap_entries += len(node.heap)
+        root = self.tree.root
         return {
             "alive": self.alive,
             "built": self.built_count,
             "primary_height": self.tree.height(),
-            "primary_nodes": nodes,
-            "heap_entries": heap_entries,
+            "primary_nodes": 0 if root is None else root.n,
+            "heap_entries": len(self.arena),
         }

@@ -32,15 +32,24 @@ of such a node is the box ``I(u_0) x I(u_1) x ... x I(u_{d-1})`` along the
 chain of trees that leads to it, and the regions of a query's canonical
 nodes form a disjoint partition of ``R_q``.
 
+Flat layout
+-----------
+A tree is its sorted key array plus a :class:`Skeleton` — the balanced
+shape over ``K`` keys, which depends on ``K`` alone and is shared by
+every tree with ``K`` keys.  Nodes are integers in BFS order; node ``u``
+covers the key ranks ``[klo[u], khi[u])``.  There is no Python object per
+node: the whole build (key ranking, skeletons, canonical sets) runs as a
+few array passes per dimension over *all* trees of that dimension at once.
+
 Counter store
 -------------
 The counters ``c(u)`` and the heap minima ``min H(u)`` of all
 last-dimension nodes live in two int64 columns, ``cnts`` and ``mins``,
-owned by the top-level tree; each node knows its column (``ETNode.idx``)
-and each last-dimension tree owns a contiguous slice, laid out as a
-:class:`ColumnarTree`.  The scalar descent bumps the columns of one path
-with a fancy-indexed add, the batched path adds whole delta vectors, and
-both read the same values — there is no second copy to keep in step.
+owned by the :class:`EndpointTree`; each last-dimension tree owns the
+contiguous slice ``[base, base + n)``, its nodes in BFS order.  The scalar
+descent bumps the columns of one path with a fancy-indexed add, the
+batched path adds whole delta vectors, and both read the same values —
+there is no second copy to keep in step.
 
 The tree is *static*: dynamic registration is provided one level up by the
 logarithmic method (:mod:`repro.core.logmethod`), exactly as in Section 5.
@@ -48,16 +57,14 @@ logarithmic method (:mod:`repro.core.logmethod`), exactly as in Section 5.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from operator import itemgetter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from ..structures.bst import build_skeleton as _build_skeleton
-from ..structures.heap import AddressableMinHeap
 from .engine import WorkCounters
-from .geometry import PLUS_INFINITY, BoundaryKey, Rect, encoded_key
+from .geometry import PLUS_INFINITY, BoundaryKey, Rect
 
 #: Hot-key cache bound (d >= 2): repeated element values replay their
 #: cached descent (the column indices of the last-dimension nodes it
@@ -70,13 +77,24 @@ HOT_CACHE_LIMIT = 4096
 #: is at most the weight ingested since the tree was built, so the
 #: engines keep that running total at or below this bound (a tree about
 #: to cross it is rebuilt first; docs/API.md).  It doubles as the
-#: ``mins`` entry of a node whose heap is empty or absent; heap keys
-#: above it are stored as it, which can only make a node look due early
-#: (the drain then finds nothing), never late.
+#: ``mins`` entry of a node whose heap is empty; heap keys above it are
+#: stored as it, which can only make a node look due early (the drain
+#: then finds nothing), never late.
 COUNTER_MAX = int(_np.iinfo(_np.int64).max)
 
-_KEY_VALUE = itemgetter(0)
-_KEY_BIT = itemgetter(1)
+#: Skeletons over at most this many keys are cached (by key count), so
+#: the logarithmic method's many small trees share their shapes.
+SKELETON_CACHE_KEYS = 256
+
+#: Builds of one tree over at most this many queries rank their keys
+#: and look their canonical sets up (memoized per skeleton) query by
+#: query, skipping the array passes whose fixed cost dominates tiny trees.
+SMALL_TREE = 8
+
+#: Bound on one skeleton's memo of canonical sets (cleared when full).
+CANONICAL_MEMO_LIMIT = 4096
+
+_SKELETONS: Dict[int, "Skeleton"] = {}
 
 _INF = float("inf")
 
@@ -85,244 +103,376 @@ _NO_COLUMNS = _np.empty(0, dtype=_np.intp)
 _NO_COLUMNS.flags.writeable = False
 
 
-def sync_min(mins, node: "ETNode") -> None:
-    """Store ``min H(u)`` (the Section 4 heap minimum) in ``mins[u.idx]``.
-
-    Heap operations at ``u`` re-read it (O(1) each), so the column is
-    exact at every slack check without any sweep over the heaps.
-    """
-    top = node.heap.min_key
-    mins[node.idx] = COUNTER_MAX if top is None or top > COUNTER_MAX else top
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
 
 
-class ColumnarTree:
-    """Array layout of one last-dimension tree and its counter columns.
+class Skeleton:
+    """The balanced endpoint-tree shape over ``K`` sorted keys.
 
-    Built once, when the top-level :class:`EndpointTree` lays out its
-    counter store (the skeleton is immutable — rebuilds construct a
-    brand-new tree).  Nodes are numbered in BFS order (root at index 0,
-    children of consecutive nodes laid out consecutively — the Eytzinger
-    layout generalized to non-complete skeletons via explicit child-index
-    arrays):
-
-    frozen skeleton columns
-        ``left`` / ``right`` / ``parent`` / ``depth`` — child, parent
-        and depth indices (-1 for "none"); ``leaf_lows`` / ``leaf_ids``
-        — the leaves' encoded jurisdiction lows in key order plus their
-        node indices (the ``searchsorted`` routing table); ``paths`` —
-        one row per sorted leaf holding its full root-to-leaf node-index
-        path, padded with the sentinel index ``n`` so a whole batch
-        descends with one gather + one ``bincount``.
-
-    counter columns
-        ``cnts`` / ``mins`` — this tree's contiguous slice of the owning
-        tree's int64 counter store, in the same BFS order: local node
-        ``i`` is store column ``base + i`` (its ``ETNode.idx``).
-        ``cnts[i]`` is the counter ``c(u)`` itself — there is no other
-        copy — and ``mins[i]`` is ``min H(u)`` (:data:`COUNTER_MAX` when
-        the heap is empty or absent).
+    The root covers key ranks ``[0, K)``; a node covering ``[i, j)``,
+    ``j - i > 1``, has children ``[i, mid)`` and ``[mid, j)`` with
+    ``mid = (i + j) // 2`` (leaf ``i`` owns ``[key_i, key_{i+1})``).
+    Built depth by depth in BFS order, so the ``k``-th internal node's
+    children sit at ``2k + 1`` and ``2k + 2``.  Read-only columns:
+    ``left`` / ``right`` / ``parent`` / ``depth`` (-1 for "none"), the
+    key-rank ranges ``klo`` / ``khi``, ``leaf_ids`` (the leaf of each key
+    rank), ``levels`` (per depth, deepest first, ``(parents, child_start,
+    child_end)`` for the bottom-up delta propagation keeping ``c(parent) =
+    c(left) + c(right)``) and ``paths`` (each key rank's root-to-leaf
+    path, padded with the sentinel ``n``, plus an all-sentinel last row).
     """
 
     __slots__ = (
-        "nodes",
+        "K",
         "n",
-        "base",
+        "height",
         "left",
         "right",
         "parent",
         "depth",
-        "height",
-        "leaf_lows",
+        "klo",
+        "khi",
         "leaf_ids",
         "levels",
-        "cnts",
-        "mins",
-        "_paths",
-        "_pos_cache",
-        "_low_list",
-        "_path_lens",
+        "paths",
+        "path_lens",
+        "_ext",
+        "_rows",
+        "_memo",
     )
 
-    def __init__(self, root: ETNode, base: int = 0) -> None:
-        # BFS flatten: visiting node i appends both its children, so
-        # siblings are adjacent, nodes are depth-sorted, and the root
-        # sits at index 0.  That pairing makes the whole layout
-        # arithmetic — the k-th internal node (in BFS order) got the
-        # k-th child pair, at slots ``2k+1`` and ``2k+2`` of the append
-        # sequence — so the walk only numbers the nodes and records which
-        # of them are internal; every index column falls out vectorized.
-        nodes: List[ETNode] = [root]
-        internal_list: List[int] = []
-        napp = nodes.append
-        iapp = internal_list.append
-        i = 0
-        while i < len(nodes):
-            node = nodes[i]
-            node.idx = base + i
-            child = node.left
-            if child is not None:
-                iapp(i)
-                napp(child)
-                napp(node.right)
-            i += 1
-        n = len(nodes)
-        self.nodes = nodes
-        self.n = n
-        self.base = base
-        internal = _np.array(internal_list, dtype=_np.intp)
-        k = _np.arange(len(internal), dtype=_np.intp)
-        lefts = _np.full(n, -1, dtype=_np.intp)
-        lefts[internal] = 2 * k + 1
-        rights = _np.full(n, -1, dtype=_np.intp)
-        rights[internal] = 2 * k + 2
+    def __init__(self, K: int) -> None:
+        if K < 1:
+            raise ValueError(f"a skeleton needs at least one key, got {K}")
+        lo = _np.zeros(1, dtype=_np.intp)
+        hi = _np.full(1, K, dtype=_np.intp)
+        band_lo: List = []
+        band_hi: List = []
+        while lo.size:
+            band_lo.append(lo)
+            band_hi.append(hi)
+            inner = hi - lo > 1
+            li, hi_i = lo[inner], hi[inner]
+            mid = (li + hi_i) >> 1
+            lo = _np.empty(2 * li.size, dtype=_np.intp)
+            hi = _np.empty(2 * li.size, dtype=_np.intp)
+            lo[0::2], lo[1::2] = li, mid
+            hi[0::2], hi[1::2] = mid, hi_i
+        klo = _np.concatenate(band_lo)
+        khi = _np.concatenate(band_hi)
+        n = klo.size
+        height = len(band_lo) - 1
+        internal = _np.flatnonzero(khi - klo > 1)
+        pair = 2 * _np.arange(internal.size, dtype=_np.intp)
+        left = _np.full(n, -1, dtype=_np.intp)
+        right = _np.full(n, -1, dtype=_np.intp)
+        left[internal] = pair + 1
+        right[internal] = pair + 2
         parent = _np.empty(n, dtype=_np.intp)
         parent[0] = -1
-        if n > 1:
-            parent[1:] = _np.repeat(internal, 2)
-        # Depth bands: band d+1 is exactly the children of band d's
-        # internal nodes, so each band edge advances by twice the number
-        # of internal nodes the previous band contained.
-        depths = _np.empty(n, dtype=_np.intp)
-        e_prev, e, a_prev, d = 0, 1, 0, 0
-        while e_prev < e:
-            depths[e_prev:e] = d
-            a = int(_np.searchsorted(internal, e))
-            e_prev, e = e, e + 2 * (a - a_prev)
-            a_prev = a
-            d += 1
-        self.left = lefts
-        self.right = rights
-        self.parent = parent
-        self.depth = depths
-        self.height = height = d - 1
-        self._paths = None  # root-to-leaf path matrix, built on demand
-        self._pos_cache = None
-        self._low_list = None  # scalar routing table, built on demand
-        self._path_lens = None
-        self.cnts = None  # views into the owner's store (see EndpointTree)
-        self.mins = None
-
-        # Leaf routing table: the leaves' encoded jurisdiction lows in
-        # key order.  A leaf's low is its BST key, so key order is the
-        # symmetric (in-order) order; the (value, bit) boundary keys
-        # encode vectorized (see geometry.encoded_key).
-        leaf_ids = _np.nonzero(lefts < 0)[0]
-        leaf_los = [nodes[j].lo for j in leaf_ids.tolist()]
-        n_leaves = len(leaf_los)
-        lows = _np.fromiter(
-            map(_KEY_VALUE, leaf_los), dtype=_np.float64, count=n_leaves
-        )
-        bits = _np.fromiter(map(_KEY_BIT, leaf_los), dtype=bool, count=n_leaves)
-        if bits.any():
-            lows[bits] = _np.nextafter(lows[bits], _INF)
-        order = _np.argsort(lows, kind="stable")
-        self.leaf_ids = leaf_ids[order]
-        self.leaf_lows = lows[order]
-
-        # Per-level ``(parents, child_start, child_end)`` triples,
-        # deepest first, for the level-synchronous bottom-up delta
-        # propagation preserving c(parent) = c(left) + c(right).  BFS
-        # order is depth-sorted and appends sibling pairs consecutively
-        # in parent order, so depth band d+1 *is* the children of the
-        # depth-d internal nodes — a contiguous slice whose pairwise
-        # sums line up with those parents.
-        d_int = depths[internal]
-        self.levels = []
-        for d in range(height - 1, -1, -1) if n > 1 else []:
-            a, b = _np.searchsorted(d_int, (d, d + 1))
+        parent[1:] = _np.repeat(internal, 2)
+        sizes = [b.size for b in band_lo]
+        depth = _np.repeat(_np.arange(len(sizes), dtype=_np.intp), sizes)
+        leaves = _np.flatnonzero(khi - klo == 1)
+        leaf_ids = _np.empty(K, dtype=_np.intp)
+        leaf_ids[klo[leaves]] = leaves
+        levels = []
+        edges = _np.cumsum([0] + sizes)
+        for d in range(height - 1, -1, -1):
+            a, b = _np.searchsorted(internal, edges[d : d + 2])
             if a < b:
-                par = internal[a:b]
-                self.levels.append((par, int(lefts[par[0]]), int(rights[par[-1]]) + 1))
+                par = _frozen(internal[a:b])
+                levels.append((par, int(left[par[0]]), int(right[par[-1]]) + 1))
+        paths = _np.full((K + 1, height + 1), n, dtype=_np.intp)
+        rows = _np.arange(K, dtype=_np.intp)
+        climb = parent.copy()
+        climb[0] = 0  # the root climbs to itself (idempotent re-write)
+        cur = leaf_ids.copy()
+        for _ in range(height + 1):
+            paths[rows, depth[cur]] = cur
+            cur = climb[cur]
+        self.K, self.n, self.height, self.levels = K, n, height, levels
+        self.left, self.right = _frozen(left), _frozen(right)
+        self.parent, self.depth = _frozen(parent), _frozen(depth)
+        self.klo, self.khi = _frozen(klo), _frozen(khi)
+        self.leaf_ids, self.paths = _frozen(leaf_ids), _frozen(paths)
+        self.path_lens = (depth[leaf_ids] + 1).tolist()
+        self._ext = None
+        self._rows = None
+        self._memo: Dict[Tuple[int, int], List[int]] = {}
 
-    def paths(self):
-        """Root-to-leaf path matrix (one row per sorted leaf), on demand.
+    def ext(self):
+        """``(left, right, klo, khi)`` with a trailing sentinel slot (index
+        ``n``, which the path rows pad with), for :func:`canonical_sets`;
+        kept by cached skeletons only (a large tree needs it once)."""
+        ext = self._ext
+        if ext is None:
+            cols = (self.left, self.right, self.klo, self.khi)
+            ext = tuple(_frozen(_np.append(c, f)) for c, f in zip(cols, (-2, -2, -1, -1)))
+            if self.K <= SKELETON_CACHE_KEYS:
+                self._ext = ext
+        return ext
 
-        Row ``r`` holds the node indices from the root down to sorted
-        leaf ``r``, padded with the sentinel index ``n`` (the scratch
-        slot every delta vector carries).  Row ``-1`` is all-sentinel:
-        elements whose leaf slot came back ``-1`` (value left of the
-        leftmost endpoint — they route nowhere) wrap onto it under
-        numpy's negative fancy indexing, so the gather path needs no
-        drop-out mask; their weight lands in the scratch slot, which
-        every consumer already ignores.  Built lazily, on the first
-        range that takes the gather path.
+    def rows(self) -> List[List[int]]:
+        """The root-to-leaf paths as Python lists (scalar descents)."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = [
+                row[:ln] for row, ln in zip(self.paths.tolist(), self.path_lens)
+            ]
+        return rows
+
+    def canonical(self, a: int, b: int) -> List[int]:
+        """Canonical nodes of the key-rank range ``[a, b)`` (see
+        :func:`canonical_sets`), in walk order; memoized per skeleton, so
+        the small trees sharing a cached shape walk each range once."""
+        if a >= b:
+            return []
+        memo = self._memo
+        nodes = memo.get((a, b))
+        if nodes is None:
+            _pair, found = canonical_sets(
+                self.paths, self.ext(), [a], [b - 1], _np.array([a]), _np.array([b])
+            )
+            if len(memo) >= CANONICAL_MEMO_LIMIT:
+                memo.clear()
+            nodes = memo[(a, b)] = found.tolist()
+        return nodes
+
+
+def skeleton(K: int) -> Skeleton:
+    """The (possibly cached) :class:`Skeleton` over ``K`` keys: the
+    Section 4 endpoint-tree shape."""
+    sk = _SKELETONS.get(K)
+    if sk is None:
+        sk = Skeleton(K)
+        if K <= SKELETON_CACHE_KEYS:
+            _SKELETONS[K] = sk
+    return sk
+
+
+def canonical_sets(paths, nodes, rows_a, rows_b, a, b):
+    """Canonical node sets of many key-rank ranges at once (Section 4).
+
+    Pair ``j`` asks for the minimum set of nodes with disjoint
+    jurisdictions tiling key ranks ``[a[j], b[j])`` of one tree (``b`` is
+    the key count for ``+inf``); ``rows_a`` / ``rows_b`` are the
+    ``paths`` rows of its leaves ``a`` and ``b - 1``, and ``nodes`` is
+    ``(left, right, klo, khi)`` with a trailing slot for the sentinel the
+    rows pad with.  The two paths share a prefix down to the *split node*
+    (their lowest common ancestor), the answer when the range covers it.
+    Otherwise the left walk follows the path to ``a`` below it, taking the
+    right sibling wherever the path turns left, until the first node
+    starting at ``a`` (taken too); the right walk mirrors it on the path
+    to ``b - 1`` until the first node ending at ``b``.  Both walks are
+    whole-matrix operations: a fixed number of array passes.
+
+    Returns ``(pair, node)`` sorted by pair, each pair's nodes in walk
+    order: the left walk's top-down, then the right walk's.
+    """
+    left, right, klo, khi = nodes
+    pa = paths[rows_a]
+    pb = paths[rows_b]
+    width = pa.shape[1]
+    depth = _np.arange(width)
+    pad = len(left) - 1
+    # The paths part where they differ, or where both end (a == b - 1).
+    diff = (pa != pb) | (pa == pad)
+    split_depth = _np.where(diff.any(axis=1), diff.argmax(axis=1), width) - 1
+    split = pa[_np.arange(len(a)), split_depth]
+    covered = (klo[split] == a) & (khi[split] == b)
+    below = depth > split_depth[:, None]
+    sentinel = _np.full((len(a), 1), pad, dtype=pa.dtype)
+    parts = []
+    for path, ends, end_of, turn_to, sibling in (
+        (pa, a, klo, left, right),
+        (pb, b, khi, right, left),
+    ):
+        stop = (below & (end_of[path] == ends[:, None])).argmax(axis=1)
+        before = below & (depth < stop[:, None])
+        turn = before & (_np.concatenate((path[:, 1:], sentinel), axis=1) == turn_to[path])
+        take = turn | (depth == stop[:, None])
+        take[covered] = False
+        parts.append((_np.where(turn, sibling[path], path), take))
+    parts[0][1][covered, split_depth[covered]] = True
+    emit = _np.concatenate((parts[0][0], parts[1][0]), axis=1)
+    pair, col = _np.nonzero(_np.concatenate((parts[0][1], parts[1][1]), axis=1))
+    return pair, emit[pair, col]
+
+
+def _forest(ks):
+    """Node columns of many trees laid end to end (tree ``g`` of ``ks[g]``
+    keys takes nodes ``[nbase[g], nbase[g] + 2 ks[g] - 1)``).
+
+    Returns ``(skeletons, nbase, nodes, paths)``: ``nodes`` is
+    ``(left, right, klo, khi)`` with global child indices, local key
+    ranks and a trailing sentinel slot, and ``paths`` holds every tree's
+    path rows (tree ``g``'s key rank ``r`` at row ``sum(ks[:g]) + r``) in
+    global node indices, padded with the sentinel.
+    """
+    if len(ks) == 1:
+        sk = skeleton(int(ks[0]))
+        return [sk], _np.zeros(1, dtype=_np.intp), sk.ext(), sk.paths
+    sizes = 2 * ks - 1
+    nbase = _np.cumsum(sizes) - sizes
+    kbase = _np.cumsum(ks) - ks
+    total = int(sizes.sum())
+    left = _np.full(total + 1, -2, dtype=_np.intp)
+    right = _np.full(total + 1, -2, dtype=_np.intp)
+    klo = _np.full(total + 1, -1, dtype=_np.intp)
+    khi = _np.full(total + 1, -1, dtype=_np.intp)
+    uniq, inv = _np.unique(ks, return_inverse=True)
+    width = skeleton(int(uniq[-1])).height + 1
+    paths = _np.full((int(ks.sum()), width), total, dtype=_np.intp)
+    by_k = _np.argsort(inv, kind="stable")
+    cuts = _np.searchsorted(inv[by_k], _np.arange(uniq.size + 1))
+    shapes = []
+    for u, K in enumerate(uniq.tolist()):
+        sk = skeleton(K)
+        shapes.append(sk)
+        trees = by_k[cuts[u] : cuts[u + 1]]
+        off = _np.repeat(nbase[trees], sk.n)
+        block = off + _np.tile(_np.arange(sk.n), trees.size)
+        child = _np.tile(sk.left, trees.size)
+        left[block] = _np.where(child >= 0, child + off, -1)
+        child = _np.tile(sk.right, trees.size)
+        right[block] = _np.where(child >= 0, child + off, -1)
+        klo[block] = _np.tile(sk.klo, trees.size)
+        khi[block] = _np.tile(sk.khi, trees.size)
+        rows = sk.paths[:K]
+        glob = rows[None, :, :] + nbase[trees][:, None, None]
+        glob[:, rows == sk.n] = total
+        at = (kbase[trees][:, None] + _np.arange(K)).ravel()
+        paths[at, : sk.height + 1] = glob.reshape(-1, sk.height + 1)
+    skels = [shapes[u] for u in inv.tolist()]
+    return skels, nbase, (left, right, klo, khi), paths
+
+
+class FlatTree:
+    """One endpoint tree of one dimension: sorted keys plus a skeleton.
+
+    ``vals`` / ``bits`` are the distinct boundary keys ``(value, bit)`` in
+    key order and ``lows`` their encoded floats (see
+    :func:`~repro.core.geometry.encoded_key`), the leaves' jurisdiction
+    lows — the ``searchsorted`` routing table.  A last-dimension tree owns
+    counter-store columns ``[base, base + n)`` (``cnts`` / ``mins`` are
+    views of that slice, local node ``i`` at column ``base + i``); an
+    earlier-dimension tree maps some of its nodes to the next dimension's
+    trees in ``secondary``.
+    """
+
+    __slots__ = (
+        "dim",
+        "last_dim",
+        "skel",
+        "vals",
+        "bits",
+        "lows",
+        "n",
+        "base",
+        "cnts",
+        "mins",
+        "secondary",
+        "_flat",
+        "_low_list",
+        "_pos_cache",
+    )
+
+    def __init__(self, dim: int, last_dim: bool, skel: Skeleton, vals, bits, lows, base: int = -1):
+        self.dim, self.last_dim, self.skel = dim, last_dim, skel
+        self.vals, self.bits, self.lows = vals, bits, lows
+        self.n = skel.n
+        self.base = base
+        self.cnts = None
+        self.mins = None
+        self.secondary: Dict[int, FlatTree] = {}
+        self._flat = None  # lazy secondary routing index
+        self._low_list = None  # scalar routing table, built on demand
+        self._pos_cache = None
+
+    # -- keys and jurisdictions ---------------------------------------------
+
+    def key(self, rank: int) -> BoundaryKey:
+        """Boundary key of rank ``rank`` (``+inf`` past the last key)."""
+        if rank >= len(self.vals):
+            return PLUS_INFINITY
+        return (self.vals.item(rank), int(self.bits.item(rank)))
+
+    def jurisdiction(self, u: int) -> Tuple[BoundaryKey, BoundaryKey]:
+        """``I(u) = [lo, hi)`` of local node ``u``."""
+        sk = self.skel
+        return self.key(int(sk.klo[u])), self.key(int(sk.khi[u]))
+
+    def rank(self, key: BoundaryKey) -> int:
+        """Rank of ``key`` among this tree's keys; ``+inf`` ranks ``K``.
+
+        ``key`` must be one of the tree's keys (AssertionError otherwise):
+        canonical sets only exist for ranges whose endpoints are keys.
         """
-        paths = self._paths
-        if paths is None:
-            n = self.n
-            leaf_ids = self.leaf_ids
-            paths = _np.full((len(leaf_ids) + 1, self.height + 1), n, dtype=_np.intp)
-            rows = _np.arange(len(leaf_ids), dtype=_np.intp)
-            climb = self.parent.copy()
-            climb[0] = 0  # the root climbs to itself (idempotent re-write)
-            cur = leaf_ids.copy()
-            dep = self.depth
-            for _ in range(self.height + 1):
-                paths[rows, dep[cur]] = cur
-                cur = climb[cur]
-            self._paths = paths
-        return paths
+        if key == PLUS_INFINITY:
+            return len(self.vals)
+        keys = list(zip(self.vals.tolist(), self.bits.astype(int).tolist()))
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            return i
+        raise AssertionError(
+            f"{key!r} is not an endpoint key of this tree: query endpoints "
+            "must be keys of the tree"
+        )
+
+    def canonical(self, lo: BoundaryKey, hi: BoundaryKey) -> List[int]:
+        """Local canonical nodes of ``[lo, hi)`` (endpoints must be keys)."""
+        if not lo < hi:
+            return []
+        return self.skel.canonical(self.rank(lo), self.rank(hi))
+
+    # -- scalar routing -------------------------------------------------------
 
     def path(self, value: float):
         """Local node indices of ``value``'s root-to-leaf descent.
 
-        The scalar Section 4 descent as one row of :meth:`paths`, found
-        by a binary search over the leaf lows (kept as a Python list for
-        this, so the search costs no numpy dispatch).  Same nodes, same
-        root-first order as the pointer walk; empty when ``value`` lies
-        left of the leftmost endpoint.
+        The scalar Section 4 descent as one row of the skeleton's path
+        matrix, found by a binary search over the leaf lows (kept as a
+        Python list for this, so the search costs no numpy dispatch).
+        Empty when ``value`` lies left of the leftmost endpoint.
         """
         lows = self._low_list
         if lows is None:
-            lows = self._low_list = self.leaf_lows.tolist()
-            self._path_lens = (self.depth[self.leaf_ids] + 1).tolist()
+            lows = self._low_list = self.lows.tolist()
         pos = bisect_right(lows, value) - 1
         if pos < 0:
             return _NO_COLUMNS
-        return self.paths()[pos, : self._path_lens[pos]]
+        sk = self.skel
+        return sk.paths[pos, : sk.path_lens[pos]]
 
-    def _positions(self, values, dim):
-        """Leaf slot of every batch element (cached per batch).
+    # -- batched routing (docs/PERFORMANCE.md) --------------------------------
 
-        One ``searchsorted`` over the whole batch serves every bisected
-        sub-range via slicing.  The cache holds a strong reference to
-        the batch's value array, so identity comparison cannot alias a
-        recycled allocation.
-        """
-        cache = self._pos_cache
-        if cache is not None and cache[0] is values:
-            return cache
-        pos = _np.searchsorted(self.leaf_lows, values[:, dim], side="right") - 1
-        # Slot 2 records whether every element landed on a leaf (none
-        # fell left of the leftmost endpoint): when True, every bisected
-        # sub-range can skip its drop-out mask.  Slot 3 lazily holds the
-        # whole batch's path-repeated weights for the full-range gather.
-        cache = self._pos_cache = [values, pos, bool((pos >= 0).all()), None]
-        return cache
-
-    def route(self, values, weights_f64, sel, dim):
+    def route(self, values, weights_f64, sel):
         """Vectorized descent: per-node weight deltas for ``sel``.
 
-        Exactly the counter increments the scalar descents of ``sel``
-        would perform: elements land on leaf slots via ``searchsorted``
-        over the encoded jurisdiction lows (values below the leftmost
-        endpoint drop out, as in ``_descend``), then every ancestor
-        accumulates — normally through a single ``bincount`` over the
-        gathered :meth:`paths` rows, or for a range so large the path
-        block would dwarf the tree through the level-synchronous
-        gather/scatter over :attr:`levels`.  Both produce identical
-        deltas.  Returns None when nothing routes; the result is int64
-        (``bincount`` sums in float64, exact because a vectorizable
-        batch weighs less than 2^53 in all), has ``n + 1`` slots (the
-        last one is scratch absorbing the path padding), and
-        ``deltas[0]`` — the root's delta — is the total routed weight of
-        the range.
+        Exactly the scalar descents' counter increments: elements land on
+        leaf slots via ``searchsorted`` over the leaf lows (values left of
+        the leftmost endpoint drop out), then every ancestor accumulates —
+        through one ``bincount`` over the gathered path rows, or, for a
+        range whose path block would dwarf the tree, level by level over
+        ``levels``.  Returns None when nothing routes; else int64 deltas
+        (summed in float64, exact since a vectorizable batch weighs under
+        2^53) with ``n + 1`` slots, the last a scratch slot absorbing the
+        path padding.
         """
+        sk = self.skel
         cache = self._pos_cache
-        if (cache is not None and cache[0] is values) or (
-            4 * sel.size >= values.shape[0]
-        ):
-            cache = self._positions(values, dim)
+        if (cache is None or cache[0] is not values) and 4 * sel.size >= values.shape[0]:
+            # One ``searchsorted`` over the whole batch serves every
+            # bisected sub-range via slicing; the cache holds the batch's
+            # value array, so the identity check cannot alias a recycled
+            # allocation.  Slot 2 lazily holds the whole batch's
+            # path-repeated weights for the full-range gather.
+            pos = _np.searchsorted(self.lows, values[:, self.dim], side="right") - 1
+            cache = self._pos_cache = [values, pos, None]
+        if cache is not None and cache[0] is values:
             pos_all = cache[1]
             full = sel.size == pos_all.size
             pos = pos_all if full else pos_all[sel]
@@ -330,24 +480,21 @@ class ColumnarTree:
             # Small slices (bisection probes, secondary-tree subsets)
             # search directly; priming a whole-batch cache would cost
             # more than it saves.
-            pos = _np.searchsorted(self.leaf_lows, values[sel, dim], side="right") - 1
+            pos = _np.searchsorted(self.lows, values[sel, self.dim], side="right") - 1
             full = False
             cache = None
         n = self.n
-        if pos.size * (self.height + 1) < 4 * n:
+        if pos.size * (sk.height + 1) < 4 * n:
             # Gather the root-to-leaf paths and scatter-add them in one
-            # weighted bincount.  Wins well past the naive n-slot
-            # crossover: the level loop pays ~height numpy dispatches,
-            # the gather pays three on a contiguous block.  Drop-outs
-            # (``pos == -1``) wrap onto the all-sentinel last path row,
-            # so no mask is needed here.
-            touched = self.paths()[pos]
+            # weighted bincount.  Drop-outs (``pos == -1``) wrap onto the
+            # all-sentinel last path row, so no mask is needed here.
+            touched = sk.paths[pos]
             if full:
                 # Whole-batch descent: reuse the path-repeated weight
                 # vector across this batch's top-level probes.
-                wrep = cache[3]
+                wrep = cache[2]
                 if wrep is None or wrep.size != sel.size * touched.shape[1]:
-                    wrep = cache[3] = _np.repeat(weights_f64, touched.shape[1])
+                    wrep = cache[2] = _np.repeat(weights_f64, touched.shape[1])
             else:
                 wrep = _np.repeat(weights_f64[sel], touched.shape[1])
             return _np.bincount(
@@ -366,429 +513,69 @@ class ColumnarTree:
                 return None
             pos = pos[mask]
             w = w[mask]
-        leaf_deltas = _np.bincount(pos, weights=w, minlength=len(self.leaf_lows))
+        leaf_deltas = _np.bincount(pos, weights=w, minlength=sk.K)
         deltas = _np.zeros(n + 1, dtype=_np.int64)
-        deltas[self.leaf_ids] = leaf_deltas
-        for par, child_start, child_end in self.levels:
+        deltas[sk.leaf_ids] = leaf_deltas
+        for par, child_start, child_end in sk.levels:
             deltas[par] = deltas[child_start:child_end].reshape(-1, 2).sum(axis=1)
         return deltas
 
-
-class ETNode:
-    """A node of one endpoint tree level.
-
-    Attributes
-    ----------
-    lo, hi:
-        Boundary keys of the jurisdiction interval ``I(u) = [lo, hi)``.
-    left, right:
-        Children (both None for a leaf).
-    idx:
-        The node's column in the owning tree's counter store: ``c(u)``
-        is ``cnts[idx]`` and ``min H(u)`` is ``mins[idx]``.
-        Last-dimension nodes only; -1 elsewhere (only they count weight).
-    heap:
-        The min-heap ``H(u)`` of sigma values (lazily created; None until a
-        query tracker attaches an entry).  Last-dimension nodes only.
-    secondary:
-        For non-final dimensions: the next-dimension endpoint tree over the
-        queries assigned to this node (None when no query uses this node).
-    """
-
-    __slots__ = ("lo", "hi", "left", "right", "idx", "heap", "secondary")
-
-    def __init__(self, lo: BoundaryKey, hi: BoundaryKey):
-        self.lo = lo
-        self.hi = hi
-        self.left: Optional[ETNode] = None
-        self.right: Optional[ETNode] = None
-        self.idx = -1
-        self.heap: Optional[AddressableMinHeap] = None
-        self.secondary: Optional["EndpointTree"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def ensure_heap(self, factory=AddressableMinHeap):
-        """Return the node's heap, creating it via ``factory`` on first use."""
-        if self.heap is None:
-            self.heap = factory()
-        return self.heap
-
-    def __repr__(self) -> str:
-        kind = "leaf" if self.is_leaf else "internal"
-        return f"ETNode({kind}, I=[{self.lo!r}, {self.hi!r}), col={self.idx})"
-
-
-def build_skeleton(keys: Sequence[BoundaryKey]) -> Optional[ETNode]:
-    """Balanced skeleton of :class:`ETNode` over sorted distinct keys.
-
-    The Section 4 endpoint-tree shape: leaf ``i`` owns jurisdiction
-    ``[keys[i], keys[i+1])``, the last leaf extends to ``+inf``, and every
-    internal node's jurisdiction is tiled exactly by its two children.
-    Returns None for an empty key set.
-    """
-    return _build_skeleton(keys, ETNode)
-
-
-def canonical_nodes(root: Optional[ETNode], lo: BoundaryKey, hi: BoundaryKey) -> List[ETNode]:
-    """Compute the canonical node set covering ``[lo, hi)``.
-
-    ``lo`` (and ``hi``, unless it is ``+inf``) must be endpoint keys present
-    in the tree — this is guaranteed by construction, since the tree is
-    built on the endpoints of the very queries being decomposed.  The
-    result is the minimum set of nodes with disjoint jurisdiction intervals
-    whose union is exactly ``[lo, hi)`` (paper Section 4, footnote 1).
-    """
-    out: List[ETNode] = []
-    if root is None or lo >= hi or hi <= root.lo or lo >= root.hi:
-        return out
-
-    # Descend to the split node: the highest node whose left child's
-    # jurisdiction separates lo from hi.
-    node = root
-    while node.left is not None:
-        boundary = node.left.hi
-        if hi <= boundary:
-            node = node.left
-        elif lo >= boundary:
-            node = node.right
-        else:
-            break
-    if lo <= node.lo and node.hi <= hi:
-        return [node]  # the whole subtree is covered (minimality)
-    if node.left is None:
-        raise AssertionError(
-            f"leaf {node!r} partially overlaps [{lo!r}, {hi!r}); "
-            "query endpoints must be keys of the tree"
-        )
-
-    # Left walk: follow the path to lo, collecting right siblings.
-    v = node.left
-    while True:
-        if lo <= v.lo:
-            out.append(v)  # v.hi <= split-left.hi < hi, so fully covered
-            break
-        if v.left is None:
-            raise AssertionError(
-                f"leaf {v!r} partially overlaps [{lo!r}, {hi!r}); "
-                "query endpoints must be keys of the tree"
-            )
-        if lo < v.left.hi:
-            out.append(v.right)
-            v = v.left
-        else:
-            v = v.right
-
-    # Right walk: follow the path to hi, collecting left siblings.
-    v = node.right
-    while True:
-        if v.hi <= hi:
-            out.append(v)  # v.lo >= split boundary > lo, so fully covered
-            break
-        if v.left is None:
-            # The leaf storing hi itself: disjoint from [lo, hi).
-            if v.lo != hi:
-                raise AssertionError(
-                    f"leaf {v!r} partially overlaps [{lo!r}, {hi!r}); "
-                    "query endpoints must be keys of the tree"
-                )
-            break
-        if hi >= v.left.hi:
-            out.append(v.left)
-            v = v.right
-        else:
-            v = v.left
-    return out
-
-
-class EndpointTree:
-    """One endpoint tree level, recursively containing deeper levels.
-
-    Parameters
-    ----------
-    items:
-        ``(rect, sink)`` pairs.  ``rect`` is the query rectangle; ``sink``
-        is a mutable list that receives the query's last-dimension
-        canonical nodes (its DT "participants") as construction proceeds.
-    dim:
-        The dimension this level indexes (0-based).
-    counters:
-        Shared work-counter sink for machine-independent accounting.
-
-    The top-level tree (``dim == 0``) owns the *counter store*: two int64
-    columns with one entry per last-dimension node of every level —
-    ``cnts`` (the counters ``c(u)``) and ``mins`` (the heap minima
-    ``min H(u)``).  Each last-dimension tree owns a contiguous slice of
-    them (its :class:`ColumnarTree`), and ``nodes`` maps a column back to
-    its :class:`ETNode`.  Levels below the top hold None for all three.
-    """
-
-    __slots__ = (
-        "root",
-        "dim",
-        "last_dim",
-        "_counters",
-        "size",
-        "_flat",
-        "_hot_cache",
-        "_col",
-        "cnts",
-        "mins",
-        "nodes",
-    )
-
-    def __init__(
-        self,
-        items: Sequence[Tuple[Rect, List[ETNode]]],
-        dim: int,
-        ndims: int,
-        counters: Optional[WorkCounters] = None,
-    ):
-        if not 0 <= dim < ndims:
-            raise ValueError(f"dim {dim} out of range for {ndims} dimensions")
-        self.dim = dim
-        self.last_dim = dim == ndims - 1
-        self._counters = counters
-        self.size = len(items)
-        self._flat = None  # lazy secondary-dimension routing index
-        self._hot_cache: Optional[dict] = None  # d >= 2: point -> columns
-        self._col: Optional[ColumnarTree] = None  # last-dimension layout
-        self.cnts = self.mins = self.nodes = None
-
-        keys = set()
-        usable: List[Tuple[Rect, List[ETNode]]] = []
-        for rect, sink in items:
-            if rect.is_empty():
-                continue  # empty region: no participants, can never mature
-            iv = rect.intervals[dim]
-            keys.add(iv.lo)
-            if iv.hi != PLUS_INFINITY:
-                keys.add(iv.hi)
-            usable.append((rect, sink))
-
-        self.root = build_skeleton(sorted(keys))
-        if counters is not None:
-            counters.rebuilds += 1
-
-        if self.root is not None:
-            if self.last_dim:
-                for rect, sink in usable:
-                    iv = rect.intervals[dim]
-                    sink.extend(canonical_nodes(self.root, iv.lo, iv.hi))
-            else:
-                # Group queries by canonical node, then recurse per node.
-                per_node: dict[int, Tuple[ETNode, List[Tuple[Rect, List[ETNode]]]]] = {}
-                for rect, sink in usable:
-                    iv = rect.intervals[dim]
-                    for node in canonical_nodes(self.root, iv.lo, iv.hi):
-                        bucket = per_node.get(id(node))
-                        if bucket is None:
-                            per_node[id(node)] = (node, [(rect, sink)])
-                        else:
-                            bucket[1].append((rect, sink))
-                for node, assigned in per_node.values():
-                    node.secondary = EndpointTree(assigned, dim + 1, ndims, counters)
-        if dim == 0:
-            self._lay_out_store()
-
-    def _lay_out_store(self) -> None:
-        """Number every last-dimension node and allocate the counter store.
-
-        Each last-dimension tree (the tree itself in 1-D, every secondary
-        of the last level otherwise) is flattened into a
-        :class:`ColumnarTree` whose nodes take the next contiguous run of
-        columns.  Counters start at zero and every ``mins`` entry at
-        :data:`COUNTER_MAX` (no heap yet); the owner of the trackers
-        fills ``mins`` once their heaps are built.
-        """
-        cols: List[ColumnarTree] = []
-        base = 0
-        stack: List[EndpointTree] = [self]
-        while stack:
-            tree = stack.pop()
-            if tree.root is None:
-                continue
-            if tree.last_dim:
-                col = tree._col = ColumnarTree(tree.root, base)
-                col.paths()  # the descent's gather matrix, built with the tree
-                cols.append(col)
-                base += col.n
-            else:
-                stack.extend(reversed(tree._ensure_flat()[2]))
-        cnts = self.cnts = _np.zeros(base, dtype=_np.int64)
-        mins = self.mins = _np.full(base, COUNTER_MAX, dtype=_np.int64)
-        nodes = self.nodes = []
-        for col in cols:
-            col.cnts = cnts[col.base : col.base + col.n]
-            col.mins = mins[col.base : col.base + col.n]
-            nodes.extend(col.nodes)
-        if not self.last_dim:
-            self._hot_cache = {}
-
-    # -- stream-side operations -------------------------------------------
-
-    def update(self, point: Sequence[float], weight: int):
-        """Add one element: bump ``c(u)`` along every relevant descent.
-
-        Returns the store columns of the last-dimension nodes whose
-        counters changed (see :meth:`columns`), so the engine can run the
-        slack-inspection (heap drain) step on them.  The element itself
-        is not stored anywhere (Section 4: "we then discard e forever").
-        Top-level tree only.
-        """
-        touched = self.columns(point)
-        self.cnts[touched] += weight
-        return touched
-
-    def columns(self, point: Sequence[float]):
-        """Store columns of the last-dimension nodes ``point`` descends
-        through (Section 4), as an index array in descent order.
-
-        In one dimension the tree's own :class:`ColumnarTree` answers
-        with a binary search (its local indices are the store columns).
-        Otherwise repeated value points are served from the hot-key
-        cache: the descent is a pure function of the point (the skeleton
-        never changes), so the array is replayed directly.  Either way a
-        bump is one fancy-indexed add.  Top-level tree only.
-        """
-        if self.last_dim:  # one dimension: a row of the path matrix
-            col = self._col
-            return _NO_COLUMNS if col is None else col.path(point[0])
-        cache = self._hot_cache
-        key = point if type(point) is tuple else tuple(point)
-        touched = cache.get(key)
-        if touched is None:
-            out: List[int] = []
-            self._descend(point, out)
-            touched = _np.array(out, dtype=_np.intp)
-            if len(cache) >= HOT_CACHE_LIMIT:
-                cache.clear()
-            cache[key] = touched
-        return touched
-
-    def _descend(self, point: Sequence[float], touched: List[int]) -> None:
-        """Iterative multi-level descent (depth-safe, no Python recursion).
-
-        Visits secondary trees in exactly the order the recursive
-        formulation did — pre-order along each descent path — so the
-        ``touched`` column sequence (and therefore the heap-drain order
-        in the engine) is unchanged.
-        """
-        stack: List[EndpointTree] = [self]
-        while stack:
-            tree = stack.pop()
-            node = tree.root
-            if node is None:
-                continue
-            key = (point[tree.dim], 0)
-            if key < node.lo:
-                continue  # below the leftmost endpoint: ignored (Section 4)
-            if tree.last_dim:
-                while True:
-                    touched.append(node.idx)
-                    left = node.left
-                    if left is None:
-                        break
-                    node = left if key < left.hi else node.right
-            else:
-                path_secondaries: List[EndpointTree] = []
-                while True:
-                    secondary = node.secondary
-                    if secondary is not None:
-                        path_secondaries.append(secondary)
-                    left = node.left
-                    if left is None:
-                        break
-                    node = left if key < left.hi else node.right
-                stack.extend(reversed(path_secondaries))
-
-    # -- batched bulk collection (docs/PERFORMANCE.md) ---------------------
-
     def _ensure_flat(self):
-        """Build (once) the secondary routing index for earlier dimensions.
+        """Build (once) the secondary routing index of an earlier dimension.
 
         The nodes owning a secondary tree, as parallel arrays of encoded
         jurisdiction bounds plus the secondary list — an element is
         handled by a secondary iff its coordinate lies in the owning
         node's jurisdiction, which is exactly what the scalar descent
         path visits.  Both bound lookups then run as *one*
-        ``searchsorted`` call over all secondaries of the level.
-        (Last-dimension trees flatten into a :class:`ColumnarTree`
-        instead; see :meth:`bulk_collect`.)
+        ``searchsorted`` call over all secondaries of the tree.
         """
         flat = self._flat
-        if flat is not None:
-            return flat
-        los: List[float] = []
-        his: List[float] = []
-        secondaries: List[EndpointTree] = []
-        walk: List[ETNode] = [self.root] if self.root is not None else []
-        while walk:
-            node = walk.pop()
-            if node.secondary is not None:
-                los.append(encoded_key(node.lo))
-                his.append(encoded_key(node.hi))
-                secondaries.append(node.secondary)
-            if node.left is not None:
-                walk.append(node.right)
-                walk.append(node.left)
-        flat = (
-            _np.array(los, dtype=_np.float64),
-            _np.array(his, dtype=_np.float64),
-            secondaries,
-        )
-        self._flat = flat
+        if flat is None:
+            owners = _np.array(sorted(self.secondary), dtype=_np.intp)
+            sk = self.skel
+            ext = _np.append(self.lows, _INF)
+            flat = self._flat = (
+                ext[sk.klo[owners]],
+                ext[sk.khi[owners]],
+                [self.secondary[u] for u in owners.tolist()],
+            )
         return flat
 
     def bulk_collect(self, values, weights, sel, out, hints=None, stash=None) -> bool:
         """Slack-check a batch sub-range for bulk application.
 
         ``values``/``weights`` are the full batch arrays of a
-        :class:`~repro.core.batch.PreparedBatch` (``weights`` already
-        float64); ``sel`` indexes the elements under consideration.
-        Returns True iff the range is *safe* everywhere: at each touched
-        node ``u``, ``min H(u) > c(u) + delta(u)``.  Counters are
-        monotone within the range, so safety means no prefix of it can
-        trigger a signal anywhere — applying the deltas in one step is
-        then observationally identical to element-at-a-time processing
-        (and produces zero events).
-
-        The check is one vectorized comparison per last-dimension tree
-        against its slice of the counter store, which is exact at all
-        times (``mins`` follows every heap operation); on success
-        ``(columnar tree, int64 deltas)`` is appended to ``out`` for the
-        caller to apply once *every* participating tree agrees.  On
-        False nothing has been applied and ``out`` must be discarded.
-
-        ``hints`` maps columnar trees to precomputed delta vectors (or
-        None for "routes nowhere"): deltas are additive over disjoint
-        element sets, so the bisection driver derives a right half's
-        deltas as ``parent - left`` instead of re-routing.  ``stash``,
-        when given, collects this range's per-tree deltas so the driver
-        can derive siblings.
+        :class:`~repro.core.batch.PreparedBatch` (``weights`` float64);
+        ``sel`` indexes the elements considered.  Returns True iff the
+        range is *safe* everywhere — ``min H(u) > c(u) + delta(u)`` at each
+        touched node — so, counters being monotone, no prefix of it can
+        signal and applying its deltas at once is observationally
+        identical to element-at-a-time processing (zero events).  The
+        check is one comparison per last-dimension tree against its exact
+        slice of the counter store; on success ``(tree, int64 deltas)`` is
+        appended to ``out`` for the caller to apply once *every* tree
+        agrees (on False ``out`` must be discarded).  ``hints`` maps trees
+        to known delta vectors (None: routes nowhere) — deltas are
+        additive, so the bisection driver derives a right half's as
+        ``parent - left`` — and ``stash`` collects this range's.
         """
-        root = self.root
-        if root is None or len(sel) == 0:
-            return True
         if self.last_dim:
-            col = self._col
-            if hints is not None and col in hints:
-                deltas = hints[col]
+            if hints is not None and self in hints:
+                deltas = hints[self]
             else:
-                deltas = col.route(values, weights, sel, self.dim)
+                deltas = self.route(values, weights, sel)
             if stash is not None:
-                stash[col] = deltas
+                stash[self] = deltas
             if deltas is None:
                 return True
             # A node would signal inside the range iff its counter plus
             # the range's delta reaches its heap minimum.  Untouched
             # nodes (delta zero) never trigger here: between elements
             # no due signal is left undrained, so ``cnts < mins``.
-            if (col.cnts + deltas[: col.n] >= col.mins).any():
+            if (self.cnts + deltas[: self.n] >= self.mins).any():
                 return False
-            out.append((col, deltas))
+            out.append((self, deltas))
             return True
         v = values[sel, self.dim]
         order = _np.argsort(v, kind="stable")
@@ -809,7 +596,323 @@ class EndpointTree:
                 return False
         return True
 
+
+def _endpoints(rects: Sequence[Rect], ndims: int):
+    """The non-empty rectangles' indices and, per dimension, their
+    ``(lo keys, hi keys)`` boundary-key lists."""
+    usable: List[int] = []
+    lo_keys: List[List[BoundaryKey]] = [[] for _ in range(ndims)]
+    hi_keys: List[List[BoundaryKey]] = [[] for _ in range(ndims)]
+    if ndims == 1:  # the common case, without the per-dimension loop
+        los, his = lo_keys[0], hi_keys[0]
+        for i, rect in enumerate(rects):
+            iv = rect.intervals[0]
+            if iv.lo < iv.hi:  # an empty region can never mature
+                usable.append(i)
+                los.append(iv.lo)
+                his.append(iv.hi)
+        return usable, [(los, his)]
+    for i, rect in enumerate(rects):
+        ivs = rect.intervals
+        for iv in ivs:
+            if iv.lo >= iv.hi:
+                break  # empty region: no participants, can never mature
+        else:
+            usable.append(i)
+            for d, iv in enumerate(ivs):
+                lo_keys[d].append(iv.lo)
+                hi_keys[d].append(iv.hi)
+    return usable, list(zip(lo_keys, hi_keys))
+
+
+def _small_tree(dim: int, last: bool, raw, queries: Sequence[int]):
+    """One small tree, ranked and decomposed query by query.
+
+    ``raw`` is the dimension's ``(lo keys, hi keys)`` lists and
+    ``queries`` the members.  Returns the tree and each member's local
+    canonical nodes — what the array path of :class:`EndpointTree`
+    computes for a one-tree dimension, minus its fixed cost.
+    """
+    lo_keys, hi_keys = raw
+    distinct = {lo_keys[q] for q in queries}
+    distinct.update(hi_keys[q] for q in queries)
+    distinct.discard(PLUS_INFINITY)
+    keys = sorted(distinct)
+    rank = {key: i for i, key in enumerate(keys)}
+    K = len(keys)
+    sk = skeleton(K)
+    found = [sk.canonical(rank[lo_keys[q]], rank.get(hi_keys[q], K)) for q in queries]
+    arr = _np.array(keys, dtype=_np.float64)
+    vals, bits = arr[:, 0], arr[:, 1] != 0
+    lows = _np.where(bits, _np.nextafter(vals, _INF), vals)
+    return FlatTree(dim, last, sk, vals, bits, lows, 0 if last else -1), found
+
+
+class EndpointTree:
+    """The d-dimensional endpoint tree over a list of query rectangles.
+
+    Parameters
+    ----------
+    rects:
+        The query rectangles, in registration order.  Empty rectangles
+        get no canonical nodes (they can never mature).
+    ndims:
+        Data-space dimensionality.
+    counters:
+        Shared work-counter sink; ``rebuilds`` counts one per tree built
+        (the primary plus every secondary).
+
+    After construction, query ``i``'s canonical set — its last-dimension
+    nodes, i.e. its DT "participants" — is the store columns
+    ``qcols[qptr[i]:qptr[i + 1]]``: in one dimension in walk order (the
+    left walk's nodes top-down, then the right walk's), in ``d``
+    dimensions nested the same way dimension by dimension.  ``cnts`` /
+    ``mins`` are the counter store, one column per last-dimension node
+    of every tree; ``trees`` lists the last-dimension trees in column
+    order.
+    """
+
+    __slots__ = (
+        "ndims",
+        "root",
+        "trees",
+        "cnts",
+        "mins",
+        "qptr",
+        "qcols",
+        "_hot_cache",
+    )
+
+    def __init__(
+        self,
+        rects: Sequence[Rect],
+        ndims: int,
+        counters: Optional[WorkCounters] = None,
+    ):
+        if ndims < 1:
+            raise ValueError(f"an endpoint tree needs at least one dimension, got {ndims}")
+        self.ndims = ndims
+        self.root: Optional[FlatTree] = None
+        self.trees: List[FlatTree] = []
+        self._hot_cache: Optional[dict] = {} if ndims > 1 else None
+        usable, raw = _endpoints(rects, ndims)
+        n_usable = len(usable)
+        if counters is not None:
+            counters.rebuilds += 1  # the primary tree, even when empty
+        if not n_usable:
+            self.cnts = _np.zeros(0, dtype=_np.int64)
+            self.mins = _np.zeros(0, dtype=_np.int64)
+            self.qptr = [0] * (len(rects) + 1)
+            self.qcols = _np.zeros(0, dtype=_np.intp)
+            return
+
+        if ndims == 1 and n_usable <= SMALL_TREE:  # one small tree, no levels
+            tree, found = _small_tree(0, True, raw[0], range(n_usable))
+            self.root, self.trees = tree, [tree]
+            self.cnts = tree.cnts = _np.zeros(tree.n, dtype=_np.int64)
+            self.mins = tree.mins = _np.full(tree.n, COUNTER_MAX, dtype=_np.int64)
+            counts = [0] * len(rects)
+            for i, f in zip(usable, found):
+                counts[i] = len(f)
+            self.qptr = [0, *accumulate(counts)]
+            self.qcols = _np.array([u for f in found for u in f], dtype=_np.intp)
+            return
+
+        # Membership pairs of the current dimension — tree, query, and
+        # the pair's rank in query-major nested order — and, per tree of
+        # the next dimension, its owner ``(parent tree, local node)``.
+        p_tree = _np.zeros(n_usable, dtype=_np.intp)
+        p_query = _np.arange(n_usable)
+        p_nest = p_query
+        parents: List[FlatTree] = []
+        p_owner: List[Tuple[int, int]] = []
+        for dim in range(ndims):
+            last = dim == ndims - 1
+            n_trees = int(p_tree[-1]) + 1
+            if dim and counters is not None:
+                counters.rebuilds += n_trees
+            if n_trees == 1 and p_tree.size <= SMALL_TREE:
+                tree, found = _small_tree(dim, last, raw[dim], p_query.tolist())
+                level = [tree]
+                ks = _np.array([tree.skel.K])
+                nbase = _np.zeros(1, dtype=_np.intp)
+                pair = _np.repeat(_np.arange(len(found)), [len(f) for f in found])
+                node = _np.array([u for f in found for u in f], dtype=_np.intp)
+            else:
+                # Rank every tree's distinct (value, bit) keys with one sort;
+                # (x, 1) and (nextafter(x), 0) stay two keys.
+                lo = _np.array(raw[dim][0], dtype=_np.float64).reshape(-1, 2)
+                hi = _np.array(raw[dim][1], dtype=_np.float64).reshape(-1, 2)
+                lo_v, lo_b, hi_v, hi_b = lo[:, 0], lo[:, 1] != 0, hi[:, 0], hi[:, 1] != 0
+                fin = ((hi_v != _INF) | ~hi_b)[p_query]
+                kt = _np.concatenate((p_tree, p_tree[fin]))
+                kv = _np.concatenate((lo_v[p_query], hi_v[p_query][fin]))
+                kb = _np.concatenate((lo_b[p_query], hi_b[p_query][fin]))
+                order = _np.lexsort((kb, kv, kt))
+                st, sv, sb = kt[order], kv[order], kb[order]
+                new = _np.ones(order.size, dtype=bool)
+                new[1:] = (st[1:] != st[:-1]) | (sv[1:] != sv[:-1]) | (sb[1:] != sb[:-1])
+                ks = _np.bincount(st[new], minlength=n_trees)
+                kbase = _np.cumsum(ks) - ks
+                ranks = _np.empty(order.size, dtype=_np.intp)
+                ranks[order] = _np.cumsum(new) - 1 - kbase[st]
+                vals, bits = sv[new], sb[new]
+                lows = vals.copy()
+                lows[bits] = _np.nextafter(vals[bits], _INF)
+                n_pairs = p_tree.size
+                a = ranks[:n_pairs]
+                b = ks[p_tree]
+                b[fin] = ranks[n_pairs:]
+
+                skels, nbase, nodes, paths = _forest(ks)
+                row = kbase[p_tree]
+                pair, node = canonical_sets(paths, nodes, row + a, row + b - 1, a, b)
+
+                level = []
+                for sk, k0, k, base in zip(skels, kbase.tolist(), ks.tolist(), nbase.tolist()):
+                    keys = slice(k0, k0 + k)
+                    base = base if last else -1
+                    level.append(FlatTree(dim, last, sk, vals[keys], bits[keys], lows[keys], base))
+            if dim == 0:
+                self.root = level[0]
+            else:
+                for tree, (pg, u) in zip(level, p_owner):
+                    parents[pg].secondary[u] = tree
+
+            q = p_query[pair]
+            if dim:
+                # Each pair's nodes are contiguous in walk order; put the
+                # pairs themselves back in nested order.
+                nest = _np.lexsort((_np.arange(pair.size), p_nest[pair]))
+                q, node = q[nest], node[nest]
+            if last:
+                # Last dimension: forest node numbers are store columns.
+                n_cols = int(nbase[-1]) + 2 * int(ks[-1]) - 1
+                cnts = self.cnts = _np.zeros(n_cols, dtype=_np.int64)
+                mins = self.mins = _np.full(n_cols, COUNTER_MAX, dtype=_np.int64)
+                for tree in level:
+                    tree.cnts = cnts[tree.base : tree.base + tree.n]
+                    tree.mins = mins[tree.base : tree.base + tree.n]
+                self.trees = level
+                counts = _np.zeros(len(rects), dtype=_np.intp)
+                counts[usable] = _np.bincount(q, minlength=n_usable)
+                self.qptr = [0] + _np.cumsum(counts).tolist()
+                self.qcols = node
+                return
+            # Next dimension: one secondary per node of this dimension
+            # that some query's canonical set contains, over exactly those
+            # queries (grouped by node, registration order within).
+            rank = _np.arange(q.size)
+            grp = _np.lexsort((q, node))
+            g_node = node[grp]
+            first = _np.ones(grp.size, dtype=bool)
+            first[1:] = g_node[1:] != g_node[:-1]
+            owners = g_node[first]
+            owner_tree = _np.repeat(_np.arange(n_trees), 2 * ks - 1)[owners]
+            p_owner = list(zip(owner_tree.tolist(), (owners - nbase[owner_tree]).tolist()))
+            parents = level
+            p_tree = _np.cumsum(first) - 1
+            p_query = q[grp]
+            p_nest = rank[grp]
+
+    # -- stream-side operations -------------------------------------------
+
+    def update(self, point: Sequence[float], weight: int):
+        """Add one element: bump ``c(u)`` along every relevant descent.
+
+        Returns the store columns of the last-dimension nodes whose
+        counters changed (see :meth:`columns`), so the engine can run the
+        slack-inspection (heap drain) step on them.  The element itself
+        is not stored anywhere (Section 4: "we then discard e forever").
+        """
+        touched = self.columns(point)
+        self.cnts[touched] += weight
+        return touched
+
+    def columns(self, point: Sequence[float]):
+        """Store columns of the last-dimension nodes ``point`` descends
+        through (Section 4), as an index array in descent order.
+
+        In one dimension the tree's path matrix answers with a binary
+        search (its local indices are the store columns).  Otherwise
+        repeated value points are served from the hot-key cache: the
+        descent is a pure function of the point (the skeleton never
+        changes), so the array is replayed directly.  Either way a bump
+        is one fancy-indexed add.
+        """
+        root = self.root
+        if root is None:
+            return _NO_COLUMNS
+        if root.last_dim:  # one dimension: a row of the path matrix
+            return root.path(point[0])
+        cache = self._hot_cache
+        key = point if type(point) is tuple else tuple(point)
+        touched = cache.get(key)
+        if touched is None:
+            touched = _np.array(self._descend(point), dtype=_np.intp)
+            if len(cache) >= HOT_CACHE_LIMIT:
+                cache.clear()
+            cache[key] = touched
+        return touched
+
+    def _descend(self, point: Sequence[float]) -> List[int]:
+        """Iterative multi-level descent (depth-safe, no Python recursion).
+
+        Visits secondary trees in pre-order along each descent path: the
+        secondaries met on one tree's root-to-leaf path are descended top
+        down, each fully before the next, which fixes the ``touched``
+        column sequence and therefore the heap-drain order in the engine.
+        """
+        touched: List[int] = []
+        stack: List[FlatTree] = [self.root]
+        while stack:
+            tree = stack.pop()
+            lows = tree._low_list
+            if lows is None:
+                lows = tree._low_list = tree.lows.tolist()
+            pos = bisect_right(lows, point[tree.dim]) - 1
+            if pos < 0:
+                continue  # below the leftmost endpoint: ignored (Section 4)
+            rows = tree.skel._rows
+            row = (tree.skel.rows() if rows is None else rows)[pos]
+            if tree.last_dim:
+                base = tree.base
+                touched.extend([base + u for u in row])
+            else:
+                sec = tree.secondary
+                stack.extend(reversed([sec[u] for u in row if u in sec]))
+        return touched
+
+    def bulk_collect(self, values, weights, sel, out, hints=None, stash=None) -> bool:
+        """Slack-check a batch sub-range (see :meth:`FlatTree.bulk_collect`)."""
+        root = self.root
+        if root is None or len(sel) == 0:
+            return True
+        return root.bulk_collect(values, weights, sel, out, hints, stash)
+
     # -- introspection -------------------------------------------------------
+
+    def canonical_columns(self, rect: Rect) -> List[int]:
+        """Store columns of ``rect``'s canonical set, recomputed.
+
+        The same decomposition the build computed for a registered
+        rectangle, walked one tree at a time; ``rect``'s endpoints must be
+        endpoints of registered queries.
+        """
+        out: List[int] = []
+        if self.root is None or rect.is_empty():
+            return out
+        stack: List[FlatTree] = [self.root]
+        while stack:
+            tree = stack.pop()
+            iv = rect.intervals[tree.dim]
+            found = tree.canonical(iv.lo, iv.hi)
+            if tree.last_dim:
+                out.extend(tree.base + u for u in found)
+            else:
+                sec = tree.secondary
+                stack.extend(reversed([sec[u] for u in found if u in sec]))
+        return out
 
     def range_count(self, rect: Rect) -> int:
         """Exact accumulated weight inside ``rect`` since construction.
@@ -819,53 +922,9 @@ class EndpointTree:
         re-basing during rebuilds (Section 4, "Handling Maturity").  The
         rectangle's endpoints must be endpoints of registered queries.
         """
-        sink: List[ETNode] = []
-        self._collect_canonical(rect, sink)
         cnts = self.cnts
-        return sum(cnts.item(node.idx) for node in sink)
-
-    def _collect_canonical(self, rect: Rect, sink: List[ETNode]) -> None:
-        if rect.is_empty():
-            return
-        stack: List[EndpointTree] = [self]
-        while stack:
-            tree = stack.pop()
-            if tree.root is None:
-                continue
-            iv = rect.intervals[tree.dim]
-            found = canonical_nodes(tree.root, iv.lo, iv.hi)
-            if tree.last_dim:
-                sink.extend(found)
-            else:
-                stack.extend(
-                    reversed(
-                        [n.secondary for n in found if n.secondary is not None]
-                    )
-                )
-
-    def iter_nodes(self) -> Iterator[ETNode]:
-        """Depth-first iteration over this level's nodes (tests/debug)."""
-        stack = [self.root] if self.root is not None else []
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.left is not None:
-                stack.append(node.left)
-                stack.append(node.right)
+        return sum(cnts.item(u) for u in self.canonical_columns(rect))
 
     def height(self) -> int:
-        """Height of this level's skeleton (0 for a single leaf)."""
-        root = self.root
-        if root is None or root.is_leaf:
-            return 0
-        best = 0
-        stack: List[Tuple[ETNode, int]] = [(root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if node.is_leaf:
-                if depth > best:
-                    best = depth
-            else:
-                stack.append((node.left, depth + 1))
-                stack.append((node.right, depth + 1))
-        return best
+        """Height of the primary skeleton (0 for a single leaf or none)."""
+        return 0 if self.root is None else self.root.skel.height

@@ -293,6 +293,11 @@ class Engine(abc.ABC):
                 f"engine handles {self.dims} dimension(s)"
             )
 
+    def validate_weight(self, weight: int) -> None:
+        """Reject an ingest this engine cannot take (the heaviest element
+        of a batch, or one element).  Engines without counters take any
+        weight; see :class:`~repro.core.logmethod.DTEngine`."""
+
     def validate_element(self, element: StreamElement) -> None:
         """Shared element validation used by every concrete engine."""
         if element.dims != self.dims:

@@ -43,7 +43,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..streams.element import StreamElement
-from ..structures.heap import AddressableMinHeap, ScanMinList
 from .batch import prepare_batch
 from .dt_engine import TreeInstance, apply_collected, bisect_batch
 from .endpoint_tree import COUNTER_MAX
@@ -67,9 +66,9 @@ class DTEngine(Engine):
 
     name = "DT"
 
-    def __init__(self, dims: int = 1, heap_factory=AddressableMinHeap):
+    def __init__(self, dims: int = 1, scan: bool = False):
         super().__init__(dims)
-        self._heap_factory = heap_factory
+        self._scan = scan
         #: Slot s holds T_{s+1} (paper indexing is 1-based); None = empty.
         self._trees: List[Optional[TreeInstance]] = []
         #: query_id -> slot index of the tree currently managing it.
@@ -168,7 +167,7 @@ class DTEngine(Engine):
         while len(trees) <= slot:
             trees.append(None)
         instance = TreeInstance(
-            entries, self.dims, self.counters, self._heap_factory, self.obs
+            entries, self.dims, self.counters, self._scan, self.obs
         )
         trees[slot] = instance
         for query, _tau, _consumed in entries:
@@ -189,14 +188,19 @@ class DTEngine(Engine):
         itself cannot fit any tree: it raises before any state changes.
         (``process`` runs the same rule inline, per tree.)
         """
+        self.validate_weight(weight)
+        for slot, tree in enumerate(self._trees):
+            if tree is not None and tree.total > COUNTER_MAX - weight:
+                self._rebuild_slot(slot, "overflow")
+
+    def validate_weight(self, weight: int) -> None:
+        """An ingest heavier than :data:`COUNTER_MAX` fits no tree's int64
+        counters (Section 4's rebuild cannot make room for it)."""
         if weight > COUNTER_MAX:
             raise EngineError(
                 f"ingest weight {weight} exceeds the counter bound "
                 f"{COUNTER_MAX} (2^63 - 1)"
             )
-        for slot, tree in enumerate(self._trees):
-            if tree is not None and tree.total > COUNTER_MAX - weight:
-                self._rebuild_slot(slot, "overflow")
 
     def process(self, element: StreamElement, timestamp: int) -> List[MaturityEvent]:
         self.validate_element(element)
@@ -301,7 +305,7 @@ class DTEngine(Engine):
             self._trees[slot] = None
             return None
         tree = self._trees[slot] = TreeInstance(
-            entries, self.dims, self.counters, self._heap_factory, self.obs
+            entries, self.dims, self.counters, self._scan, self.obs
         )
         if self.obs.enabled:
             self.obs.rebuild(kind, len(entries), heap_entries=tree.stats()["heap_entries"])
@@ -389,4 +393,4 @@ class ScanDTEngine(DTEngine):
     name = "DT-scan"
 
     def __init__(self, dims: int = 1):
-        super().__init__(dims, heap_factory=ScanMinList)
+        super().__init__(dims, scan=True)

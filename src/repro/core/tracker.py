@@ -35,11 +35,10 @@ node: only the query with the *smallest* sigma can possibly be due.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence
 
 from ..obs.observer import NULL_OBS
-from ..structures.heap import AddressableMinHeap, HeapEntry
-from .endpoint_tree import COUNTER_MAX, ETNode, sync_min
+from ..structures.heap import HeapArena
 from .engine import WorkCounters
 from .query import Query
 
@@ -60,19 +59,23 @@ class TrackerState(enum.Enum):
 class QueryTracker:
     """DT coordinator state for one query inside one endpoint tree.
 
-    The tracker owns the query's heap entries (one per canonical node) and
-    drives round transitions.  ``tau`` is the *remaining* threshold
-    relative to the tree's epoch: the engine re-bases it whenever the
-    query moves between trees (logarithmic method) or the tree is rebuilt
-    (global rebuilding), by subtracting the weight already collected.
+    The tracker drives round transitions; its sigma entries (one per
+    canonical node) live in the tree's :class:`~repro.structures.heap.HeapArena`
+    as the contiguous entry ids ``first .. first + h - 1``, parallel to
+    ``cols``.  The arena is passed in to every operation — the tracker
+    holds no reference to it, so a discarded tree leaves no reference
+    cycle behind.  ``tau`` is the *remaining* threshold relative to the
+    tree's epoch: the engine re-bases it whenever the query moves between
+    trees (logarithmic method) or the tree is rebuilt (global
+    rebuilding), by subtracting the weight already collected.
 
     Attributes
     ----------
-    nodes:
-        The canonical node set ``U_q`` (last-dimension nodes).  Populated
-        by :class:`~repro.core.endpoint_tree.EndpointTree` construction.
-    entries:
-        Heap entry handles, parallel to ``nodes``.
+    cols:
+        The canonical node set ``U_q`` as counter-store columns
+        (last-dimension nodes), filled from the tree build.
+    first:
+        Entry id of the sigma entry at ``cols[0]``.
     lam:
         Current slack ``lambda_q`` (0 while in the final phase).
     signals:
@@ -84,19 +87,17 @@ class QueryTracker:
         Simulated DT messages attributable to this query alone (the
         per-instance view of ``WorkCounters.messages``), letting the
         sanitizer check the O(h log tau) bound of Section 3.2 per query.
-    cnts, mins:
-        The owning tree's counter store (bound by :meth:`start`): the
-        tracker reads ``c(u)`` as ``cnts[u.idx]`` and, after every heap
-        operation it performs at ``u``, writes the new ``min H(u)`` into
-        ``mins[u.idx]``.
+    cnts:
+        The owning tree's counter column (bound by :meth:`start`): the
+        tracker reads ``c(u)`` as ``cnts[u]``.
     """
 
     __slots__ = (
         "query",
         "tau",
         "consumed",
-        "nodes",
-        "entries",
+        "cols",
+        "first",
         "state",
         "lam",
         "signals",
@@ -104,7 +105,6 @@ class QueryTracker:
         "rounds_run",
         "msgs",
         "cnts",
-        "mins",
     )
 
     def __init__(self, query: Query, tau: int, consumed: int = 0):
@@ -117,8 +117,8 @@ class QueryTracker:
         #: weight already collected in previous tree epochs (re-basing
         #: offset), so maturity reports the lifetime total W(q).
         self.consumed = consumed
-        self.nodes: List[ETNode] = []
-        self.entries: List[HeapEntry] = []
+        self.cols: List[int] = []
+        self.first = 0
         self.state = TrackerState.INERT
         self.lam = 0
         self.signals = 0
@@ -126,79 +126,61 @@ class QueryTracker:
         self.rounds_run = 0
         self.msgs = 0
         self.cnts = None
-        self.mins = None
 
     # -- setup -------------------------------------------------------------
 
-    def start(
-        self,
-        cnts,
-        mins,
-        counters: WorkCounters,
-        heap_factory=AddressableMinHeap,
-        obs=NULL_OBS,
-    ) -> None:
+    def start(self, cnts, counters: WorkCounters, obs=NULL_OBS):
         """Begin tracking on a freshly built tree (all counters zero).
 
-        Must be called exactly once, after tree construction has filled
-        ``self.nodes``; ``cnts``/``mins`` are that tree's counter store.
-        Installs one sigma entry per canonical node (*unordered*: the
-        owner heapifies each node's heap once after all trackers have
-        started, then fills ``mins``) and opens the first round (or goes
-        straight to the final phase when ``tau <= 6h``).  With every
-        counter at zero the first keys are ``1`` and ``lambda``.
-        ``heap_factory`` selects the per-node container (the real
-        min-heap, or the scan list for the ablation).
+        Must be called exactly once, after ``cols`` is filled; ``cnts`` is
+        that tree's counter column.  Opens the first round (or goes
+        straight to the final phase when ``tau <= 6h``) and returns the
+        key of the query's sigma entries — with every counter at zero,
+        ``1`` in the final phase and ``lambda`` in a round — or None for
+        an empty canonical set.  :func:`start_trackers` installs the
+        entries and reports the slack announcements to ``obs``.
         """
-        if self.entries:
+        if self.cnts is not None:
             raise RuntimeError("tracker already started")
         self.cnts = cnts
-        self.mins = mins
-        h = len(self.nodes)
+        h = len(self.cols)
         if h == 0:
             self.state = TrackerState.INERT
-            return
+            return None
+        counters.heap_ops += h  # one sigma entry per canonical node
         if self.tau <= FINAL_PHASE_FACTOR * h:
             self.state = TrackerState.FINAL
             self.lam = 0
             self.w_run = 0
             if obs.enabled:
                 obs.dt_final_phase(self.query.query_id, self.tau)
-            for node in self.nodes:
-                entry = node.ensure_heap(heap_factory).push_unordered(1, self)
-                self.entries.append(entry)
-                counters.heap_ops += 1
-        else:
-            self.state = TrackerState.ROUND
-            self.lam = self.tau // (2 * h)
-            self.signals = 0
-            # Announcing the slack costs one message per participant.
-            counters.messages += h
-            self.msgs += h
-            if obs.enabled:
-                obs.dt_messages("slack", h)
-                obs.dt_slack(self.query.query_id, self.lam, h)
-            for node in self.nodes:
-                entry = node.ensure_heap(heap_factory).push_unordered(self.lam, self)
-                self.entries.append(entry)
-                counters.heap_ops += 1
+            return 1
+        self.state = TrackerState.ROUND
+        self.lam = self.tau // (2 * h)
+        self.signals = 0
+        # Announcing the slack costs one message per participant.
+        counters.messages += h
+        self.msgs += h
+        if obs.enabled:  # (the caller emits the slack message count)
+            obs.dt_slack(self.query.query_id, self.lam, h)
+        return self.lam
 
     # -- signal handling ----------------------------------------------------
 
     def on_signal(
         self,
-        node: ETNode,
-        entry: HeapEntry,
+        arena: HeapArena,
+        entry: int,
         c: int,
         counters: WorkCounters,
         obs=NULL_OBS,
     ) -> Optional[int]:
-        """Handle one due signal (``c(u) >= sigma_q(u)``) at ``node``.
+        """Handle one due signal (``c(u) >= sigma_q(u)``) of ``entry``.
 
         ``c`` is the node's counter ``c(u)``, which the draining caller
         already holds.  Returns the total collected weight ``W(q)`` when
         the query matures on this signal, else None.  On maturity the
-        tracker detaches all its heap entries and transitions to DONE.
+        tracker removes all its entries and transitions to DONE.
 
         Every key this writes is above its node's counter — at a round
         end ``c(u) + lambda'`` or ``c(u) + 1`` at every node — except
@@ -211,12 +193,12 @@ class QueryTracker:
             obs.dt_messages("signal")
         if self.state is TrackerState.FINAL:
             # Weighted delta forwarding: sigma was cbar + 1.
-            delta = c - (entry.key - 1)
+            delta = c - (arena.key(entry) - 1)
             self.w_run += delta
-            self._rekey(node, entry, c + 1)
+            arena.rekey(entry, c + 1)
             counters.heap_ops += 1
             if self.w_run >= self.tau:
-                self._mature(counters)
+                self.detach(arena, counters)
                 return self.consumed + self.w_run
             return None
 
@@ -224,22 +206,22 @@ class QueryTracker:
         # drain loop re-pops the entry if the weighted increment covered
         # several slacks (Section 7's "repeat Line 1").
         self.signals += 1
-        self._rekey(node, entry, entry.key + self.lam)
+        arena.rekey(entry, arena.key(entry) + self.lam)
         counters.heap_ops += 1
-        if self.signals < len(self.nodes):
+        if self.signals < len(self.cols):
             return None
-        return self._end_round(counters, obs)
+        return self._end_round(arena, counters, obs)
 
-    def _end_round(self, counters: WorkCounters, obs=NULL_OBS) -> Optional[int]:
+    def _end_round(self, arena: HeapArena, counters: WorkCounters, obs=NULL_OBS) -> Optional[int]:
         """Round boundary: collect counters, check maturity, re-slack."""
-        h = len(self.nodes)
+        h = len(self.cols)
         # Collecting precise counters: one request + one reply per site.
         counters.messages += 2 * h
         self.msgs += 2 * h
         counters.rounds += 1
         self.rounds_run += 1
         cnts = self.cnts
-        counts = [cnts.item(node.idx) for node in self.nodes]
+        counts = [cnts.item(u) for u in self.cols]
         w_now = sum(counts)
         if obs.enabled:
             obs.dt_messages("collect", h)
@@ -251,7 +233,7 @@ class QueryTracker:
                 remaining=max(self.tau - w_now, 0),
             )
         if w_now >= self.tau:
-            self._mature(counters)
+            self.detach(arena, counters)
             return self.consumed + w_now
         tau_prime = self.tau - w_now
         if tau_prime <= FINAL_PHASE_FACTOR * h:
@@ -260,49 +242,33 @@ class QueryTracker:
             self.w_run = w_now
             if obs.enabled:
                 obs.dt_final_phase(self.query.query_id, tau_prime)
-            for node, entry, c in zip(self.nodes, self.entries, counts):
-                self._rekey(node, entry, c + 1)
-                counters.heap_ops += 1
+            step = 1
         else:
-            self.lam = tau_prime // (2 * h)
+            self.lam = step = tau_prime // (2 * h)
             self.signals = 0
             counters.messages += h  # announce the new slack
             self.msgs += h
             if obs.enabled:
                 obs.dt_messages("slack", h)
                 obs.dt_slack(self.query.query_id, self.lam, h)
-            for node, entry, c in zip(self.nodes, self.entries, counts):
-                self._rekey(node, entry, c + self.lam)
-                counters.heap_ops += 1
+        for entry, c in enumerate(counts, self.first):
+            arena.rekey(entry, c + step)
+        counters.heap_ops += h
         return None
-
-    def _rekey(self, node: ETNode, entry: HeapEntry, key: int) -> None:
-        """Move this query's sigma at ``node`` to ``key``, keeping
-        ``mins`` exact."""
-        node.heap.update_key(entry, key)
-        sync_min(self.mins, node)
 
     # -- teardown ----------------------------------------------------------
 
-    def _mature(self, counters: WorkCounters) -> None:
-        self.detach(counters)
+    def detach(self, arena: HeapArena, counters: WorkCounters) -> None:
+        """Remove every sigma entry (maturity, termination, or rebuild).
 
-    def detach(self, counters: WorkCounters) -> None:
-        """Remove every heap entry (maturity, termination, or rebuild).
-
-        A live tracker's entries are all attached (only this method
-        removes them), and each removal re-reads its node's minimum into
-        ``mins``.
+        A live tracker's entries are all in the arena (only this method
+        removes them), and each removal keeps its column's ``mins`` slot
+        exact.
         """
-        mins = self.mins
-        cap = COUNTER_MAX
-        for node, entry in zip(self.nodes, self.entries):
-            heap = node.heap
-            heap.remove(entry)
-            top = heap.min_key  # sync_min, inlined: TERMINATE's hot loop
-            mins[node.idx] = cap if top is None or top > cap else top
-        counters.heap_ops += len(self.entries)
-        self.entries = []
+        if self.is_live:
+            h = len(self.cols)
+            arena.remove_run(self.first, h)
+            counters.heap_ops += h
         self.state = TrackerState.DONE
 
     # -- introspection ------------------------------------------------------
@@ -310,7 +276,7 @@ class QueryTracker:
     def collected_weight(self) -> int:
         """Exact ``W(q)`` relative to the tree epoch (sum of ``c(u)``)."""
         cnts = self.cnts
-        return sum(cnts.item(node.idx) for node in self.nodes)
+        return sum(cnts.item(u) for u in self.cols)
 
     @property
     def is_live(self) -> bool:
@@ -320,5 +286,42 @@ class QueryTracker:
     def __repr__(self) -> str:
         return (
             f"QueryTracker(q={self.query.query_id!r}, tau={self.tau}, "
-            f"h={len(self.nodes)}, state={self.state.value}, lam={self.lam})"
+            f"h={len(self.cols)}, state={self.state.value}, lam={self.lam})"
         )
+
+
+def start_trackers(
+    trackers: Sequence[QueryTracker],
+    cnts,
+    mins,
+    qptr: Sequence[int],
+    qcols,
+    counters: WorkCounters,
+    obs=NULL_OBS,
+    scan: bool = False,
+) -> HeapArena:
+    """Start every tracker of a freshly built tree and build its arena
+    (the Section 4 heaps ``H(u)``).
+
+    ``qcols[qptr[i]:qptr[i + 1]]`` is tracker ``i``'s canonical set (see
+    :class:`~repro.core.endpoint_tree.EndpointTree`), and that pair range
+    is also its entry-id range: each started tracker owns one sigma entry
+    per canonical column, keyed by the key :meth:`QueryTracker.start`
+    returns.  ``scan`` builds the no-heap ablation's arena.
+    """
+    cols = qcols.tolist()
+    hs = [hi - lo for lo, hi in zip(qptr, qptr[1:])]
+    keys = []
+    slack = 0
+    in_round = TrackerState.ROUND
+    for tracker, lo, h in zip(trackers, qptr, hs):
+        tracker.cols = cols[lo : lo + h]
+        tracker.first = lo
+        key = tracker.start(cnts, counters, obs)
+        keys.append(0 if key is None else key)
+        if tracker.state is in_round:
+            slack += h
+    if obs.enabled and slack:
+        # Every opening round's slack announcement, counted in one step.
+        obs.dt_messages("slack", slack)
+    return HeapArena(cols, keys, trackers, hs, mins, scan)

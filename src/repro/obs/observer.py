@@ -169,6 +169,7 @@ class Observability(NullObservability):
         "spans",
         "_now",
         "_msg_counters",
+        "_slack_counter",
         "_transport_counters",
         "_quarantine_counters",
         "_shard_counters",
@@ -194,6 +195,7 @@ class Observability(NullObservability):
         #: message-type -> Counter cache, so the per-message hot path is a
         #: dict lookup instead of a registry get-or-create.
         self._msg_counters: Dict[str, object] = {}
+        self._slack_counter = None  # one per query on every tree build
         #: Same caching pattern for transport faults, ingest quarantine,
         #: shard routing, and the phase profiler's histograms.
         self._transport_counters: Dict[str, object] = {}
@@ -435,7 +437,12 @@ class Observability(NullObservability):
         return self.trace.append("span", ts=self._now, **record)
 
     def dt_slack(self, query_id: object, lam: int, h: int) -> None:
-        self.metrics.counter("rts_dt_slack_announcements_total").inc()
+        counter = self._slack_counter
+        if counter is None:
+            counter = self._slack_counter = self.metrics.counter(
+                "rts_dt_slack_announcements_total"
+            )
+        counter.inc()
         event = self.trace.append(
             "dt.slack", ts=self._now, query_id=query_id, lam=lam, h=h
         )

@@ -13,6 +13,7 @@ now delegate here via :func:`repro.sanitize.check`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..baselines.interval_engine import IntervalTreeEngine
@@ -20,7 +21,7 @@ from ..baselines.naive import NaiveEngine
 from ..baselines.rtree_engine import RTreeEngine
 from ..baselines.seg_intv_engine import SegIntvEngine
 from ..core.dt_engine import TreeInstance
-from ..core.endpoint_tree import COUNTER_MAX, ColumnarTree, EndpointTree, ETNode
+from ..core.endpoint_tree import COUNTER_MAX, EndpointTree, FlatTree
 from ..core.engine import Engine
 from ..core.logmethod import DTEngine
 from ..core.system import RTSSystem
@@ -34,7 +35,7 @@ from ..dt.reliable import (
 )
 from ..shard.executor import ParallelExecutor, SerialExecutor
 from ..shard.system import ShardedRTSSystem
-from ..structures.heap import AddressableMinHeap, ScanMinList
+from ..structures.heap import HeapArena
 from ..structures.interval_tree import CenteredIntervalTree
 from ..structures.rtree import RTree, mbr_union
 from ..structures.seg_intv_tree import SegIntvTree
@@ -71,56 +72,68 @@ def max_dt_messages(h: int, tau: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Addressable heaps (Section 4, Eq. 5)
+# Heap arenas (Section 4, Eq. 5)
 # ---------------------------------------------------------------------------
 
 
-@register_checker(AddressableMinHeap)
-def validate_min_heap(heap: AddressableMinHeap, level: str) -> Iterator[Violation]:
-    """Heap order plus handle-position bookkeeping."""
+@register_checker(HeapArena)
+def validate_heap_arena(arena: HeapArena, level: str) -> Iterator[Violation]:
+    """Per-segment heap order, slot <-> position bookkeeping, and the
+    ``mins`` column against every segment's top key."""
     if not level_covers(level, "full"):
         return
-    arr = heap._arr  # rtslint: disable=heap-internals
-    subject = f"AddressableMinHeap(len={len(arr)})"
-    for i, entry in enumerate(arr):
-        pos = entry._pos  # rtslint: disable=heap-internals
-        if pos != i:
-            yield Violation(
-                "heap-handle",
-                f"entry at slot {i} records position {pos}",
-                section="S4",
-                subject=subject,
-                context=_ctx(slot=i, recorded=pos, key=entry.key),
-            )
-        if i > 0:
-            parent = arr[(i - 1) >> 1]
-            if parent.key > entry.key:
+    keys = arena._ekey  # rtslint: disable=heap-internals
+    heap = arena._slots  # rtslint: disable=heap-internals
+    pos = arena._pos  # rtslint: disable=heap-internals
+    starts = arena._seg_start  # rtslint: disable=heap-internals
+    sizes = arena._seg_size  # rtslint: disable=heap-internals
+    mins = arena._mins  # rtslint: disable=heap-internals
+    subject = f"HeapArena(entries={len(pos)}, columns={len(starts)})"
+    live = 0
+    for col, (s, n) in enumerate(zip(starts, sizes)):
+        live += n
+        for p in range(s, s + n):
+            e = heap[p]
+            if pos[e] != p - s:
                 yield Violation(
-                    "heap-order",
-                    f"parent key {parent.key!r} > child key {entry.key!r} "
-                    f"at slot {i}",
+                    "heap-handle",
+                    f"entry {e} at slot {p - s} of column {col} records "
+                    f"slot {pos[e]}",
                     section="S4",
                     subject=subject,
-                    context=_ctx(slot=i, parent_key=parent.key, child_key=entry.key),
+                    context=_ctx(column=col, slot=p, recorded=pos[e]),
                 )
-
-
-@register_checker(ScanMinList)
-def validate_scan_list(heap: ScanMinList, level: str) -> Iterator[Violation]:
-    """The ablation container has no order, but handles must be exact."""
-    if not level_covers(level, "full"):
-        return
-    arr = heap._arr  # rtslint: disable=heap-internals
-    for i, entry in enumerate(arr):
-        pos = entry._pos  # rtslint: disable=heap-internals
-        if pos != i:
+            if p > s and not arena.scan:
+                parent = heap[s + ((p - s - 1) >> 1)]
+                if keys[parent] > keys[e]:
+                    yield Violation(
+                        "heap-order",
+                        f"parent key {keys[parent]!r} > child key {keys[e]!r} "
+                        f"at slot {p} of column {col}",
+                        section="S4",
+                        subject=subject,
+                        context=_ctx(column=col, slot=p),
+                    )
+        top = arena.top(col)
+        want = COUNTER_MAX if top is None or top > COUNTER_MAX else top
+        if mins.item(col) != want:
             yield Violation(
-                "heap-handle",
-                f"scan-list entry at slot {i} records position {pos}",
+                "min-column",
+                f"mins = {mins.item(col)} at column {col} but the heap "
+                f"minimum is {top!r}",
                 section="S4",
-                subject=f"ScanMinList(len={len(arr)})",
-                context=_ctx(slot=i, recorded=pos, key=entry.key),
+                subject=subject,
+                context=_ctx(column=col, min_key=top),
             )
+    attached = sum(1 for p in pos if p >= 0)
+    if attached != live:
+        yield Violation(
+            "heap-handle",
+            f"{attached} entries record a slot but the segments hold {live}",
+            section="S4",
+            subject=subject,
+            context=_ctx(attached=attached, live=live),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -133,111 +146,116 @@ def validate_endpoint_tree(tree: EndpointTree, level: str) -> Iterator[Violation
     """Jurisdiction tiling, per-dimension layering, the counter store."""
     if not level_covers(level, "full"):
         return
-    yield from _walk_level(tree)
-    for owner, col in _column_trees(tree):
-        yield from _validate_counter_store(owner, col)
-
-
-def _walk_level(tree: EndpointTree) -> Iterator[Violation]:
-    stack: List[ETNode] = [tree.root] if tree.root is not None else []
+    stack: List[FlatTree] = [tree.root] if tree.root is not None else []
     while stack:
-        node = stack.pop()
-        subject = repr(node)
-        if node.lo >= node.hi:
+        flat = stack.pop()
+        yield from _validate_flat_tree(flat, tree.ndims)
+        for u, sec in sorted(flat.secondary.items()):
+            if sec.dim != flat.dim + 1:
+                yield Violation(
+                    "dimension-layering",
+                    f"secondary tree of node {u} indexes dim {sec.dim}, "
+                    f"expected {flat.dim + 1}",
+                    section="S6",
+                    subject=_tree_subject(flat),
+                )
+            stack.append(sec)
+    for flat in tree.trees:
+        yield from _validate_counter_store(flat)
+
+
+def _tree_subject(flat: FlatTree) -> str:
+    return f"FlatTree(dim={flat.dim}, keys={len(flat.vals)}, base={flat.base})"
+
+
+def _validate_flat_tree(flat: FlatTree, ndims: int) -> Iterator[Violation]:
+    """One tree's keys and skeleton: every jurisdiction is non-empty and
+    every internal node is tiled exactly by its two children."""
+    import numpy as np
+
+    subject = _tree_subject(flat)
+    sk = flat.skel
+    vals, bits = flat.vals, flat.bits
+    rising = (vals[1:] > vals[:-1]) | ((vals[1:] == vals[:-1]) & (bits[1:] > bits[:-1]))
+    bad = np.flatnonzero(~rising)
+    if bad.size or (sk.klo >= sk.khi).any():
+        i = int(bad[0]) if bad.size else -1
+        yield Violation(
+            "jurisdiction-empty",
+            "keys are not strictly increasing, or a node covers no key "
+            f"(first repeated key at rank {i + 1})",
+            section="S4",
+            subject=subject,
+            context=_ctx(dim=flat.dim, rank=i + 1),
+        )
+    left, right = sk.left, sk.right
+    lonely = np.flatnonzero((left < 0) != (right < 0))
+    if lonely.size:
+        yield Violation(
+            "skeleton-shape",
+            f"node {int(lonely[0])} has exactly one child (skeleton must be proper)",
+            section="S4",
+            subject=subject,
+            context=_ctx(dim=flat.dim),
+        )
+    par = np.flatnonzero((left >= 0) & (right >= 0))
+    lc, rc = left[par], right[par]
+    torn = par[
+        (sk.klo[lc] != sk.klo[par])
+        | (sk.khi[rc] != sk.khi[par])
+        | (sk.khi[lc] != sk.klo[rc])
+    ]
+    if torn.size:
+        u = int(torn[0])
+        yield Violation(
+            "jurisdiction-tiling",
+            f"{torn.size} node(s) whose children do not tile the parent "
+            f"jurisdiction; first at node {u}: {flat.jurisdiction(u)!r}",
+            section="S4",
+            subject=subject,
+            context=_ctx(dim=flat.dim, node=u),
+        )
+    if flat.last_dim != (flat.dim == ndims - 1):
+        yield Violation(
+            "dimension-layering",
+            f"tree of dim {flat.dim} claims last_dim={flat.last_dim} "
+            f"in {ndims} dimension(s)",
+            section="S6",
+            subject=subject,
+        )
+    if flat.last_dim:
+        if flat.secondary:
             yield Violation(
-                "jurisdiction-empty",
-                f"jurisdiction [{node.lo!r}, {node.hi!r}) is empty",
-                section="S4",
+                "dimension-layering",
+                "last-dimension tree carries secondary trees",
+                section="S6",
                 subject=subject,
-                context=_ctx(dim=tree.dim),
+                context=_ctx(dim=flat.dim),
             )
-        if (node.left is None) != (node.right is None):
-            yield Violation(
-                "skeleton-shape",
-                "node has exactly one child (skeleton must be proper)",
-                section="S4",
-                subject=subject,
-                context=_ctx(dim=tree.dim),
-            )
-        elif node.left is not None:
-            left, right = node.left, node.right
-            if left.lo != node.lo or right.hi != node.hi or left.hi != right.lo:
-                yield Violation(
-                    "jurisdiction-tiling",
-                    "children do not tile the parent jurisdiction "
-                    f"([{left.lo!r},{left.hi!r}) + [{right.lo!r},{right.hi!r}) "
-                    f"!= [{node.lo!r},{node.hi!r}))",
-                    section="S4",
-                    subject=subject,
-                    context=_ctx(dim=tree.dim),
-                )
-            stack.append(left)
-            stack.append(right)
-        if tree.last_dim:
-            if node.secondary is not None:
-                yield Violation(
-                    "dimension-layering",
-                    "last-dimension node carries a secondary tree",
-                    section="S6",
-                    subject=subject,
-                    context=_ctx(dim=tree.dim),
-                )
-        else:
-            if node.heap is not None:
-                yield Violation(
-                    "dimension-layering",
-                    "non-final-dimension node carries a heap "
-                    "(only last-dimension nodes hold H(u))",
-                    section="S6",
-                    subject=subject,
-                    context=_ctx(dim=tree.dim),
-                )
-            if node.idx != -1:
-                yield Violation(
-                    "dimension-layering",
-                    "non-final-dimension node owns a counter column "
-                    "(only last-dimension nodes count weight)",
-                    section="S6",
-                    subject=subject,
-                    context=_ctx(dim=tree.dim, column=node.idx),
-                )
-            if node.secondary is not None:
-                if node.secondary.dim != tree.dim + 1:
-                    yield Violation(
-                        "dimension-layering",
-                        f"secondary tree indexes dim {node.secondary.dim}, "
-                        f"expected {tree.dim + 1}",
-                        section="S6",
-                        subject=subject,
-                    )
-                yield from _walk_level(node.secondary)
+    elif flat.base != -1 or flat.cnts is not None:
+        yield Violation(
+            "dimension-layering",
+            "non-final-dimension tree owns counter columns "
+            "(only last-dimension nodes count weight and hold H(u))",
+            section="S6",
+            subject=subject,
+            context=_ctx(dim=flat.dim, base=flat.base),
+        )
 
 
-def _column_trees(tree: EndpointTree) -> Iterator[Tuple[EndpointTree, ColumnarTree]]:
-    """Yield ``(last-dim tree, its ColumnarTree)`` over all levels."""
-    if tree.last_dim:
-        if tree._col is not None:
-            yield tree, tree._col
-        return
-    for node in tree.iter_nodes():
-        if node.secondary is not None:
-            yield from _column_trees(node.secondary)
-
-
-def _validate_counter_store(tree: EndpointTree, col: ColumnarTree) -> Iterator[Violation]:
+def _validate_counter_store(flat: FlatTree) -> Iterator[Violation]:
     """The one counter store, on one last-dimension tree's slice of it.
 
     ``cnts`` holds every ``c(u)`` and nothing else does, so the Section 4
     identities are checked on it directly: counters are non-negative and
     every internal node counts exactly what its two children count (an
-    element bumps a whole root-to-leaf path).  ``mins`` must equal each
-    heap's minimum key, capped at :data:`COUNTER_MAX` — the value an
-    empty or absent heap reads — because the slack checks trust it.
+    element bumps a whole root-to-leaf path).
     """
     import numpy as np
 
-    cnts, mins, base = col.cnts, col.mins, col.base
-    subject = f"ColumnarTree(base={base}, n={col.n})"
+    cnts, base = flat.cnts, flat.base
+    sk = flat.skel
+    subject = _tree_subject(flat)
     neg = np.flatnonzero(cnts < 0)
     if neg.size:
         i = int(neg[0])
@@ -247,44 +265,21 @@ def _validate_counter_store(tree: EndpointTree, col: ColumnarTree) -> Iterator[V
             f"column {base + i}",
             section="S4",
             subject=subject,
-            context=_ctx(dim=tree.dim, column=base + i, counter=cnts.item(i)),
+            context=_ctx(dim=flat.dim, column=base + i, counter=cnts.item(i)),
         )
-    par = np.flatnonzero(col.left >= 0)
-    off = par[cnts[par] != cnts[col.left[par]] + cnts[col.right[par]]]
+    par = np.flatnonzero(sk.left >= 0)
+    off = par[cnts[par] != cnts[sk.left[par]] + cnts[sk.right[par]]]
     if off.size:
         i = int(off[0])
         yield Violation(
             "counter-sum",
             f"{off.size} internal node(s) with c(u) != c(left) + c(right); "
             f"first at column {base + i}: {cnts.item(i)} != "
-            f"{cnts.item(int(col.left[i]))} + {cnts.item(int(col.right[i]))}",
+            f"{cnts.item(int(sk.left[i]))} + {cnts.item(int(sk.right[i]))}",
             section="S4",
             subject=subject,
-            context=_ctx(dim=tree.dim, column=base + i),
+            context=_ctx(dim=flat.dim, column=base + i),
         )
-    for i, node in enumerate(col.nodes):
-        top = None if node.heap is None else node.heap.min_key
-        want = COUNTER_MAX if top is None or top > COUNTER_MAX else top
-        if mins.item(i) != want:
-            yield Violation(
-                "min-column",
-                f"mins = {mins.item(i)} at column {base + i} but the heap "
-                f"minimum is {top!r}",
-                section="S4",
-                subject=repr(node),
-                context=_ctx(dim=tree.dim, column=base + i, min_key=top),
-            )
-
-
-def _last_dim_nodes(tree: EndpointTree) -> Iterator[Tuple[EndpointTree, ETNode]]:
-    """Yield ``(owning last-dimension tree, node)`` over all levels."""
-    if tree.last_dim:
-        for node in tree.iter_nodes():
-            yield tree, node
-    else:
-        for node in tree.iter_nodes():
-            if node.secondary is not None:
-                yield from _last_dim_nodes(node.secondary)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +291,7 @@ def _last_dim_nodes(tree: EndpointTree) -> Iterator[Tuple[EndpointTree, ETNode]]
 def validate_tracker(tracker: QueryTracker, level: str) -> Iterator[Violation]:
     """Round/slack accounting and protocol-state bounds (all cheap)."""
     subject = repr(tracker)
-    h = len(tracker.nodes)
+    h = len(tracker.cols)
     state = tracker.state
     if tracker.tau < 1:
         yield Violation(
@@ -312,33 +307,6 @@ def validate_tracker(tracker: QueryTracker, level: str) -> Iterator[Violation]:
             section="S4",
             subject=subject,
         )
-    if state in (TrackerState.ROUND, TrackerState.FINAL):
-        if len(tracker.entries) != h:
-            yield Violation(
-                "tracker-entries",
-                f"{len(tracker.entries)} heap entries for {h} canonical "
-                "nodes (must be parallel)",
-                section="S4",
-                subject=subject,
-            )
-        else:
-            for i, entry in enumerate(tracker.entries):
-                if not entry.in_heap:
-                    yield Violation(
-                        "tracker-entries",
-                        f"entry {i} of a live tracker is detached",
-                        section="S4",
-                        subject=subject,
-                        context=_ctx(index=i),
-                    )
-                if entry.payload is not tracker:
-                    yield Violation(
-                        "tracker-entries",
-                        f"entry {i} does not point back at its tracker",
-                        section="S4",
-                        subject=subject,
-                        context=_ctx(index=i),
-                    )
     if state is TrackerState.ROUND:
         # tau' > 6h when the round opened, so lambda = floor(tau'/(2h)) >= 3.
         if tracker.lam < 3:
@@ -397,23 +365,16 @@ def validate_tracker(tracker: QueryTracker, level: str) -> Iterator[Violation]:
                 context=_ctx(tau=tracker.tau, h=h),
             )
     elif state is TrackerState.INERT:
-        if h != 0 or tracker.entries:
+        if h:
             yield Violation(
                 "tracker-entries",
-                "inert tracker holds canonical nodes or heap entries",
+                f"inert tracker holds {h} canonical columns",
                 section="S4",
                 subject=subject,
-                context=_ctx(h=h, entries=len(tracker.entries)),
+                context=_ctx(h=h),
             )
     elif state is TrackerState.DONE:
-        if tracker.entries:
-            yield Violation(
-                "tracker-entries",
-                "done tracker still holds heap entries",
-                section="S4",
-                subject=subject,
-                context=_ctx(entries=len(tracker.entries)),
-            )
+        pass  # its entries are checked against the arena by the tree instance
     if tracker.rounds_run > max_dt_rounds(tracker.tau):
         yield Violation(
             "dt-round-bound",
@@ -476,52 +437,78 @@ def validate_tree_instance(inst: TreeInstance, level: str) -> Iterator[Violation
         return
 
     yield from validate_endpoint_tree(inst.tree, level)
+    arena = inst.arena
+    yield from validate_heap_arena(arena, level)
 
-    # One walk over every last-dimension node: heap integrity, drain
-    # quiescence, and entry-ownership, plus the node -> owning-tree map
-    # needed for the canonical disjointness check below.
-    live_entry_ids: Set[int] = set()
+    # Entry ownership: a live tracker's id range sits in the arena at its
+    # canonical columns, a finished one's is gone, and every entry left in
+    # a segment belongs to a live tracker of this tree.
+    live = set()
     for tracker in inst.trackers.values():
-        for entry in tracker.entries:
-            live_entry_ids.add(id(entry))
-    owner_tree: Dict[int, int] = {}
-    for tree_idx, (owner, node) in enumerate(_last_dim_nodes(inst.tree)):
-        owner_tree[id(node)] = id(owner)
-        heap = node.heap
-        if heap is None:
+        qid = tracker.query.query_id
+        ids = range(tracker.first, tracker.first + len(tracker.cols))
+        if tracker.state in (TrackerState.ROUND, TrackerState.FINAL):
+            live.add(id(tracker))
+            for i, e in enumerate(ids):
+                if (
+                    e >= len(arena._ecol)  # rtslint: disable=heap-internals
+                    or not arena.in_heap(e)
+                    or arena.column(e) != tracker.cols[i]
+                    or arena.payload(e) is not tracker
+                ):
+                    yield Violation(
+                        "tracker-entries",
+                        f"query {qid!r}: entry {e} is not its attached sigma "
+                        f"entry at canonical column {tracker.cols[i]}",
+                        section="S4",
+                        subject=subject,
+                        context=_ctx(query=qid, entry=e, column=tracker.cols[i]),
+                    )
+        elif tracker.state is TrackerState.DONE:
+            if any(arena.in_heap(e) for e in ids):
+                yield Violation(
+                    "tracker-entries",
+                    f"done query {qid!r} still has entries in the arena",
+                    section="S4",
+                    subject=subject,
+                    context=_ctx(query=qid),
+                )
+    cnts = inst.cnts
+    for col in range(len(cnts)):
+        top = arena.top(col)
+        if top is None:
             continue
-        yield from _validate_heap_like(heap, level)
-        min_key = heap.min_key
-        counter = inst.cnts.item(node.idx)
-        if min_key is not None and min_key <= counter:
+        counter = cnts.item(col)
+        if top <= counter:
             yield Violation(
                 "heap-quiescence",
-                f"due signal left undrained: min sigma {min_key!r} <= "
-                f"c(u) = {counter}",
+                f"due signal left undrained at column {col}: min sigma "
+                f"{top!r} <= c(u) = {counter}",
                 section="S4",
-                subject=repr(node),
-                context=_ctx(min_key=min_key, counter=counter),
+                subject=subject,
+                context=_ctx(column=col, min_key=top, counter=counter),
             )
-        for entry in heap.entries():
-            if id(entry) not in live_entry_ids:
+        for e in arena.segment(col):
+            if id(arena.payload(e)) not in live:
                 yield Violation(
                     "heap-entry-owner",
-                    "heap entry does not belong to any tracker of this tree",
+                    f"entry {e} at column {col} does not belong to a live "
+                    "tracker of this tree",
                     section="S4",
-                    subject=repr(node),
-                    context=_ctx(key=entry.key, payload=repr(entry.payload)),
+                    subject=subject,
+                    context=_ctx(column=col, entry=e, key=arena.key(e)),
                 )
 
-    # Canonical-set consistency: the nodes a tracker signals on must be
+    # Canonical-set consistency: the columns a tracker signals on must be
     # exactly the canonical decomposition of its query rectangle, and
-    # within each (last-dimension) tree the jurisdictions must be disjoint.
+    # within each last-dimension tree the jurisdictions must be disjoint.
+    bases = [flat.base for flat in inst.tree.trees]
     for tracker in inst.trackers.values():
         if tracker.state is TrackerState.DONE:
             continue
         qid = tracker.query.query_id
-        sink: List[ETNode] = []
         try:
-            inst.tree._collect_canonical(tracker.query.rect, sink)
+            found = inst.tree.canonical_columns(tracker.query.rect)
         except AssertionError as exc:
             # The decomposition itself fell apart — the structure is too
             # corrupted to recompute canonical sets at all.
@@ -533,38 +520,40 @@ def validate_tree_instance(inst: TreeInstance, level: str) -> Iterator[Violation
                 context=_ctx(query=qid),
             )
             continue
-        if {id(n) for n in sink} != {id(n) for n in tracker.nodes}:
+        if sorted(found) != sorted(tracker.cols):
             yield Violation(
                 "canonical-consistency",
                 f"query {qid!r}: tracked canonical set does not match the "
-                f"decomposition of its rectangle ({len(tracker.nodes)} "
-                f"tracked vs {len(sink)} recomputed)",
+                f"decomposition of its rectangle ({len(tracker.cols)} "
+                f"tracked vs {len(found)} recomputed)",
                 section="S4",
                 subject=subject,
-                context=_ctx(query=qid, tracked=len(tracker.nodes), actual=len(sink)),
+                context=_ctx(query=qid, tracked=len(tracker.cols), actual=len(found)),
             )
-        by_tree: Dict[int, List[ETNode]] = {}
-        for node in tracker.nodes:
-            by_tree.setdefault(owner_tree.get(id(node), -1), []).append(node)
-        for group in by_tree.values():
-            group.sort(key=lambda n: n.lo)
-            for a, b in zip(group, group[1:]):
-                if a.hi > b.lo:
+        by_tree: Dict[int, List[Tuple[int, int]]] = {}
+        for col in tracker.cols:
+            t = bisect_right(bases, col) - 1
+            if t < 0:
+                continue
+            flat = inst.tree.trees[t]
+            u = col - flat.base
+            if u >= flat.n:
+                continue
+            by_tree.setdefault(t, []).append(
+                (int(flat.skel.klo[u]), int(flat.skel.khi[u]))
+            )
+        for spans in by_tree.values():
+            spans.sort()
+            for (alo, ahi), (blo, bhi) in zip(spans, spans[1:]):
+                if ahi > blo:
                     yield Violation(
                         "canonical-disjoint",
-                        f"query {qid!r}: canonical jurisdictions "
-                        f"[{a.lo!r},{a.hi!r}) and [{b.lo!r},{b.hi!r}) overlap",
+                        f"query {qid!r}: canonical key ranges [{alo},{ahi}) "
+                        f"and [{blo},{bhi}) overlap",
                         section="S4",
                         subject=subject,
                         context=_ctx(query=qid),
                     )
-
-
-def _validate_heap_like(heap, level: str) -> Iterator[Violation]:
-    if isinstance(heap, AddressableMinHeap):
-        yield from validate_min_heap(heap, level)
-    elif isinstance(heap, ScanMinList):
-        yield from validate_scan_list(heap, level)
 
 
 # ---------------------------------------------------------------------------

@@ -296,10 +296,11 @@ class ShardedRTSSystem:
             value if isinstance(value, StreamElement) else StreamElement(value, weight)
         )
         prepared = PreparedBatch([element], self.dims)
-        self._clock += 1
+        self._validator.validate_weight(element.weight)
+        now = self._clock + 1
         if self.obs.enabled:
-            self.obs.element_processed(self._clock, element.weight)
-        return self._route_and_process(prepared, self._clock)
+            self.obs.element_processed(now, element.weight)
+        return self._route_and_process(prepared, now)
 
     def process_many(
         self, elements: Iterable[StreamElement]
@@ -343,11 +344,15 @@ class ShardedRTSSystem:
             self._profiler.stop("pack", t_pack)
         if not prepared.size:
             return []
+        if not prepared.vectorizable:
+            # A vectorizable batch weighs under 2^53 in all; otherwise the
+            # heaviest element must fit, or no shard may run (an element
+            # that routes nowhere included), as in an un-sharded system.
+            self._validator.validate_weight(max(e.weight for e in prepared.elements))
         start = self._clock + 1
-        self._clock += prepared.size
         if self.obs.enabled:
             self.obs.batch_processed(
-                self._clock, prepared.size, prepared.total_weight()
+                start + prepared.size - 1, prepared.size, prepared.total_weight()
             )
         return self._route_and_process(prepared, start)
 
@@ -370,6 +375,9 @@ class ShardedRTSSystem:
         slices = self._route(prepared, start)
         self._profiler.stop("route", t_route)
         outcomes = self.executor.process(slices, trace=trace) if slices else {}
+        # The batch's ticks count only once every shard took it: a batch
+        # a shard rejects leaves the clock where it was.
+        self._clock = start + prepared.size - 1
         if obs_on:
             for shard, sl in slices.items():
                 self.obs.shard_elements(shard, len(sl))

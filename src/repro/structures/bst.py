@@ -1,12 +1,13 @@
 """Balanced BST skeleton construction shared by tree structures.
 
-Both the endpoint tree (paper Section 4) and the segment tree used by the
-Seg-Intv stabbing baseline are *static* balanced binary trees whose leaves
-partition the line into elementary intervals ``[k_i, k_{i+1})`` over a
-sorted set of boundary keys.  This module provides the one generic
-builder; each structure supplies its own node class (anything exposing
-``lo``/``hi``/``left``/``right`` attributes and a ``(lo, hi)``
-constructor).
+The segment trees of the stabbing baselines are *static* balanced binary
+trees whose leaves partition the line into elementary intervals
+``[k_i, k_{i+1})`` over a sorted set of boundary keys.  This module
+provides their generic pointer builder; each structure supplies its own
+node class (anything exposing ``lo``/``hi``/``left``/``right``
+attributes and a ``(lo, hi)`` constructor).  The endpoint tree of
+Section 4 has the same shape but builds it as flat arrays
+(:class:`repro.core.endpoint_tree.Skeleton`).
 """
 
 from __future__ import annotations

@@ -1,325 +1,349 @@
-"""Addressable binary min-heap.
+"""The sigma-heaps of one endpoint tree, as one flat arena.
 
 Section 4 of the paper attaches to every endpoint-tree node ``u`` a
-min-heap ``H(u)`` over the values ``sigma_q(u) = lambda_q + cbar_q(u)`` of
-all queries whose canonical node set contains ``u``.  The RTS algorithm
-needs three operations the standard library ``heapq`` does not offer
-directly:
-
-* *addressable removal* — when a query matures or is terminated, its entry
-  must be deleted from the heaps of all its canonical nodes;
-* *key updates* — when a query's slack ``lambda_q`` changes at a round
-  boundary, its ``sigma`` entries move;
-* *stable handles* — the engine keeps one handle per (query, node) pair.
-
-This module implements a classic array-backed binary heap where each entry
-records its own array position, giving ``O(log n)`` push/pop/remove/update
-and ``O(1)`` peek.
+min-heap ``H(u)`` over ``sigma_q(u) = lambda_q + cbar_q(u)`` for every
+query whose canonical set contains ``u``, with *addressable removal*
+(maturity, termination), *key updates* (round boundaries) and a stable
+handle per (query, node) pair.  A built tree's heaps never gain entries
+(a new query goes to a new tree, Section 5), so they all live in one
+fixed-capacity :class:`HeapArena`: each (query, node) pair is an integer
+*entry id*, and column ``u``'s heap is a CSR segment of one flat slot
+list.  Each entry records its slot (relative to its segment, so most are
+small cached ints): ``O(log n)`` removal and key update, ``O(1)`` peek,
+no Python object per entry or per heap.
 """
 
 from __future__ import annotations
 
-from typing import Generic, List, Optional, Tuple, TypeVar
+from array import array as _array
+from typing import List, Optional, Sequence
 
-P = TypeVar("P")
+import numpy as _np
+
+#: The ``mins`` value of an empty segment, and the cap on stored minima:
+#: the int64 bound of the counter store the arena writes into.
+MIN_CAP = int(_np.iinfo(_np.int64).max)
 
 
-class HeapEntry(Generic[P]):
-    """A live handle into an :class:`AddressableMinHeap`.
+#: Arenas of at most this many entries are heapified segment by segment
+#: with the sift code below; larger ones with :func:`_heapify_segments`,
+#: which produces the identical layout in a few array passes per depth.
+SMALL_ARENA = 64
 
-    ``key`` orders the heap; ``payload`` is opaque to the heap.  After the
-    entry is popped or removed, ``in_heap`` turns False and the handle must
-    not be passed back to the heap (doing so raises).
+
+class HeapArena:
+    """Every sigma-heap of one endpoint tree in flat, fixed-capacity lists.
+
+    Parameters
+    ----------
+    cols:
+        The column (node) of every entry, in entry-id order (a list of
+        ints, which the arena keeps).
+    run_keys, run_payloads, run_lengths:
+        Run ``i`` is the next ``run_lengths[i]`` entry ids, with initial
+        key ``run_keys[i]`` and owner ``run_payloads[i]`` (opaque to the
+        arena): one run per query, in registration order.
+    mins:
+        The owner's int64 ``min H(u)`` column; the arena writes every
+        column's minimum (capped at :data:`MIN_CAP`, which an empty
+        segment reads) and keeps it exact after each operation.
+    scan:
+        The slack-inspection ablation: segments stay in registration
+        order, removal swaps the last entry in, and ``first_due`` scans
+        the whole segment — the naive strategy Section 4's heaps avoid.
+
+    Each segment holds its column's entries laid out exactly as pushing
+    them in registration order and heapifying would, so ties break the
+    same way at every scale.
     """
 
-    __slots__ = ("key", "payload", "_pos")
+    __slots__ = ("_ekey", "_slots", "_pos", "_ecol", "_seg_start", "_seg_size", "_owners", "_mins", "scan")
 
-    def __init__(self, key, payload: P):
-        self.key = key
-        self.payload = payload
-        self._pos = -1  # -1 means "not in any heap"
+    def __init__(
+        self,
+        cols,
+        run_keys: Sequence,
+        run_payloads: Sequence[object],
+        run_lengths: Sequence[int],
+        mins,
+        scan: bool = False,
+    ):
+        self._mins = mins
+        self.scan = scan
+        self._ecol: List[int] = cols
+        keys: List[int] = []
+        owners: List[object] = []
+        for key, owner, h in zip(run_keys, run_payloads, run_lengths):
+            keys += [key] * h  # a run's entries share one key object
+            owners += [owner] * h
+        self._ekey = keys
+        self._owners = owners
+        if len(cols) > SMALL_ARENA:
+            self._lay_out(run_keys, run_lengths)
+            return
+        # Small arenas: push entry by entry, then run the reference
+        # heapify segment by segment with the sift code below.
+        sizes = [0] * len(mins)
+        fill = [0] * len(mins)
+        for c in cols:
+            sizes[c] += 1
+        starts = [0] * len(sizes)
+        for c in range(1, len(sizes)):
+            starts[c] = starts[c - 1] + sizes[c - 1]
+        slots = [0] * len(cols)
+        pos = [0] * len(cols)
+        for e, c in enumerate(cols):
+            rel = pos[e] = fill[c]
+            slots[starts[c] + rel] = e
+            fill[c] = rel + 1
+        self._slots, self._pos = slots, pos
+        self._seg_start, self._seg_size = starts, sizes
+        full = [c for c, n in enumerate(sizes) if n]
+        if not scan:
+            for c in full:
+                s, n = starts[c], sizes[c]
+                for p in range(s + (n >> 1) - 1, s - 1, -1):
+                    self._sift_down(p, s, s + n)
+        tops = [self.top(c) for c in full] if scan else [keys[slots[starts[c]]] for c in full]
+        mins[full] = [MIN_CAP if t > MIN_CAP else t for t in tops]
 
-    @property
-    def in_heap(self) -> bool:
-        """True while the entry still sits inside a heap."""
-        return self._pos >= 0
+    def _lay_out(self, run_keys, run_lengths) -> None:
+        """The same layout in array passes: a stable sort groups the entries
+        by column and :func:`_heapify_segments` sifts every segment."""
+        mins = self._mins
+        n = len(self._ecol)
+        col = _np.fromiter(self._ecol, dtype=_np.intp, count=n)
+        sizes = _np.bincount(col, minlength=len(mins))
+        starts = _np.cumsum(sizes) - sizes
+        heap = _np.argsort(col, kind="stable")  # by column, ids in order
+        del col  # temporaries go as soon as they are used: peak memory
+        try:
+            run_col = _np.array(run_keys, dtype=_np.int64)
+            values = None
+        except OverflowError:
+            # Keys beyond int64: order by dense rank, which sifts
+            # identically, and map the minima back to their values.
+            values, run_col = _np.unique(_np.array(run_keys, dtype=object), return_inverse=True)
+        hk = _np.repeat(run_col, run_lengths)[heap]
+        full = _np.flatnonzero(sizes)
+        tops = _np.minimum.reduceat(hk, starts[full])
+        if values is not None:
+            tops = _np.minimum(values[tops], MIN_CAP).astype(_np.int64)
+        mins[full] = tops
+        if not self.scan:
+            _heapify_segments(hk, heap, starts, sizes)
+        del hk
+        pos = _np.empty(n, dtype=_np.intp)
+        pos[heap] = _np.arange(n) - _np.repeat(starts, sizes)
+        self._pos: List[int] = pos.tolist()
+        del pos
+        # Segment starts as packed int64: read once per operation, so
+        # compactness wins over list-of-int speed here.
+        self._seg_start = _array("q", starts.astype(_np.int64).tobytes())
+        self._seg_size: List[int] = sizes.tolist()
+        self._slots: List[int] = heap.tolist()
 
-    def __repr__(self) -> str:
-        state = f"pos={self._pos}" if self.in_heap else "detached"
-        return f"HeapEntry(key={self.key!r}, payload={self.payload!r}, {state})"
+    # -- queries ------------------------------------------------------------
 
+    def key(self, entry: int):
+        """Current key of ``entry``."""
+        return self._ekey[entry]
 
-class AddressableMinHeap(Generic[P]):
-    """Binary min-heap with stable entry handles.
+    def payload(self, entry: int):
+        """The owner ``entry`` was built with."""
+        return self._owners[entry]
 
-    Keys may be any mutually comparable values (the RTS engine uses plain
-    integers).  Ties are broken arbitrarily but deterministically (by array
-    layout), which is fine for the algorithm: the drain loop pops *all*
-    entries whose key is at most the node counter, in some order.
-    """
+    def column(self, entry: int) -> int:
+        """The column (node) whose heap holds ``entry``."""
+        return self._ecol[entry]
 
-    __slots__ = ("_arr",)
+    def in_heap(self, entry: int) -> bool:
+        """True until ``entry`` is removed."""
+        return self._pos[entry] >= 0
 
-    def __init__(self) -> None:
-        self._arr: List[HeapEntry[P]] = []
+    def segment(self, col: int) -> List[int]:
+        """Entry ids of column ``col``'s heap, in slot order."""
+        s = self._seg_start[col]
+        return self._slots[s : s + self._seg_size[col]]
 
-    # -- core operations ----------------------------------------------
+    def top(self, col: int) -> Optional[int]:
+        """``min H(u)`` of column ``col``, or None when it is empty."""
+        n = self._seg_size[col]
+        if not n:
+            return None
+        keys = self._ekey
+        s = self._seg_start[col]
+        if self.scan:
+            return min(keys[e] for e in self._slots[s : s + n])
+        return keys[self._slots[s]]
 
-    def push(self, key, payload: P) -> HeapEntry[P]:
-        """Insert a new entry; returns its handle."""
-        entry = HeapEntry(key, payload)
-        arr = self._arr
-        entry._pos = len(arr)
-        arr.append(entry)
-        self._sift_up(entry._pos)
-        return entry
-
-    def push_unordered(self, key, payload: P) -> HeapEntry[P]:
-        """Append an entry without restoring heap order.
-
-        Bulk-construction fast path: push all initial entries unordered,
-        then call :meth:`heapify` once — O(n) instead of O(n log n).  The
-        heap must not be queried between the first ``push_unordered`` and
-        the ``heapify``.
-        """
-        entry = HeapEntry(key, payload)
-        arr = self._arr
-        entry._pos = len(arr)
-        arr.append(entry)
-        return entry
-
-    def heapify(self) -> None:
-        """Restore heap order after a batch of :meth:`push_unordered`."""
-        arr = self._arr
-        for pos in range(len(arr) // 2 - 1, -1, -1):
-            self._sift_down(pos)
-
-    def peek(self) -> HeapEntry[P]:
-        """The minimum entry without removing it (IndexError if empty)."""
-        return self._arr[0]
-
-    @property
-    def min_key(self):
-        """Key of the minimum entry, or None when the heap is empty."""
-        arr = self._arr
-        return arr[0].key if arr else None
-
-    def pop(self) -> HeapEntry[P]:
-        """Remove and return the minimum entry (IndexError if empty)."""
-        arr = self._arr
-        top = arr[0]
-        self._detach(0)
-        top._pos = -1
-        return top
-
-    def first_due(self, threshold) -> Optional[HeapEntry[P]]:
-        """The minimum entry if its key is <= ``threshold``, else None.
+    def first_due(self, col: int, threshold) -> int:
+        """The minimum entry of column ``col`` if its key is at most
+        ``threshold``, else -1.
 
         This is the slack-inspection primitive of Section 4: one O(1)
         check decides whether *any* of the queries sharing this node needs
-        a signal.  The hot loop calls it once per counter bump.
+        a signal.  (The scan ablation pays a pass over the segment, taking
+        the first entry with the smallest due key.)
         """
-        arr = self._arr
-        if arr:
-            top = arr[0]
-            if top.key <= threshold:
-                return top
-        return None
-
-    def remove(self, entry: HeapEntry[P]) -> None:
-        """Delete an arbitrary entry via its handle."""
-        pos = self._position_of(entry)
-        self._detach(pos)
-        entry._pos = -1
-
-    def update_key(self, entry: HeapEntry[P], new_key) -> None:
-        """Change an entry's key in place, restoring heap order."""
-        pos = self._position_of(entry)
-        old_key = entry.key
-        entry.key = new_key
-        if new_key < old_key:
-            self._sift_up(pos)
-        elif old_key < new_key:
-            self._sift_down(pos)
-
-    # -- introspection ----------------------------------------------------
+        n = self._seg_size[col]
+        if not n:
+            return -1
+        keys = self._ekey
+        s = self._seg_start[col]
+        if self.scan:
+            best = -1
+            for e in self._slots[s : s + n]:
+                k = keys[e]
+                if k <= threshold and (best < 0 or k < keys[best]):
+                    best = e
+            return best
+        e = self._slots[s]
+        return e if keys[e] <= threshold else -1
 
     def __len__(self) -> int:
-        return len(self._arr)
+        """Entries still in some heap."""
+        return sum(self._seg_size)
 
-    def __bool__(self) -> bool:
-        return bool(self._arr)
+    # -- updates ------------------------------------------------------------
 
-    def entries(self) -> Tuple[HeapEntry[P], ...]:
-        """Snapshot of all entries, in internal (arbitrary) order."""
-        return tuple(self._arr)
+    def rekey(self, entry: int, key) -> None:
+        """Change ``entry``'s key, restoring heap order and its column's
+        ``mins`` slot."""
+        keys = self._ekey
+        old = keys[entry]
+        keys[entry] = key
+        col = self._ecol[entry]
+        if self.scan:
+            self._sync(col)
+            return
+        s = self._seg_start[col]
+        if key < old:
+            self._sift_up(s + self._pos[entry], s)
+        elif old < key:
+            self._sift_down(s + self._pos[entry], s, s + self._seg_size[col])
+        top = keys[self._slots[s]]
+        self._mins[col] = top if top <= MIN_CAP else MIN_CAP
 
-    def check_invariants(self) -> None:
-        """Verify heap order and position bookkeeping.
+    def remove(self, entry: int) -> None:
+        """Delete ``entry`` from its heap (ValueError if already removed)."""
+        self.remove_run(entry, 1)
 
-        Delegates to the :mod:`repro.sanitize` validator (which raises
-        :class:`~repro.sanitize.SanitizeError`, an AssertionError).
-        """
-        from ..sanitize import check
+    def remove_run(self, first: int, count: int) -> None:
+        """Delete entries ``first .. first + count - 1`` — TERMINATE's hot
+        loop, with every local bound once and the ``mins`` update inline."""
+        pos, heap, keys, mins = self._pos, self._slots, self._ekey, self._mins
+        col_of, start, size, scan = self._ecol, self._seg_start, self._seg_size, self.scan
+        sift_up, sift_down = self._sift_up, self._sift_down
+        for entry in range(first, first + count):
+            rel = pos[entry]
+            if rel < 0:
+                raise ValueError(f"entry {entry} is not in the arena")
+            col = col_of[entry]
+            s = start[col]
+            n = size[col] - 1
+            size[col] = n
+            pos[entry] = -1
+            p = s + rel
+            last_p = s + n
+            if p != last_p:
+                last = heap[last_p]
+                heap[p] = last
+                pos[last] = rel
+                if not scan:
+                    # The swapped-in entry may need to move either way.
+                    sift_up(p, s)
+                    sift_down(s + pos[last], s, last_p)
+            if scan:
+                self._sync(col)
+            elif n:
+                top = keys[heap[s]]
+                mins[col] = top if top <= MIN_CAP else MIN_CAP
+            else:
+                mins[col] = MIN_CAP
 
-        check(self)
+    # -- internals ------------------------------------------------------------
 
-    # -- internals --------------------------------------------------------
+    def _sync(self, col: int) -> None:
+        top = self.top(col)
+        self._mins[col] = MIN_CAP if top is None or top > MIN_CAP else top
 
-    def _position_of(self, entry: HeapEntry[P]) -> int:
-        pos = entry._pos
-        arr = self._arr
-        if pos < 0 or pos >= len(arr) or arr[pos] is not entry:
-            raise ValueError(f"entry is not in this heap: {entry!r}")
-        return pos
-
-    def _detach(self, pos: int) -> None:
-        """Remove the entry at ``pos`` by swapping in the last element."""
-        arr = self._arr
-        last = arr.pop()
-        if pos == len(arr):
-            return  # removed the final slot; nothing to fix
-        last._pos = pos
-        arr[pos] = last
-        # The swapped-in element may need to move either direction.
-        self._sift_up(pos)
-        self._sift_down(last._pos)
-
-    def _sift_up(self, pos: int) -> None:
-        arr = self._arr
-        entry = arr[pos]
-        key = entry.key
-        while pos > 0:
-            parent_pos = (pos - 1) >> 1
-            parent = arr[parent_pos]
-            if parent.key <= key:
+    def _sift_up(self, p: int, s: int) -> None:
+        heap, keys, pos = self._slots, self._ekey, self._pos
+        e = heap[p]
+        k = keys[e]
+        while p > s:
+            pp = s + ((p - s - 1) >> 1)
+            pe = heap[pp]
+            if keys[pe] <= k:
                 break
-            parent._pos = pos
-            arr[pos] = parent
-            pos = parent_pos
-        entry._pos = pos
-        arr[pos] = entry
+            pos[pe] = p - s
+            heap[p] = pe
+            p = pp
+        pos[e] = p - s
+        heap[p] = e
 
-    def _sift_down(self, pos: int) -> None:
-        arr = self._arr
-        n = len(arr)
-        entry = arr[pos]
-        key = entry.key
+    def _sift_down(self, p: int, s: int, end: int) -> None:
+        heap, keys, pos = self._slots, self._ekey, self._pos
+        e = heap[p]
+        k = keys[e]
         while True:
-            child = 2 * pos + 1
-            if child >= n:
+            c = 2 * p - s + 1
+            if c >= end:
                 break
-            right = child + 1
-            if right < n and arr[right].key < arr[child].key:
-                child = right
-            if arr[child].key >= key:
+            r = c + 1
+            if r < end and keys[heap[r]] < keys[heap[c]]:
+                c = r
+            ce = heap[c]
+            if keys[ce] >= k:
                 break
-            mover = arr[child]
-            mover._pos = pos
-            arr[pos] = mover
-            pos = child
-        entry._pos = pos
-        arr[pos] = entry
+            pos[ce] = p - s
+            heap[p] = ce
+            p = c
+        pos[e] = p - s
+        heap[p] = e
 
 
-class ScanMinList(Generic[P]):
-    """Drop-in *non*-heap replacement used for the slack-inspection ablation.
+def _heapify_segments(hk, ids, starts, sizes) -> None:
+    """Bottom-up heapify of every CSR segment at once, in place.
 
-    Section 4 motivates the per-node min-heap by noting that inspecting
-    the slack condition of **every** query at a node on each counter bump
-    "is overly expensive, and will blow up the overall cost essentially to
-    quadratic again".  This class realises that naive strategy behind the
-    same interface as :class:`AddressableMinHeap` — entries sit in an
-    unordered list, so ``min_key``/``peek`` cost a full scan — letting the
-    benchmark suite quantify exactly what the heap buys.
+    ``hk`` holds the keys by slot and ``ids`` the entry ids.  Sequential
+    heapify sifts slots ``n//2 - 1`` down to ``0``; every slot of one depth
+    roots a subtree disjoint from the others, and all deeper slots come
+    first, so sifting a whole depth band (of every segment) at once, band
+    by band from the deepest, produces exactly the sequential layout.
     """
-
-    __slots__ = ("_arr",)
-
-    def __init__(self) -> None:
-        self._arr: List[HeapEntry[P]] = []
-
-    def push(self, key, payload: P) -> HeapEntry[P]:
-        entry = HeapEntry(key, payload)
-        entry._pos = len(self._arr)
-        self._arr.append(entry)
-        return entry
-
-    def _min_pos(self) -> int:
-        arr = self._arr
-        best = 0
-        best_key = arr[0].key
-        for i in range(1, len(arr)):
-            if arr[i].key < best_key:
-                best = i
-                best_key = arr[i].key
-        return best
-
-    def peek(self) -> HeapEntry[P]:
-        return self._arr[self._min_pos()]
-
-    @property
-    def min_key(self):
-        arr = self._arr
-        if not arr:
-            return None
-        return min(entry.key for entry in arr)
-
-    def pop(self) -> HeapEntry[P]:
-        entry = self._arr[self._min_pos()]
-        self.remove(entry)
-        return entry
-
-    def remove(self, entry: HeapEntry[P]) -> None:
-        pos = entry._pos
-        arr = self._arr
-        if pos < 0 or pos >= len(arr) or arr[pos] is not entry:
-            raise ValueError(f"entry is not in this container: {entry!r}")
-        last = arr.pop()
-        if pos < len(arr):
-            last._pos = pos
-            arr[pos] = last
-        entry._pos = -1
-
-    def update_key(self, entry: HeapEntry[P], new_key) -> None:
-        pos = entry._pos
-        arr = self._arr
-        if pos < 0 or pos >= len(arr) or arr[pos] is not entry:
-            raise ValueError(f"entry is not in this container: {entry!r}")
-        entry.key = new_key
-
-    def push_unordered(self, key, payload: P) -> HeapEntry[P]:
-        """Same as :meth:`push` (a scan list has no order to restore)."""
-        return self.push(key, payload)
-
-    def heapify(self) -> None:
-        """No-op: a scan list has no order to restore."""
-
-    def first_due(self, threshold) -> Optional[HeapEntry[P]]:
-        """Scan variant of the slack inspection: O(#entries) per call —
-        exactly the naive strategy Section 4's heaps avoid."""
-        best = None
-        for entry in self._arr:
-            if entry.key <= threshold and (best is None or entry.key < best.key):
-                best = entry
-        return best
-
-    def __len__(self) -> int:
-        return len(self._arr)
-
-    def __bool__(self) -> bool:
-        return bool(self._arr)
-
-    def entries(self) -> Tuple[HeapEntry[P], ...]:
-        return tuple(self._arr)
-
-    def check_invariants(self) -> None:
-        """Verify position bookkeeping (no order to check in a scan list).
-
-        Delegates to the :mod:`repro.sanitize` validator (which raises
-        :class:`~repro.sanitize.SanitizeError`, an AssertionError).
-        """
-        from ..sanitize import check
-
-        check(self)
-
+    half = sizes >> 1
+    if not half.any():
+        return
+    seg = _np.repeat(_np.arange(len(sizes)), half)
+    rel = _np.arange(len(seg)) - _np.repeat(_np.cumsum(half) - half, half)
+    slot = starts[seg] + rel
+    depth = _np.log2(rel + 1).astype(_np.intp)
+    last = len(hk) - 1
+    for d in range(int(depth.max()), -1, -1):
+        band = depth == d
+        cur = slot[band]
+        s = starts[seg[band]]
+        end = s + sizes[seg[band]]
+        k = hk[cur]
+        e = ids[cur]
+        act = _np.arange(len(cur))
+        while act.size:
+            here = cur[act]
+            c = 2 * here - s[act] + 1
+            ok = c < end[act]
+            act, here, c = act[ok], here[ok], c[ok]
+            r = c + 1
+            rk = hk[_np.minimum(r, last)]
+            ck = hk[c]
+            use_r = (r < end[act]) & (rk < ck)
+            c = _np.where(use_r, r, c)
+            ck = _np.where(use_r, rk, ck)
+            mv = ck < k[act]
+            act, here, c, ck = act[mv], here[mv], c[mv], ck[mv]
+            hk[here] = ck
+            ids[here] = ids[c]
+            cur[act] = c
+        hk[cur] = k
+        ids[cur] = e

@@ -1,11 +1,11 @@
-"""Unit tests for the structure-of-arrays columnar descent engine.
+"""Unit tests for the flat endpoint-tree layout and its columnar descent.
 
-The :class:`~repro.core.endpoint_tree.ColumnarTree` freezes one
-last-dimension endpoint tree into parallel numpy columns (BFS order,
-arithmetic child indexing) so the batched driver descends whole ranges
-with one gather + one bincount.  These tests pin the layout invariants
-against the pointer graph as ground truth, the routing exactness, and
-the counter store (``cnts`` / ``mins``) that the scalar and batched
+A :class:`~repro.core.endpoint_tree.FlatTree` is one tree's sorted keys
+plus a shared :class:`~repro.core.endpoint_tree.Skeleton` (BFS order,
+arithmetic child indexing), so the batched driver descends whole ranges
+with one gather + one bincount.  These tests pin the layout against a
+recursively built pointer graph as ground truth, the routing exactness,
+and the counter store (``cnts`` / ``mins``) that the scalar and batched
 paths share.
 """
 
@@ -13,68 +13,89 @@ import numpy as np
 import pytest
 
 from repro import Query, RTSSystem, StreamElement
-from repro.core.endpoint_tree import COUNTER_MAX, ColumnarTree, build_skeleton
-
-
-def keys_of(*values):
-    return [(float(v), 0) for v in values]
+from repro.core.endpoint_tree import COUNTER_MAX, FlatTree, skeleton
 
 
 def make_columnar(*key_values):
-    root = build_skeleton(keys_of(*key_values))
-    return root, ColumnarTree(root)
+    """A one-dimensional tree over the given (distinct) key values."""
+    vals = np.array(sorted(float(v) for v in key_values))
+    return FlatTree(0, True, skeleton(len(vals)), vals, np.zeros(len(vals), dtype=bool), vals, 0)
+
+
+def pointer_graph(K):
+    """The balanced skeleton over K keys as nested dicts, built by the
+    recursive ``mid = (i + j) // 2`` rule, numbered in BFS order."""
+
+    def rec(i, j):
+        node = {"lo": i, "hi": j, "left": None, "right": None}
+        if j - i > 1:
+            mid = (i + j) // 2
+            node["left"], node["right"] = rec(i, mid), rec(mid, j)
+        return node
+
+    root = rec(0, K)
+    order, depth = [root], {id(root): 0}
+    for node in order:
+        if node["left"] is not None:
+            for child in (node["left"], node["right"]):
+                depth[id(child)] = depth[id(node)] + 1
+                order.append(child)
+    return order, depth
 
 
 class TestLayoutInvariants:
-    """The arithmetic BFS flatten mirrors the pointer graph exactly."""
+    """The level-by-level layout mirrors the recursive pointer graph."""
 
     @pytest.mark.parametrize("n_keys", [1, 2, 3, 7, 8, 13, 64, 100])
     def test_child_parent_depth_columns(self, n_keys):
-        root, ct = make_columnar(*range(n_keys))
-        assert ct.nodes[0] is root
-        depth_by_node = {id(root): 0}
-        for i, node in enumerate(ct.nodes):
-            li, ri, pi = int(ct.left[i]), int(ct.right[i]), int(ct.parent[i])
-            if node.is_leaf:
+        ct = make_columnar(*range(n_keys))
+        sk = ct.skel
+        nodes, depth = pointer_graph(n_keys)
+        index = {id(node): i for i, node in enumerate(nodes)}
+        assert ct.n == len(nodes)
+        for i, node in enumerate(nodes):
+            li, ri, pi = int(sk.left[i]), int(sk.right[i]), int(sk.parent[i])
+            assert (int(sk.klo[i]), int(sk.khi[i])) == (node["lo"], node["hi"])
+            if node["left"] is None:
                 assert li == -1 and ri == -1
             else:
-                assert ct.nodes[li] is node.left
-                assert ct.nodes[ri] is node.right
-                # Sibling pairs are adjacent: the k-th internal node owns
-                # slots 2k+1 / 2k+2 of the append sequence.
+                assert li == index[id(node["left"])]
+                assert ri == index[id(node["right"])]
+                # Sibling pairs are adjacent.
                 assert ri == li + 1
-                depth_by_node[id(node.left)] = depth_by_node[id(node)] + 1
-                depth_by_node[id(node.right)] = depth_by_node[id(node)] + 1
+                assert int(sk.parent[li]) == i and int(sk.parent[ri]) == i
             if i == 0:
                 assert pi == -1
-            else:
-                assert ct.nodes[pi].left is node or ct.nodes[pi].right is node
-            assert int(ct.depth[i]) == depth_by_node[id(node)]
-        assert ct.height == int(ct.depth.max())
+            assert int(sk.depth[i]) == depth[id(node)]
+        assert sk.height == int(sk.depth.max())
 
     def test_leaf_table_is_sorted_and_complete(self):
-        _root, ct = make_columnar(3, 1, 8, 5, 13, 2)
-        assert (np.diff(ct.leaf_lows) > 0).all()
-        leaves = [i for i in range(ct.n) if ct.left[i] < 0]
-        assert sorted(ct.leaf_ids.tolist()) == leaves
-        assert ct.leaf_lows.tolist() == [1.0, 2.0, 3.0, 5.0, 8.0, 13.0]
+        ct = make_columnar(3, 1, 8, 5, 13, 2)
+        sk = ct.skel
+        assert (np.diff(ct.lows) > 0).all()
+        leaves = [i for i in range(ct.n) if sk.left[i] < 0]
+        assert sorted(sk.leaf_ids.tolist()) == leaves
+        assert [int(sk.klo[u]) for u in sk.leaf_ids] == list(range(6))
+        assert ct.lows.tolist() == [1.0, 2.0, 3.0, 5.0, 8.0, 13.0]
 
     def test_paths_matrix_with_sentinel_row(self):
-        _root, ct = make_columnar(*range(10))
-        paths = ct.paths()
+        ct = make_columnar(*range(10))
+        sk = ct.skel
+        paths = sk.paths
         n = ct.n
-        assert paths.shape == (len(ct.leaf_ids) + 1, ct.height + 1)
+        assert paths.shape == (len(sk.leaf_ids) + 1, sk.height + 1)
         # Row -1 is the all-sentinel drop-out row.
         assert (paths[-1] == n).all()
-        for r, leaf in enumerate(ct.leaf_ids.tolist()):
+        for r, leaf in enumerate(sk.leaf_ids.tolist()):
             row = paths[r]
             assert row[0] == 0  # every path starts at the root
-            d = int(ct.depth[leaf])
+            d = int(sk.depth[leaf])
             assert row[d] == leaf
             assert (row[d + 1 :] == n).all()  # padding below the leaf
             # Consecutive entries follow parent pointers upward.
             for j in range(d, 0, -1):
-                assert int(ct.parent[row[j]]) == row[j - 1]
+                assert int(sk.parent[row[j]]) == row[j - 1]
+            assert sk.rows()[r] == row[: d + 1].tolist()
 
 
 class TestRouting:
@@ -82,23 +103,24 @@ class TestRouting:
 
     def _scalar_deltas(self, ct, values, weights):
         deltas = np.zeros(ct.n + 1)
+        sk = ct.skel
         for v, w in zip(values, weights):
-            pos = np.searchsorted(ct.leaf_lows, v, side="right") - 1
+            pos = np.searchsorted(ct.lows, v, side="right") - 1
             if pos < 0:
                 continue  # routes nowhere (left of the leftmost endpoint)
-            node = int(ct.leaf_ids[pos])
+            node = int(sk.leaf_ids[pos])
             while node != -1:
                 deltas[node] += w
-                node = int(ct.parent[node])
+                node = int(sk.parent[node])
         return deltas
 
     @pytest.mark.parametrize("n_keys,count", [(5, 3), (16, 40), (33, 200)])
     def test_matches_scalar_descent(self, n_keys, count):
-        _root, ct = make_columnar(*range(0, 3 * n_keys, 3))
+        ct = make_columnar(*range(0, 3 * n_keys, 3))
         rng = np.random.default_rng(7)
         vals = rng.integers(-2, 3 * n_keys + 4, size=count).astype(np.float64)
         weights = rng.integers(1, 9, size=count).astype(np.float64)
-        got = ct.route(vals.reshape(-1, 1), weights, np.arange(count), 0)
+        got = ct.route(vals.reshape(-1, 1), weights, np.arange(count))
         want = self._scalar_deltas(ct, vals, weights)
         if got is None:
             assert not want[: ct.n].any()
@@ -108,9 +130,9 @@ class TestRouting:
             assert np.array_equal(got[: ct.n], want[: ct.n])
 
     def test_dropouts_land_in_scratch_only(self):
-        _root, ct = make_columnar(10, 20, 30)
+        ct = make_columnar(10, 20, 30)
         vals = np.array([[5.0], [9.9]])  # both left of the leftmost key
-        got = ct.route(vals, np.array([3.0, 4.0]), np.arange(2), 0)
+        got = ct.route(vals, np.array([3.0, 4.0]), np.arange(2))
         if got is not None:
             assert not got[: ct.n].any()
 
@@ -128,27 +150,27 @@ class TestRouting:
         # the weights must ride the same order (regression: the
         # level-synchronous branch once paired batch-order positions
         # with sel-order weights, crediting weight to the wrong leaf).
-        _root, ct = make_columnar(*range(0, 3 * n_keys, 3))
+        ct = make_columnar(*range(0, 3 * n_keys, 3))
         rng = np.random.default_rng(11)
         # Include out-of-range values on both sides (dropout mask path).
         vals = rng.integers(-3, 3 * n_keys + 5, size=count).astype(np.float64)
         weights = rng.integers(1, 9, size=count).astype(np.float64)
         vals2 = vals.reshape(-1, 1)
-        identity = ct.route(vals2, weights, np.arange(count), 0)
+        identity = ct.route(vals2, weights, np.arange(count))
         perm = rng.permutation(count)
-        got = ct.route(vals2, weights, perm, 0)
+        got = ct.route(vals2, weights, perm)
         want = self._scalar_deltas(ct, vals, weights)
         assert np.array_equal(identity[: ct.n], want[: ct.n])
         assert np.array_equal(got[: ct.n], want[: ct.n])
 
     def test_sub_range_slicing_agrees_with_full(self):
-        _root, ct = make_columnar(*range(0, 40, 2))
+        ct = make_columnar(*range(0, 40, 2))
         rng = np.random.default_rng(3)
         vals = rng.integers(0, 44, size=64).astype(np.float64).reshape(-1, 1)
         weights = rng.integers(1, 5, size=64).astype(np.float64)
-        full = ct.route(vals, weights, np.arange(64), 0)
-        lo_half = ct.route(vals, weights, np.arange(0, 32), 0)
-        hi_half = ct.route(vals, weights, np.arange(32, 64), 0)
+        full = ct.route(vals, weights, np.arange(64))
+        lo_half = ct.route(vals, weights, np.arange(0, 32))
+        hi_half = ct.route(vals, weights, np.arange(32, 64))
         parts = sum(
             p for p in (lo_half, hi_half) if p is not None
         )
@@ -169,10 +191,10 @@ class TestMirrorLifecycle:
 
         def check():
             inst = next(t for t in system.engine._trees if t is not None)
-            for node in inst.nodes:
-                top = None if node.heap is None else node.heap.min_key
+            for col in range(len(inst.mins)):
+                top = inst.arena.top(col)
                 want = COUNTER_MAX if top is None else top
-                assert int(inst.mins[node.idx]) == want
+                assert int(inst.mins[col]) == want
             assert inst.cnts.dtype == np.int64 and inst.mins.dtype == np.int64
 
         check()

@@ -2,99 +2,94 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import Rect
-from repro.core.endpoint_tree import (
-    EndpointTree,
-    build_skeleton,
-    canonical_nodes,
-)
+from repro.core.endpoint_tree import EndpointTree, FlatTree, Skeleton, skeleton
 from repro.core.engine import WorkCounters
-from repro.core.geometry import PLUS_INFINITY, Interval
+from repro.core.geometry import PLUS_INFINITY, Interval, encoded_key
 
 
 def keys_of(*values):
     return [(float(v), 0) for v in values]
 
 
+def flat_tree(keys):
+    """A one-dimensional tree over sorted distinct boundary keys."""
+    vals = np.array([v for v, _ in keys], dtype=np.float64)
+    bits = np.array([b for _, b in keys], dtype=bool)
+    lows = np.array([encoded_key(k) for k in keys], dtype=np.float64)
+    return FlatTree(0, True, skeleton(len(keys)), vals, bits, lows, 0)
+
+
+def leaves_in_key_order(tree):
+    return tree.skel.leaf_ids.tolist()
+
+
+def canon(tree, i):
+    """Query ``i``'s canonical store columns."""
+    return tree.qcols[tree.qptr[i] : tree.qptr[i + 1]].tolist()
+
+
 class TestSkeleton:
     def test_empty(self):
-        assert build_skeleton([]) is None
+        with pytest.raises(ValueError):
+            Skeleton(0)
+        assert EndpointTree([], 1).root is None
 
     def test_single_key_leaf_extends_to_infinity(self):
-        root = build_skeleton(keys_of(5))
-        assert root.is_leaf
-        assert root.lo == (5.0, 0) and root.hi == PLUS_INFINITY
+        tree = flat_tree(keys_of(5))
+        assert tree.n == 1 and tree.skel.left[0] == -1
+        assert tree.jurisdiction(0) == ((5.0, 0), PLUS_INFINITY)
 
     def test_jurisdictions_partition_the_range(self):
         keys = keys_of(1, 3, 5, 8, 13)
-        root = build_skeleton(keys)
-        leaves = []
-
-        def collect(node):
-            if node.is_leaf:
-                leaves.append(node)
-            else:
-                collect(node.left)
-                collect(node.right)
-
-        collect(root)
-        assert [leaf.lo for leaf in leaves] == keys
-        for a, b in zip(leaves, leaves[1:]):
-            assert a.hi == b.lo  # no gap, no overlap
-        assert leaves[-1].hi == PLUS_INFINITY
+        tree = flat_tree(keys)
+        leaves = [tree.jurisdiction(u) for u in leaves_in_key_order(tree)]
+        assert [lo for lo, _ in leaves] == keys
+        for (_, a_hi), (b_lo, _) in zip(leaves, leaves[1:]):
+            assert a_hi == b_lo  # no gap, no overlap
+        assert leaves[-1][1] == PLUS_INFINITY
 
     def test_internal_jurisdiction_is_union_of_children(self):
-        root = build_skeleton(keys_of(1, 2, 3, 4, 5, 6, 7, 8))
-
-        def check(node):
-            if node.is_leaf:
-                return
-            assert node.lo == node.left.lo and node.hi == node.right.hi
-            assert node.left.hi == node.right.lo
-            check(node.left)
-            check(node.right)
-
-        check(root)
+        tree = flat_tree(keys_of(1, 2, 3, 4, 5, 6, 7, 8))
+        sk = tree.skel
+        for u in range(tree.n):
+            if sk.left[u] < 0:
+                continue
+            lo, hi = tree.jurisdiction(u)
+            l_lo, l_hi = tree.jurisdiction(int(sk.left[u]))
+            r_lo, r_hi = tree.jurisdiction(int(sk.right[u]))
+            assert lo == l_lo and hi == r_hi and l_hi == r_lo
 
     def test_balanced_height(self):
-        keys = keys_of(*range(128))
-        root = build_skeleton(keys)
-
-        def height(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(height(node.left), height(node.right))
-
-        assert height(root) == 7  # log2(128)
+        assert skeleton(128).height == 7  # log2(128)
+        assert int(skeleton(128).depth.max()) == 7
 
 
-def brute_canonical(root, lo, hi):
-    out = []
+def brute_canonical(tree, lo, hi):
+    """Nodes whose jurisdiction lies inside [lo, hi) while their parent's
+    does not."""
+    sk = tree.skel
 
-    def rec(node):
-        if node is None or node.lo >= hi or node.hi <= lo:
-            return
-        if lo <= node.lo and node.hi <= hi:
-            out.append(node)
-            return
-        rec(node.left)
-        rec(node.right)
+    def inside(u):
+        u_lo, u_hi = tree.jurisdiction(u)
+        return lo <= u_lo and u_hi <= hi
 
-    rec(root)
-    return out
+    return {
+        u
+        for u in range(tree.n)
+        if inside(u) and (sk.parent[u] < 0 or not inside(int(sk.parent[u])))
+    }
 
 
 class TestCanonicalNodes:
     def test_paper_figure1_example(self):
         # Figure 1: endpoints 2,3,5,8,9,13,15,16; query q5 = [5, 16).
-        keys = keys_of(2, 3, 5, 8, 9, 13, 15, 16)
-        root = build_skeleton(keys)
-        nodes = canonical_nodes(root, (5.0, 0), (16.0, 0))
-        regions = sorted((n.lo, n.hi) for n in nodes)
-        # Minimum decomposition: [5,9) (subtree), [9,13)+[13,15)... depends
-        # on the balanced shape; verify the defining properties instead.
+        tree = flat_tree(keys_of(2, 3, 5, 8, 9, 13, 15, 16))
+        nodes = tree.canonical((5.0, 0), (16.0, 0))
+        regions = sorted(tree.jurisdiction(u) for u in nodes)
         assert regions[0][0] == (5.0, 0) and regions[-1][1] == (16.0, 0)
         for (alo, ahi), (blo, bhi) in zip(regions, regions[1:]):
             assert ahi == blo
@@ -104,11 +99,10 @@ class TestCanonicalNodes:
         for _ in range(300):
             vals = sorted(rnd.sample(range(100), rnd.randint(2, 30)))
             keys = keys_of(*vals)
-            root = build_skeleton(keys)
+            tree = flat_tree(keys)
             i, j = sorted(rnd.sample(range(len(keys)), 2))
             lo, hi = keys[i], keys[j]
-            nodes = canonical_nodes(root, lo, hi)
-            regions = sorted((n.lo, n.hi) for n in nodes)
+            regions = sorted(tree.jurisdiction(u) for u in tree.canonical(lo, hi))
             assert regions[0][0] == lo and regions[-1][1] == hi
             for (alo, ahi), (blo, bhi) in zip(regions, regions[1:]):
                 assert ahi == blo
@@ -118,7 +112,7 @@ class TestCanonicalNodes:
         for _ in range(300):
             vals = sorted(rnd.sample(range(100), rnd.randint(1, 25)))
             keys = keys_of(*vals)
-            root = build_skeleton(keys)
+            tree = flat_tree(keys)
             i = rnd.randrange(len(keys))
             hi = PLUS_INFINITY if rnd.random() < 0.2 else None
             if hi is None:
@@ -128,32 +122,32 @@ class TestCanonicalNodes:
                 lo, hi = min(keys[i], keys[j]), max(keys[i], keys[j])
             else:
                 lo = keys[i]
-            fast = canonical_nodes(root, lo, hi)
-            slow = brute_canonical(root, lo, hi)
-            assert {id(n) for n in fast} == {id(n) for n in slow}
+            fast = tree.canonical(lo, hi)
+            assert len(fast) == len(set(fast))
+            assert set(fast) == brute_canonical(tree, lo, hi)
 
     def test_minimality_whole_subtree(self):
         # A range equal to an internal node's jurisdiction must return
         # exactly that node, not its children.
-        keys = keys_of(0, 1, 2, 3, 4, 5, 6, 7)
-        root = build_skeleton(keys)
-        nodes = canonical_nodes(root, (0.0, 0), (4.0, 0))
-        assert len(nodes) == 1 and nodes[0] is root.left
+        tree = flat_tree(keys_of(0, 1, 2, 3, 4, 5, 6, 7))
+        nodes = tree.canonical((0.0, 0), (4.0, 0))
+        assert nodes == [int(tree.skel.left[0])]
 
     def test_at_most_two_nodes_per_level(self):
         rnd = random.Random(13)
         for _ in range(100):
-            vals = sorted(rnd.sample(range(1000), 64))
-            keys = keys_of(*vals)
-            root = build_skeleton(keys)
+            keys = keys_of(*sorted(rnd.sample(range(1000), 64)))
+            tree = flat_tree(keys)
             i, j = sorted(rnd.sample(range(64), 2))
-            nodes = canonical_nodes(root, keys[i], keys[j])
+            nodes = tree.canonical(keys[i], keys[j])
+            depths = [int(tree.skel.depth[u]) for u in nodes]
+            assert max(depths.count(d) for d in set(depths)) <= 2
             assert len(nodes) <= 2 * 7  # 2 per level, height log2(64)+1
 
     def test_empty_range(self):
-        root = build_skeleton(keys_of(1, 2, 3))
-        assert canonical_nodes(root, (2.0, 0), (2.0, 0)) == []
-        assert canonical_nodes(None, (1.0, 0), (2.0, 0)) == []
+        tree = flat_tree(keys_of(1, 2, 3))
+        assert tree.canonical((2.0, 0), (2.0, 0)) == []
+        assert EndpointTree([], 1).canonical_columns(Rect.half_open([(1, 2)])) == []
 
 
 def brute_count(elements, rect):
@@ -162,9 +156,8 @@ def brute_count(elements, rect):
 
 class TestEndpointTree1D:
     def _tree(self, rects):
-        sinks = [[] for _ in rects]
-        tree = EndpointTree(list(zip(rects, sinks)), 0, 1, WorkCounters())
-        return tree, sinks
+        tree = EndpointTree(rects, 1, WorkCounters())
+        return tree, [canon(tree, i) for i in range(len(rects))]
 
     def test_counters_give_exact_range_weight(self):
         rnd = random.Random(5)
@@ -180,7 +173,7 @@ class TestEndpointTree1D:
             elements.append((p, w))
             tree.update(p, w)
         for rect, sink in zip(rects, sinks):
-            assert sum(int(tree.cnts[n.idx]) for n in sink) == brute_count(elements, rect)
+            assert sum(int(tree.cnts[c]) for c in sink) == brute_count(elements, rect)
             assert tree.range_count(rect) == brute_count(elements, rect)
 
     def test_element_below_leftmost_endpoint_ignored(self):
@@ -223,8 +216,8 @@ class TestEndpointTreeMultiDim:
                     ]
                 )
             )
-        sinks = [[] for _ in rects]
-        tree = EndpointTree(list(zip(rects, sinks)), 0, 2, WorkCounters())
+        tree = EndpointTree(rects, 2, WorkCounters())
+        sinks = [canon(tree, i) for i in range(len(rects))]
         elements = []
         for _ in range(400):
             p = (rnd.uniform(-5, 50), rnd.uniform(-10, 50))
@@ -232,7 +225,7 @@ class TestEndpointTreeMultiDim:
             elements.append((p, w))
             tree.update(p, w)
         for rect, sink in zip(rects, sinks):
-            assert sum(int(tree.cnts[n.idx]) for n in sink) == brute_count(elements, rect)
+            assert sum(int(tree.cnts[c]) for c in sink) == brute_count(elements, rect)
 
     def test_2d_regions_disjoint(self):
         # No element may bump two canonical nodes of the same query.
@@ -242,13 +235,13 @@ class TestEndpointTreeMultiDim:
             Rect.half_open([(5, 25), (10, 20)]),
             Rect.half_open([(0, 10), (0, 40)]),
         ]
-        sinks = [[] for _ in rects]
-        tree = EndpointTree(list(zip(rects, sinks)), 0, 2, WorkCounters())
+        tree = EndpointTree(rects, 2, WorkCounters())
+        sinks = [canon(tree, i) for i in range(len(rects))]
         for _ in range(300):
             p = (rnd.uniform(0, 35), rnd.uniform(0, 45))
             touched = set(tree.update(p, 1).tolist())
             for sink in sinks:
-                hits = sum(1 for n in sink if n.idx in touched)
+                hits = sum(1 for c in sink if c in touched)
                 assert hits <= 1
 
     def test_3d_counters_exact(self):
@@ -257,19 +250,19 @@ class TestEndpointTreeMultiDim:
             Rect.half_open([(0, 10), (2, 8), (1, 9)]),
             Rect.half_open([(3, 7), (0, 10), (0, 5)]),
         ]
-        sinks = [[] for _ in rects]
-        tree = EndpointTree(list(zip(rects, sinks)), 0, 3, WorkCounters())
+        tree = EndpointTree(rects, 3, WorkCounters())
+        sinks = [canon(tree, i) for i in range(len(rects))]
         elements = []
         for _ in range(300):
             p = tuple(rnd.uniform(0, 11) for _ in range(3))
             elements.append((p, 1))
             tree.update(p, 1)
         for rect, sink in zip(rects, sinks):
-            assert sum(int(tree.cnts[n.idx]) for n in sink) == brute_count(elements, rect)
+            assert sum(int(tree.cnts[c]) for c in sink) == brute_count(elements, rect)
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):
-            EndpointTree([], 2, 2)
+            EndpointTree([], 0)
 
     def test_canonical_size_polylog(self):
         # |U_q| = O(log^d m): for 2D with 64 queries it stays far below m.
@@ -283,7 +276,6 @@ class TestEndpointTreeMultiDim:
             )
             for a, b in zip(rnd.sample(range(100), 64), rnd.sample(range(100), 64))
         ]
-        sinks = [[] for _ in rects]
-        EndpointTree(list(zip(rects, sinks)), 0, 2, WorkCounters())
-        sizes = [len(sink) for sink in sinks]
+        tree = EndpointTree(rects, 2, WorkCounters())
+        sizes = [len(canon(tree, i)) for i in range(len(rects))]
         assert max(sizes) <= 4 * 8 * 8  # loose c * log^2(m) bound

@@ -11,18 +11,18 @@ from repro.core.geometry import Interval
 
 
 def build(rects, dims):
-    sinks = [[] for _ in rects]
-    tree = EndpointTree(list(zip(rects, sinks)), 0, dims, WorkCounters())
-    return tree, sinks
+    tree = EndpointTree(rects, dims, WorkCounters())
+    return tree, [tree.qcols[tree.qptr[i] : tree.qptr[i + 1]] for i in range(len(rects))]
 
 
 class TestIterAndHeight:
     def test_iter_nodes_visits_whole_skeleton(self):
         rects = [Rect([Interval.half_open(i, i + 2)]) for i in range(8)]
         tree, _ = build(rects, 1)
-        nodes = list(tree.iter_nodes())
-        leaves = [n for n in nodes if n.is_leaf]
-        internals = [n for n in nodes if not n.is_leaf]
+        sk = tree.root.skel
+        nodes = list(range(tree.root.n))
+        leaves = [u for u in nodes if sk.left[u] < 0]
+        internals = [u for u in nodes if sk.left[u] >= 0]
         # K distinct endpoint keys -> K leaves, K-1 internal nodes.
         assert len(leaves) == len(internals) + 1
         assert len(nodes) == 2 * len(leaves) - 1
@@ -34,7 +34,7 @@ class TestIterAndHeight:
 
     def test_empty_tree(self):
         tree, _ = build([], 1)
-        assert list(tree.iter_nodes()) == []
+        assert tree.root is None and len(tree.cnts) == 0
         assert tree.height() == 0
 
 
@@ -66,7 +66,6 @@ class TestCountersAccounting:
     def test_rebuild_counter_incremented_per_level(self):
         counters = WorkCounters()
         rects = [Rect.half_open([(0, 10), (0, 10)]), Rect.half_open([(5, 15), (5, 15)])]
-        sinks = [[] for _ in rects]
-        EndpointTree(list(zip(rects, sinks)), 0, 2, counters)
+        EndpointTree(rects, 2, counters)
         # one primary build + one secondary build per assigned node
         assert counters.rebuilds >= 2

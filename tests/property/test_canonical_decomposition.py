@@ -8,11 +8,25 @@ level.
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.endpoint_tree import build_skeleton, canonical_nodes
-from repro.core.geometry import PLUS_INFINITY
+from repro.core.endpoint_tree import FlatTree, skeleton
+from repro.core.geometry import PLUS_INFINITY, encoded_key
+
+
+def build(keys):
+    """A one-dimensional tree over sorted distinct boundary keys."""
+    return FlatTree(
+        0,
+        True,
+        skeleton(len(keys)),
+        np.array([v for v, _ in keys], dtype=np.float64),
+        np.array([b for _, b in keys], dtype=bool),
+        np.array([encoded_key(k) for k in keys], dtype=np.float64),
+        0,
+    )
 
 keys_strategy = st.lists(
     st.tuples(st.integers(0, 200), st.integers(0, 1)),
@@ -25,12 +39,11 @@ keys_strategy = st.lists(
 @settings(max_examples=250, deadline=None)
 @given(keys=keys_strategy, data=st.data())
 def test_canonical_tiles_range_exactly(keys, data):
-    root = build_skeleton(keys)
+    tree = build(keys)
     i = data.draw(st.integers(0, len(keys) - 2))
     j = data.draw(st.integers(i + 1, len(keys) - 1))
     lo, hi = keys[i], keys[j]
-    nodes = canonical_nodes(root, lo, hi)
-    regions = sorted((n.lo, n.hi) for n in nodes)
+    regions = sorted(tree.jurisdiction(u) for u in tree.canonical(lo, hi))
     assert regions[0][0] == lo
     assert regions[-1][1] == hi
     for (_, a_hi), (b_lo, _) in zip(regions, regions[1:]):
@@ -41,31 +54,25 @@ def test_canonical_tiles_range_exactly(keys, data):
 @given(keys=keys_strategy, data=st.data())
 def test_canonical_is_minimal(keys, data):
     """No two reported nodes may be siblings (else their parent would do)."""
-    root = build_skeleton(keys)
+    tree = build(keys)
     i = data.draw(st.integers(0, len(keys) - 2))
     j = data.draw(st.integers(i + 1, len(keys) - 1))
-    nodes = canonical_nodes(root, keys[i], keys[j])
-    chosen = {id(n) for n in nodes}
-
-    def walk(node):
-        if node is None or node.left is None:
-            return
-        assert not (id(node.left) in chosen and id(node.right) in chosen), (
-            "sibling pair reported; parent should have been used"
-        )
-        walk(node.left)
-        walk(node.right)
-
-    walk(root)
+    chosen = set(tree.canonical(keys[i], keys[j]))
+    sk = tree.skel
+    for u in range(tree.n):
+        if sk.left[u] >= 0:
+            assert not (int(sk.left[u]) in chosen and int(sk.right[u]) in chosen), (
+                "sibling pair reported; parent should have been used"
+            )
 
 
 @settings(max_examples=250, deadline=None)
 @given(keys=keys_strategy, data=st.data())
 def test_canonical_size_bound(keys, data):
-    root = build_skeleton(keys)
+    tree = build(keys)
     i = data.draw(st.integers(0, len(keys) - 2))
     j = data.draw(st.integers(i + 1, len(keys) - 1))
-    nodes = canonical_nodes(root, keys[i], keys[j])
+    nodes = tree.canonical(keys[i], keys[j])
     height = math.ceil(math.log2(len(keys))) + 1
     assert len(nodes) <= 2 * height
 
@@ -73,10 +80,9 @@ def test_canonical_size_bound(keys, data):
 @settings(max_examples=100, deadline=None)
 @given(keys=keys_strategy, data=st.data())
 def test_unbounded_range_to_infinity(keys, data):
-    root = build_skeleton(keys)
+    tree = build(keys)
     i = data.draw(st.integers(0, len(keys) - 1))
-    nodes = canonical_nodes(root, keys[i], PLUS_INFINITY)
-    regions = sorted((n.lo, n.hi) for n in nodes)
+    regions = sorted(tree.jurisdiction(u) for u in tree.canonical(keys[i], PLUS_INFINITY))
     assert regions[0][0] == keys[i]
     assert regions[-1][1] == PLUS_INFINITY
     for (_, a_hi), (b_lo, _) in zip(regions, regions[1:]):

@@ -7,15 +7,17 @@ matching validator reports it.  This is the proof that the sanitizer
 would catch real regressions, not just that it stays quiet.
 """
 
+import numpy as np
 import pytest
 
 from repro import RTSSystem
+from repro.core.endpoint_tree import Skeleton
 from repro.core.tracker import TrackerState
 from repro.dt.coordinator import Coordinator
 from repro.dt.network import StarNetwork
 from repro.dt.participant import Participant
-from repro.sanitize import SanitizeError, collect
-from repro.structures.heap import AddressableMinHeap
+from repro.sanitize import SanitizeError, check, collect
+from repro.structures.heap import MIN_CAP, HeapArena
 
 
 def _invariants(obj, level="full"):
@@ -38,6 +40,18 @@ def _first_instance(system):
     return next(t for t in system.engine._trees if t is not None)
 
 
+def _leaf(inst, side):
+    """Store column of the leftmost (side=0) or rightmost (-1) leaf."""
+    sk = inst.tree.root.skel
+    return int(sk.leaf_ids[side])
+
+
+def _arena(keys):
+    """A one-column standalone arena with one entry per key."""
+    mins = np.full(1, MIN_CAP, dtype=np.int64)
+    return HeapArena([0] * len(keys), keys, list(keys), [1] * len(keys), mins)
+
+
 def _round_tracker(system):
     for tree in system.engine._trees:
         if tree is None:
@@ -51,29 +65,26 @@ def _round_tracker(system):
 class TestTreeSanitizer:
     def test_broken_jurisdiction_tiling_detected(self):
         system = _dt_system()
-        inst = _first_instance(system)
-        root = inst.tree.root
-        assert root.left is not None, "expected an internal root"
-        root.left.hi = root.left.lo  # child interval collapses: tiling breaks
+        tree = _first_instance(system).tree.root
+        bad = Skeleton(tree.skel.K)  # a private copy: shapes are shared
+        assert bad.left[0] >= 0, "expected an internal root"
+        khi = bad.khi.copy()
+        khi[bad.left[0]] = khi[0]  # left child swallows the right: tiling breaks
+        bad.khi = khi
+        tree.skel = bad
         found = _invariants(system)
         assert "jurisdiction-tiling" in found or "jurisdiction-empty" in found
 
     def test_negative_counter_detected(self):
         system = _dt_system()
         inst = _first_instance(system)
-        node = inst.tree.root
-        while node.left is not None:
-            node = node.left
-        inst.cnts[node.idx] = -3
+        inst.cnts[_leaf(inst, 0)] = -3
         assert "counter-negative" in _invariants(system)
 
     def test_counter_sum_break_detected(self):
         system = _dt_system()
         inst = _first_instance(system)
-        node = inst.tree.root
-        while node.left is not None:
-            node = node.right
-        inst.cnts[node.idx] += 5  # a leaf bump its ancestors never saw
+        inst.cnts[_leaf(inst, -1)] += 5  # a leaf bump its ancestors never saw
         found = _invariants(system)
         assert "counter-sum" in found
         assert "counter-negative" not in found
@@ -81,8 +92,8 @@ class TestTreeSanitizer:
     def test_stale_min_column_detected(self):
         system = _dt_system()
         inst = _first_instance(system)
-        node = next(nd for nd in inst.nodes if nd.heap)
-        inst.mins[node.idx] += 1  # the slack checks would now read high
+        col = next(c for c in range(len(inst.mins)) if inst.arena.top(c) is not None)
+        inst.mins[col] += 1  # the slack checks would now read high
         found = _invariants(system)
         assert "min-column" in found
         assert "counter-sum" not in found
@@ -93,34 +104,38 @@ class TestTreeSanitizer:
         tracker = next(
             t for t in inst.trackers.values() if t.state is not TrackerState.DONE
         )
-        tracker.nodes = tracker.nodes[:-1]  # drop one canonical node
+        tracker.cols = tracker.cols[:-1]  # drop one canonical node
         found = _invariants(system)
         assert "canonical-consistency" in found or "tracker-entries" in found
+
+    def test_tracker_range_off_its_columns_detected(self):
+        system = _dt_system()
+        inst = _first_instance(system)
+        tracker = _round_tracker(system)
+        assert len(tracker.cols) >= 1
+        tracker.first += 1  # the id range slides onto a neighbour's entries
+        assert "tracker-entries" in _invariants(system)
 
 
 class TestHeapSanitizer:
     def test_corrupt_handle_detected(self):
-        heap = AddressableMinHeap()
-        heap.push(3, "x")
-        entry = heap.push(7, "y")
-        assert collect(heap) == []
-        entry._pos = 99  # dangling handle: DELETE would corrupt the array
-        assert "heap-handle" in _invariants(heap)
+        arena = _arena([3, 7])
+        assert collect(arena) == []
+        arena._pos[1] = 99  # dangling slot: a removal would corrupt the segment
+        assert "heap-handle" in _invariants(arena)
         with pytest.raises(SanitizeError):
-            heap.check_invariants()
+            check(arena)
 
     def test_order_violation_detected(self):
-        heap = AddressableMinHeap()
-        root = heap.push(1, "x")
-        heap.push(5, "y")
-        root.key = 100  # min-heap order now broken at the root
-        assert "heap-order" in _invariants(heap)
+        arena = _arena([1, 5])
+        arena._ekey[arena.first_due(0, 10)] = 100  # heap order broken at the top
+        assert "heap-order" in _invariants(arena)
 
     def test_corruption_inside_live_system_detected(self):
         system = _dt_system()
         inst = _first_instance(system)
         tracker = _round_tracker(system)
-        tracker.entries[0]._pos = 1234
+        inst.arena._pos[tracker.first] = 1234
         assert "heap-handle" in _invariants(system)
 
 
@@ -137,7 +152,7 @@ class TestTrackerSanitizer:
 
     def test_signal_overflow_detected(self):
         tracker = _round_tracker(_dt_system())
-        tracker.signals = len(tracker.nodes)  # h-th signal must end the round
+        tracker.signals = len(tracker.cols)  # h-th signal must end the round
         assert "tracker-signals" in _invariants(tracker)
 
 
@@ -205,7 +220,7 @@ class TestBasicLevel:
         system = _dt_system()
         inst = _first_instance(system)
         tracker = _round_tracker(system)
-        tracker.entries[0]._pos = 1234  # full-level corruption only
+        inst.arena._pos[tracker.first] = 1234  # full-level corruption only
         assert "heap-handle" not in _invariants(system, level="basic")
         assert "heap-handle" in _invariants(system, level="full")
 

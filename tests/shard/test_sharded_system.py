@@ -246,3 +246,49 @@ class TestSanitize:
             system._owner["ghost"] = 0
             with pytest.raises(SanitizeError, match="shard-partition-coverage"):
                 check(system, level="basic")
+
+
+class TestRejectedWeightsKeepTheClock:
+    """An ingest the engines reject takes no tick, as in RTSSystem."""
+
+    HEAVY = 2**63
+
+    def _pair(self):
+        single = RTSSystem(dims=1, engine="dt")
+        sharded = ShardedRTSSystem(
+            shards=2,
+            policy="spatial-grid",
+            policy_options={"domain": (0, 100)},
+            executor="serial",
+        )
+        for system in (single, sharded):
+            system.register(_q(0, 40, 2, "low"))
+            system.register(_q(60, 100, 3, "high"))
+        return single, sharded
+
+    def _drive(self, system):
+        log = []
+
+        def attempt(call, *args):
+            try:
+                log.extend((e.query.query_id, e.timestamp, e.weight_seen) for e in call(*args))
+            except Exception as exc:  # the same rejection on both sides
+                log.append(type(exc).__name__)
+            log.append(("now", system.now))
+
+        attempt(system.process, StreamElement(5.0, 1))
+        attempt(system.process, StreamElement(70.0, self.HEAVY))  # routed, rejected
+        attempt(system.process, StreamElement(500.0, self.HEAVY))  # routes nowhere
+        attempt(system.process_batch, [StreamElement(6.0, 1), StreamElement(65.0, self.HEAVY)])
+        attempt(system.process, StreamElement(7.0, 1))  # "low" matures at t=2
+        attempt(system.process_batch, [StreamElement(61.0, 1)] * 3)
+        return log
+
+    def test_events_and_now_match_the_unsharded_system(self):
+        single, sharded = self._pair()
+        with sharded:
+            want = self._drive(single)
+            got = self._drive(sharded)
+        assert got == want
+        assert ("low", 2, 2) in got
+        assert want[-1] == ("now", 5)

@@ -50,18 +50,18 @@ class TestMutableDefault:
 
 class TestHeapInternals:
     def test_flags_arr_and_pos_access(self):
-        code = "def f(heap, entry):\n    heap._arr[0] = entry\n    entry._pos = 3\n"
+        code = "def f(heap, entry):\n    heap._slots[0] = entry\n    heap._pos[entry] = 3\n"
         violations = [v for v in _lint(code) if v.rule == "heap-internals"]
         assert len(violations) == 2
 
     def test_allows_inside_heap_module(self):
-        code = "def f(heap):\n    return heap._arr\n"
+        code = "def f(heap):\n    return heap._slots\n"
         assert (
             _lint(code, path="src/repro/structures/heap.py") == []
         )
 
     def test_allows_public_api(self):
-        code = "def f(heap, e):\n    heap.update_key(e, 5)\n    heap.remove(e)\n"
+        code = "def f(heap, e):\n    heap.rekey(e, 5)\n    heap.remove(e)\n"
         assert "heap-internals" not in _rules_hit(code)
 
 
@@ -195,7 +195,7 @@ class TestUndeclaredMetric:
 
 class TestPragmas:
     def test_line_pragma_suppresses_named_rule(self):
-        code = "def f(heap):\n    return heap._arr  # rtslint: disable=heap-internals\n"
+        code = "def f(heap):\n    return heap._slots  # rtslint: disable=heap-internals\n"
         assert _lint(code, select=["heap-internals"]) == []
 
     def test_line_pragma_does_not_suppress_other_rules(self):
@@ -210,7 +210,7 @@ class TestPragmas:
         assert "paper-ref-docstring" not in _rules_hit(code)
 
     def test_disable_all(self):
-        code = "def f(heap):\n    return heap._arr  # rtslint: disable=all\n"
+        code = "def f(heap):\n    return heap._slots  # rtslint: disable=all\n"
         assert _lint(code, select=["heap-internals"]) == []
 
 
@@ -277,7 +277,7 @@ class TestPragmaEdgeCases:
         code = (
             "# rtslint: disable-file=paper-ref-docstring\n"
             "def f(heap):\n"
-            "    return heap._arr  # rtslint: disable=heap-internals\n"
+            "    return heap._slots  # rtslint: disable=heap-internals\n"
         )
         assert _lint(code) == []
 
@@ -285,14 +285,14 @@ class TestPragmaEdgeCases:
         code = (
             "# rtslint: disable-file=paper-ref-docstring\n"
             "def f(heap):\n"
-            "    return heap._arr\n"
+            "    return heap._slots\n"
         )
         assert _rules_hit(code) == {"heap-internals"}
 
     def test_pragma_on_continuation_line_covers_the_statement(self):
         code = (
             "def f(heap, entry):\n"
-            "    heap._arr.insert(\n"
+            "    heap._slots.insert(\n"
             "        0,\n"
             "        entry,\n"
             "    )  # rtslint: disable=heap-internals\n"
@@ -302,7 +302,7 @@ class TestPragmaEdgeCases:
     def test_pragma_on_statement_head_covers_wrapped_lines(self):
         code = (
             "def f(heap, entry):\n"
-            "    heap._arr.insert(  # rtslint: disable=heap-internals\n"
+            "    heap._slots.insert(  # rtslint: disable=heap-internals\n"
             "        0,\n"
             "        entry,\n"
             "    )\n"
@@ -313,7 +313,7 @@ class TestPragmaEdgeCases:
         code = (
             "def f(heap):  # rtslint: disable=heap-internals\n"
             "    x = 1\n"
-            "    return heap._arr\n"
+            "    return heap._slots\n"
         )
         assert "heap-internals" in _rules_hit(code)
 

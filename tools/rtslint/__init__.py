@@ -3,7 +3,7 @@
 Run as ``python -m tools.rtslint src/`` (see ``docs/CORRECTNESS.md`` for
 the rule catalogue).  Suppress a finding in place with a line pragma::
 
-    arr = heap._arr  # rtslint: disable=heap-internals
+    arr = heap._slots  # rtslint: disable=heap-internals
 
 or disable a rule for a whole file with a pragma in the first ten lines::
 

@@ -121,16 +121,26 @@ def check_mutable_default(
 # heap-internals
 # ---------------------------------------------------------------------------
 
-#: Attributes private to the addressable-heap implementation.  Touching
-#: them outside structures/heap.py bypasses the position bookkeeping that
-#: the O(1) DELETE/UPDATEKEY of Section 4 (Eq. 5) depends on.
-_HEAP_PRIVATE = {"_arr", "_pos", "_sift_up", "_sift_down", "_detach", "_position_of"}
+#: Attributes private to the heap arena.  Touching them outside
+#: structures/heap.py bypasses the slot bookkeeping that the O(log n)
+#: DELETE/UPDATEKEY of Section 4 (Eq. 5) and the ``mins`` column depend on.
+_HEAP_PRIVATE = {
+    "_slots",
+    "_pos",
+    "_ekey",
+    "_ecol",
+    "_seg_start",
+    "_seg_size",
+    "_owners",
+    "_sift_up",
+    "_sift_down",
+}
 
 
 @_rule(
     "heap-internals",
-    "no access to addressable-heap internals (_arr/_pos/_sift_*) outside "
-    "structures/heap.py; use the addressable API",
+    "no access to heap-arena internals (_slots/_pos/_ekey/_sift_*) outside "
+    "structures/heap.py; use the arena API",
 )
 def check_heap_internals(
     module: ast.Module, path: str, source: str
@@ -146,7 +156,7 @@ def check_heap_internals(
                 node.col_offset,
                 "heap-internals",
                 f"direct access to heap internal {node.attr!r}; go through "
-                "the addressable API (push/remove/update_key/entries)",
+                "the arena API (first_due/rekey/remove/segment)",
             )
 
 
