@@ -5,7 +5,7 @@ per-element constants of the Section 4 hot loop — tree descent, heap
 peeks, observer calls — over a whole batch of elements.  To do that the
 engines need the batch as contiguous numpy arrays; :class:`PreparedBatch`
 performs the conversion (and all input validation) exactly once, up
-front, so the bisection driver can slice sub-ranges for free.
+front, so the batch driver can slice sub-ranges for free.
 
 A batch is *vectorizable* only when the arrays are exact stand-ins for
 the Python values: every coordinate must survive the float64 round-trip
@@ -164,8 +164,8 @@ class PreparedBatch:
 
         The columnar descent's ``bincount`` wants float64 weights; the
         conversion is exact (the vectorizability precondition bounds the
-        batch's total weight below 2^53) and cached so bisected
-        sub-ranges share it.
+        batch's total weight below 2^53) and cached so every tree's
+        routing of the batch shares it.
         """
         w = self._wf64
         if w is None:

@@ -7,14 +7,18 @@ at each due node.  Its counters and heap minima live in one int64 store
 (``cnts`` / ``mins``, one column per last-dimension node) that the scalar
 path and the batched path both read and write directly.
 
-:func:`bisect_batch` is the slack-aware batch driver, and
-:func:`apply_collected` adds a safe range's deltas to the store.  The
-engines built on them — the logarithmic method and its one-tree Section 4
-variant — live in :mod:`repro.core.logmethod`.
+:func:`bisect_batch` is the batch driver: it bulk-applies each batch up
+to its first *crossing* (the first element that makes some node due),
+runs that one element through the scalar path, and goes on from the next.
+:class:`TreeSplit` finds one tree's crossings; :class:`BatchSplit` runs
+the split across all trees of an engine.  The engines built on them — the
+logarithmic method and its one-tree Section 4 variant — live in
+:mod:`repro.core.logmethod`.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -28,143 +32,324 @@ from .events import MaturityEvent
 from .query import Query
 from .tracker import QueryTracker, TrackerState, start_trackers
 
-#: Ranges at most this long skip the bulk attempt and replay element by
-#: element — below the cutoff a vectorized pass costs more than the
-#: scalar loop it would replace.
-BATCH_SCALAR_CUTOFF = 4
-
-#: Failed bulk attempts allowed per batch before the driver stops trying
-#: and replays the rest scalar.  On slack-starved workloads (signals due
-#: inside almost every range) bisection would otherwise pay a vectorized
-#: pass per level per failure; the fuel bound keeps the worst case within
-#: a small constant factor of plain scalar processing.
-BATCH_FAIL_FUEL = 24
-
-#: Consecutive fuel-exhausted batches before the driver backs off to
-#: plain scalar replay, and how many *elements* the backoff lasts
-#: (element-denominated so small batches don't probe proportionally more
-#: often).  On a persistently slack-starved stream the probe batches are
-#: then a small minority, bounding steady-state overhead at a few percent
-#: of scalar throughput while still re-probing often enough to catch the
-#: stream leaving the starved regime.
-BATCH_BACKOFF_STRIKES = 2
-BATCH_BACKOFF_ELEMENTS = 16384
-
 
 def apply_collected(out, counters: WorkCounters) -> None:
-    """Apply the ``(last-dimension tree, deltas)`` pairs a safe
-    ``bulk_collect`` built.
+    """Apply the routing records of a quiet range in one step.
 
-    Safety (``min H(u) > c(u) + delta(u)`` at every touched node) means
-    no heap drain is needed: the range cannot fire a single signal, so
-    bumping the counters *is* the whole of Section 4's per-element work
-    for the range.  Each tree's deltas are added to its slice of the
-    counter store in place; one bump per touched node is what lands in
+    ``out`` holds the ``(cnts, deltas, final, elems, rows)`` records
+    :meth:`TreeInstance.collect_batch` built.  Quiet means ``c(u) +
+    delta(u) < min H(u)`` at every node, so the range cannot fire a
+    single signal and bumping the counters *is* the whole of Section 4's
+    per-element work for it.  One bump per touched node is what lands in
     the machine-independent accounting — the saved work is the point.
     """
     bumps = 0
-    for tree, deltas in out:
-        # deltas[-1] is the scratch slot (paths padding), not a node;
-        # only real node bumps enter the store and the accounting.
-        real = deltas[:-1]
-        tree.cnts += real
-        bumps += int(_np.count_nonzero(real))
+    for cnts, deltas, final, _elems, _rows in out:
+        cnts[...] = final
+        bumps += int(_np.count_nonzero(deltas))
     counters.counter_bumps += bumps
 
 
 def bisect_batch(engine: Engine, batch: PreparedBatch, timestamp: int, try_bulk, run_scalar):
-    """Shared slack-aware batch bisection driver (docs/PERFORMANCE.md)
-    amortising the Section 4 per-element hot loop over whole batches.
+    """Batch driver: bulk-apply up to each first crossing, replay the
+    crossing element scalar (Section 4's slack inspection, batched; see
+    docs/PERFORMANCE.md).
 
-    Processes batch ranges in arrival order from an explicit stack:
-    ``try_bulk(lo, hi, hints, stash)`` either applies the whole range
-    (True) or declines (False), in which case the range is split in half
-    and both halves are retried — down to :data:`BATCH_SCALAR_CUTOFF`
-    (or until the failure fuel runs out), where
-    ``run_scalar(lo, hi, events, hints, stash)`` replays the engine's
-    exact per-element code path.  Because bulk application only ever
-    happens on ranges that provably produce no events, and scalar leaves
-    replay the exact per-element code path (including rebuild checks),
-    the event stream is bit-identical to one-at-a-time processing.
+    ``try_bulk(lo, hi, hints, stash)`` bulk-applies the longest prefix of
+    ``[lo, hi)`` in which no node becomes due and returns True when that
+    prefix is the whole range; otherwise it records the element that ends
+    the prefix — the first *crossing*, at which some counter ``c(u)``
+    reaches ``min H(u)`` — as ``stash["cross"]``.  The driver then hands
+    that one element to ``run_scalar(lo, hi, events, hints, stash)``,
+    which replays it through the engine's exact per-element path, and
+    continues after it.  Bulk ranges fire nothing and every crossing runs
+    the scalar path, so the event stream is bit-identical to
+    one-at-a-time processing.  The driver ends on a ``try_bulk`` call
+    that returns True, also when the last element was a crossing (the
+    range is then empty), so the callbacks can finish the batch there.
 
-    Delta vectors are additive over disjoint element ranges, so the
-    driver caches each attempted range's per-tree deltas (``stash``)
-    and hands every *right* half the exact difference ``parent - left``
-    as ``hints`` — a right sibling never pays a second vectorized
-    routing pass.  The cached vectors depend only on the batch values
-    and the frozen skeleton, so they stay exact across scalar replays
-    and heap mutations within the batch; a mid-batch rebuild replaces
-    the tree itself, which misses the tree-keyed lookup and routes
-    fresh.
+    The name, the argument order and the callbacks' ``hints`` (always
+    None) and ``stash`` slots stay only because perfbench's traced ledger
+    wraps this function and its callbacks by name and position; they go
+    when a benchmark change retires those wraps.
     """
     events: List[MaturityEvent] = []
     obs = engine.obs
-    if engine._bulk_backoff > 0:
-        # Recent batches exhausted their fuel: the stream is slack-starved
-        # right now, so skip the probing entirely for a while.  A maturity
-        # detaches its tracker's heap entries — often the very entries
-        # that starved the slack — so it ends the backoff early.
-        engine._bulk_backoff -= batch.size
+    size = batch.size
+    lo = 0
+    while True:
+        found: dict = {}
+        if try_bulk(lo, size, None, found):
+            if obs.enabled and lo < size:
+                obs.columnar_descent(size - lo)
+            return events
+        cross = found["cross"]
         if obs.enabled:
-            obs.columnar_fallback(batch.size)
-        run_scalar(0, batch.size, events, None)
-        if events:
-            engine._bulk_backoff = 0
-            engine._bulk_strikes = 0
-        return events
-    stack: List[Tuple[int, int, Optional[Tuple[int, int]]]] = [
-        (0, batch.size, None)
-    ]
-    cache: Dict[Tuple[int, int], dict] = {}
-    # Scale the failure budget with the batch so small batches don't pay
-    # a disproportionate number of failed vectorized passes per element.
-    fuel = min(BATCH_FAIL_FUEL, max(4, batch.size >> 5))
-    while stack:
-        lo, hi, parent = stack.pop()
-        hints = None
-        if parent is not None and lo != parent[0]:
-            # Right half: derive deltas from the parent attempt minus the
-            # (already processed) left sibling.  Only states routed by
-            # *both* attempts are derivable; a None entry means the range
-            # routed nowhere, i.e. an all-zero delta vector.
-            parent_deltas = cache.pop(parent, None)
-            left_deltas = cache.pop((parent[0], lo), None)
-            if parent_deltas is not None and left_deltas is not None:
-                hints = {}
-                for state, pd in parent_deltas.items():
-                    if pd is None:
-                        hints[state] = None
-                    elif state in left_deltas:
-                        ld = left_deltas[state]
-                        hints[state] = pd if ld is None else pd - ld
-        if hi - lo > BATCH_SCALAR_CUTOFF and fuel:
-            stash: dict = {}
-            if try_bulk(lo, hi, hints, stash):
-                if obs.enabled:
-                    obs.columnar_descent(hi - lo)
-                cache[(lo, hi)] = stash
+            if cross > lo:
+                obs.columnar_descent(cross - lo)
+            obs.batch_bisected(size - lo)
+            obs.columnar_fallback(1)
+        run_scalar(cross, cross + 1, events, None, None)
+        lo = cross + 1
+
+
+class TreeSplit:
+    """One tree's side of a batch split at its crossings.
+
+    Built from the tree's routing record of the batch range ``[lo, hi)``
+    (see :meth:`TreeInstance.collect_batch`).  ``final`` is every store
+    column's counter with the whole range applied.  It does not move
+    while the range goes in piece by piece — every piece moves weight
+    from the pending deltas into ``cnts`` — so a column can become due
+    before the range ends only while it is *hot*, ``final >= mins``.
+    Only a drain on this tree moves ``mins``, and the tree's
+    :class:`~repro.structures.heap.HeapArena` logs the columns it touches
+    while a split is open, so after a crossing just those are looked at
+    again (Section 4: every new sigma key is above its node's counter).
+
+    For each hot column the split keeps its *crossing*: the first element
+    at which the column's counter reaches its heap minimum.  That is a
+    ``searchsorted`` of the column's slack at routing time over the
+    cumulative weight, in arrival order, of the elements routed through
+    it; the cumulative sums depend only on the batch and are kept per
+    column, so a re-keyed column is searched again in O(log n).  A tree
+    without hot columns fires nothing for the rest of the range, so its
+    counters are brought up to ``final`` only when the range ends
+    (:meth:`finish`); the scalar crossings of other trees meanwhile bump
+    them by exactly their own elements, which ``final`` already holds.
+    """
+
+    __slots__ = (
+        "slot",
+        "tree",
+        "rec",
+        "weights",
+        "counters",
+        "seen",
+        "crossing",
+        "heap",
+        "through",
+        "ranked",
+        "marks",
+    )
+
+    def __init__(self, slot: int, tree: "TreeInstance", recs, weights, counters: WorkCounters):
+        self.slot = slot
+        self.tree = tree
+        self.rec = recs[0] if recs else None
+        self.weights = weights
+        self.counters = counters
+        #: column -> the ``mins`` value its hot status was last taken at
+        self.seen: Dict[int, int] = {}
+        #: hot column -> its crossing; ``heap`` orders the crossings, with
+        #: entries whose column moved on left in place until popped
+        self.crossing: Dict[int, int] = {}
+        self.heap: List[Tuple[int, int]] = []
+        self.through: Dict[int, Tuple[object, object]] = {}
+        self.ranked = None
+        self.marks = None
+        if self.rec is None:
+            return
+        tree.arena.moved = []
+        final = self.rec[2]
+        mins = tree.mins
+        hot = _np.flatnonzero(final >= mins)
+        for col, key in zip(hot.tolist(), mins[hot].tolist()):
+            self.seen[col] = key
+            self._cross(col, key)
+
+    # -- crossings -----------------------------------------------------------
+
+    def _cross(self, col: int, key: int) -> None:
+        """Find the crossing of hot column ``col``, whose heap minimum is
+        now ``key``."""
+        got = self.through.get(col)
+        if got is None:
+            # The routed pairs ordered by leaf row (built once): column
+            # col's elements are the block with rows in [klo, khi), put
+            # back in arrival order.
+            ranked = self.ranked
+            if ranked is None:
+                _cnts, _deltas, _final, elems, rows = self.rec
+                order = _np.argsort(rows, kind="stable")
+                _paths, klo, khi = self.tree.tree.leaf_rows()
+                ranked = self.ranked = (rows[order], elems[order], klo, khi)
+            rows, elems, klo, khi = ranked
+            a = rows.searchsorted(klo.item(col))
+            b = rows.searchsorted(khi.item(col))
+            elems = _np.sort(elems[a:b])
+            got = self.through[col] = (elems, self.weights[elems].cumsum())
+        elems, cum = got
+        # Slack at routing time, when the counter was final - deltas.
+        _cnts, deltas, final, _elems, _rows = self.rec
+        x = elems.item(cum.searchsorted(key - final.item(col) + deltas.item(col)))
+        self.crossing[col] = x
+        heappush(self.heap, (x, col))
+
+    def next_crossing(self) -> Optional[int]:
+        """The tree's first crossing from here on, or None."""
+        heap, crossing = self.heap, self.crossing
+        while heap:
+            x, col = heap[0]
+            if crossing.get(col) == x:
+                return x
+            heappop(heap)
+        return None
+
+    def refresh(self) -> None:
+        """Re-take the columns whose heap a scalar crossing touched."""
+        arena = self.tree.arena
+        moved = arena.moved
+        if not moved:
+            return
+        arena.moved = []
+        final = self.rec[2]
+        mins, seen, crossing = self.tree.mins, self.seen, self.crossing
+        for col in dict.fromkeys(moved):
+            key = mins.item(col)
+            if seen.get(col) == key:
                 continue
-            cache[(lo, hi)] = stash
-            fuel -= 1
-            if obs.enabled:
-                obs.batch_bisected(hi - lo)
-            mid = (lo + hi) >> 1
-            stack.append((mid, hi, (lo, hi)))
-            stack.append((lo, mid, (lo, hi)))
+            seen[col] = key
+            if final.item(col) >= key:
+                self._cross(col, key)
+            else:
+                crossing.pop(col, None)
+
+    # -- counters ------------------------------------------------------------
+
+    def apply(self, lo: int, hi: int) -> None:
+        """Bring the counters through elements ``[lo, hi)``, which make no
+        node due (only a tree with hot columns needs this; see the class
+        docstring)."""
+        cnts, _deltas, _final, elems, rows = self.rec
+        a = elems.searchsorted(lo)
+        b = elems.searchsorted(hi)
+        if a == b:
+            return
+        # The pairs' descents, less the path padding and the drop-outs'
+        # all-sentinel row (both read the column count).
+        paths = self.tree.tree.leaf_rows()[0]
+        cols = paths[rows[a:b]].ravel()
+        real = cols < cnts.size
+        cols = cols[real]
+        _np.add.at(cnts, cols, _np.repeat(self.weights[elems[a:b]], paths.shape[1])[real])
+        # One bump per distinct column touched.
+        marks = self.marks
+        if marks is None:
+            marks = self.marks = _np.zeros(cnts.size, dtype=bool)
+        marks[cols] = True
+        self.counters.counter_bumps += int(_np.count_nonzero(marks))
+        marks[cols] = False
+
+    def finish(self) -> None:
+        """Apply everything still pending: the counters become ``final``."""
+        if self.rec is not None:
+            cnts, _deltas, final, _elems, _rows = self.rec
+            self.counters.counter_bumps += int(_np.count_nonzero(cnts != final))
+            cnts[...] = final
+        self.close()
+
+    def close(self) -> None:
+        """Stop the arena's log."""
+        self.tree.arena.moved = None
+
+
+class BatchSplit:
+    """The exact first-crossing split of one batch over an engine's trees.
+
+    ``trees`` is the engine's slot list (read live: a crossing may rebuild
+    a tree in place).  :meth:`advance` is the engines' ``try_bulk``: the
+    first call routes the range once per tree and, when no tree has a hot
+    node, applies it whole — exactly the cost of a quiet batch.
+    Otherwise each tree gets a :class:`TreeSplit`, and every call brings
+    all trees up to the earliest crossing of any tree.  After a crossing
+    only a tree rebuilt by it is routed again, over what is left.
+    """
+
+    __slots__ = ("trees", "batch", "counters", "splits", "wsum")
+
+    def __init__(self, trees: List[Optional["TreeInstance"]], batch: PreparedBatch, counters: WorkCounters):
+        self.trees = trees
+        self.batch = batch
+        self.counters = counters
+        self.splits: Optional[List[TreeSplit]] = None
+        self.wsum = None
+
+    def _ingest(self, lo: int, hi: int) -> None:
+        """Every tree has taken elements ``[lo, hi)`` (running totals)."""
+        wsum = self.wsum
+        if wsum is None:
+            wsum = self.wsum = [0, *_np.cumsum(self.batch.weights).tolist()]
+        weight = wsum[hi] - wsum[lo]
+        for tree in self.trees:
+            if tree is not None:
+                tree.total += weight
+
+    def advance(self, lo: int, hi: int) -> Optional[int]:
+        """Apply ``[lo, hi)`` up to its first crossing and return that
+        element, or apply all of it and return None."""
+        batch, counters = self.batch, self.counters
+        splits = self.splits
+        if splits is None:
+            routed = []
+            quiet = True
+            for slot, tree in enumerate(self.trees):
+                if tree is not None:
+                    recs: list = []
+                    quiet &= tree.collect_batch(batch, lo, hi, recs)
+                    routed.append((slot, tree, recs))
+            if quiet:
+                weight = int(batch.weights[lo:hi].sum())
+                for _slot, tree, recs in routed:
+                    apply_collected(recs, counters)
+                    tree.total += weight
+                return None
+            weights = batch.weights
+            splits = self.splits = [
+                TreeSplit(slot, tree, recs, weights, counters) for slot, tree, recs in routed
+            ]
         else:
-            if obs.enabled:
-                obs.columnar_fallback(hi - lo)
-            stash = {}
-            run_scalar(lo, hi, events, hints, stash)
-            cache[(lo, hi)] = stash
-    if fuel == 0:
-        engine._bulk_strikes += 1
-        if engine._bulk_strikes >= BATCH_BACKOFF_STRIKES:
-            engine._bulk_strikes = 0
-            engine._bulk_backoff = BATCH_BACKOFF_ELEMENTS
-    else:
-        engine._bulk_strikes = 0
-    return events
+            self._after_crossing(lo, hi)
+        # Trees without a crossing have no hot column left: they fire
+        # nothing more in this range and catch up in ``finish``.
+        hot = [(x, s) for x, s in ((s.next_crossing(), s) for s in splits) if x is not None]
+        if not hot:
+            for s in splits:
+                s.finish()
+            self._ingest(lo, hi)
+            return None
+        cross = min(x for x, _s in hot)
+        assert cross >= lo, "a crossing behind the split point"
+        if cross > lo:
+            for _x, s in hot:
+                s.apply(lo, cross)
+            self._ingest(lo, cross)
+        return cross
+
+    def _after_crossing(self, lo: int, hi: int) -> None:
+        """Update every split after the scalar crossing at ``lo - 1``."""
+        splits = self.splits
+        for k, s in enumerate(splits):
+            tree = self.trees[s.slot]
+            if tree is s.tree:
+                s.refresh()
+                continue
+            # Rebuilt by the crossing (or emptied): a fresh tree whose
+            # counters start after it.  Route what is left of the range.
+            s.close()
+            splits[k] = None
+            if tree is not None:
+                recs: list = []
+                tree.collect_batch(self.batch, lo, hi, recs)
+                splits[k] = TreeSplit(s.slot, tree, recs, self.batch.weights, self.counters)
+        if None in splits:
+            splits[:] = [s for s in splits if s is not None]
+
+    def close(self) -> None:
+        """Stop every open split's arena log (after the batch, or when
+        it raised part-way)."""
+        for s in self.splits or ():
+            s.close()
 
 
 class TreeInstance:
@@ -305,22 +490,33 @@ class TreeInstance:
         hints=None,
         stash=None,
     ) -> bool:
-        """Slack-check the batch range ``[lo, hi)`` against this tree.
+        """Route the batch range ``[lo, hi)`` through this tree once.
 
-        Appends ``(last-dimension tree, deltas)`` pairs to ``out`` and returns
-        True when the range is bulk-safe here (see
-        :meth:`~repro.core.endpoint_tree.EndpointTree.bulk_collect`);
-        nothing is applied either way — the caller applies via
-        :func:`apply_collected` once every participating tree agrees.
+        Appends the record ``(cnts, deltas, final, elems, rows)`` to
+        ``out`` — the counter store, the range's per-column deltas,
+        ``final = cnts + deltas`` and the routed ``(element, leaf row)``
+        pairs (see
+        :meth:`~repro.core.endpoint_tree.EndpointTree.route_batch`) — and
+        returns True when the range is quiet here: no node's counter
+        reaches its heap minimum by the range's end, so none can signal
+        inside it.  Nothing is applied either way.  ``hints`` and
+        ``stash`` are unused; like :meth:`resync_batch` they stay only
+        while perfbench's ledger wraps these methods by name.
         """
-        return self.tree.bulk_collect(
-            batch.values,
-            batch.weights_f64,
-            batch.indices(lo, hi),
-            out,
-            hints,
-            stash,
+        routed = self.tree.route_batch(
+            batch.values[lo:hi], batch.weights_f64[lo:hi], batch.indices(lo, hi)
         )
+        if routed is None:
+            return True
+        deltas, elems, rows = routed
+        cnts = self.cnts
+        final = cnts + deltas
+        out.append((cnts, deltas, final, elems, rows))
+        # A node would signal inside the range iff its counter plus the
+        # range's delta reaches its heap minimum.  Untouched nodes (delta
+        # zero) never trigger here: between elements no due signal is
+        # left undrained, so ``cnts < mins``.
+        return not (final >= self.mins).any()
 
     def resync_batch(
         self,
@@ -330,13 +526,10 @@ class TreeInstance:
         hints=None,
         stash=None,
     ) -> None:
-        """Hook the batch driver calls after replaying ``[lo, hi)`` scalar.
-
-        The replay wrote this tree's counter store directly and kept its
-        heap minima exact as it went, so nothing is left to fold back.
-        The call stays so the layer keeps its name in traced runs
-        (perfbench's ledger times it; it reads about zero).
-        """
+        """No-op, never called: scalar crossings write the counter store
+        directly, so nothing is left to fold back.  Kept only because
+        perfbench's traced ledger wraps it by name; it goes when a
+        benchmark change retires that wrap."""
 
     # -- management ---------------------------------------------------------
 

@@ -94,6 +94,12 @@ SMALL_TREE = 8
 #: Bound on one skeleton's memo of canonical sets (cleared when full).
 CANONICAL_MEMO_LIMIT = 4096
 
+#: Query ranges per block of :func:`canonical_sets`: its walks hold about
+#: ten ``block x (height + 1)`` index matrices at once, so blocks cap that
+#: transient (about 1.2 MB at height 14) while staying large enough that
+#: the per-block array calls cost nothing next to the work.
+CANONICAL_CHUNK = 1024
+
 _SKELETONS: Dict[int, "Skeleton"] = {}
 
 _INF = float("inf")
@@ -270,8 +276,23 @@ def canonical_sets(paths, nodes, rows_a, rows_b, a, b):
     whole-matrix operations: a fixed number of array passes.
 
     Returns ``(pair, node)`` sorted by pair, each pair's nodes in walk
-    order: the left walk's top-down, then the right walk's.
+    order: the left walk's top-down, then the right walk's.  Pairs are
+    taken :data:`CANONICAL_CHUNK` at a time, which bounds the walks'
+    ``pairs x height`` working matrices.
     """
+    if len(a) <= CANONICAL_CHUNK:
+        return _canonical_block(paths, nodes, rows_a, rows_b, a, b)
+    pairs, found = [], []
+    for lo in range(0, len(a), CANONICAL_CHUNK):
+        hi = lo + CANONICAL_CHUNK
+        pair, node = _canonical_block(paths, nodes, rows_a[lo:hi], rows_b[lo:hi], a[lo:hi], b[lo:hi])
+        pairs.append(pair + lo)
+        found.append(node)
+    return _np.concatenate(pairs), _np.concatenate(found)
+
+
+def _canonical_block(paths, nodes, rows_a, rows_b, a, b):
+    """:func:`canonical_sets` over one block of pairs."""
     left, right, klo, khi = nodes
     pa = paths[rows_a]
     pb = paths[rows_b]
@@ -310,7 +331,8 @@ def _forest(ks):
     ``(left, right, klo, khi)`` with global child indices, local key
     ranks and a trailing sentinel slot, and ``paths`` holds every tree's
     path rows (tree ``g``'s key rank ``r`` at row ``sum(ks[:g]) + r``) in
-    global node indices, padded with the sentinel.
+    global node indices, padded with the sentinel, plus an all-sentinel
+    last row.
     """
     if len(ks) == 1:
         sk = skeleton(int(ks[0]))
@@ -325,7 +347,7 @@ def _forest(ks):
     khi = _np.full(total + 1, -1, dtype=_np.intp)
     uniq, inv = _np.unique(ks, return_inverse=True)
     width = skeleton(int(uniq[-1])).height + 1
-    paths = _np.full((int(ks.sum()), width), total, dtype=_np.intp)
+    paths = _np.full((int(ks.sum()) + 1, width), total, dtype=_np.intp)
     by_k = _np.argsort(inv, kind="stable")
     cuts = _np.searchsorted(inv[by_k], _np.arange(uniq.size + 1))
     shapes = []
@@ -375,9 +397,7 @@ class FlatTree:
         "cnts",
         "mins",
         "secondary",
-        "_flat",
         "_low_list",
-        "_pos_cache",
     )
 
     def __init__(self, dim: int, last_dim: bool, skel: Skeleton, vals, bits, lows, base: int = -1):
@@ -388,9 +408,7 @@ class FlatTree:
         self.cnts = None
         self.mins = None
         self.secondary: Dict[int, FlatTree] = {}
-        self._flat = None  # lazy secondary routing index
         self._low_list = None  # scalar routing table, built on demand
-        self._pos_cache = None
 
     # -- keys and jurisdictions ---------------------------------------------
 
@@ -462,139 +480,40 @@ class FlatTree:
         2^53) with ``n + 1`` slots, the last a scratch slot absorbing the
         path padding.
         """
+        return self._route(values, weights_f64, sel)[0]
+
+    def _route(self, values, weights_f64, sel):
+        """:meth:`route`'s deltas plus each selected element's leaf rank
+        (-1 left of the leftmost endpoint), in ``sel`` order; ``sel`` may
+        also be a slice, which reads the arrays without a copy."""
         sk = self.skel
-        cache = self._pos_cache
-        if (cache is None or cache[0] is not values) and 4 * sel.size >= values.shape[0]:
-            # One ``searchsorted`` over the whole batch serves every
-            # bisected sub-range via slicing; the cache holds the batch's
-            # value array, so the identity check cannot alias a recycled
-            # allocation.  Slot 2 lazily holds the whole batch's
-            # path-repeated weights for the full-range gather.
-            pos = _np.searchsorted(self.lows, values[:, self.dim], side="right") - 1
-            cache = self._pos_cache = [values, pos, None]
-        if cache is not None and cache[0] is values:
-            pos_all = cache[1]
-            full = sel.size == pos_all.size
-            pos = pos_all if full else pos_all[sel]
-        else:
-            # Small slices (bisection probes, secondary-tree subsets)
-            # search directly; priming a whole-batch cache would cost
-            # more than it saves.
-            pos = _np.searchsorted(self.lows, values[sel, self.dim], side="right") - 1
-            full = False
-            cache = None
+        pos = _np.searchsorted(self.lows, values[sel, self.dim], side="right") - 1
         n = self.n
+        w = weights_f64[sel]
         if pos.size * (sk.height + 1) < 4 * n:
             # Gather the root-to-leaf paths and scatter-add them in one
             # weighted bincount.  Drop-outs (``pos == -1``) wrap onto the
             # all-sentinel last path row, so no mask is needed here.
             touched = sk.paths[pos]
-            if full:
-                # Whole-batch descent: reuse the path-repeated weight
-                # vector across this batch's top-level probes.
-                wrep = cache[2]
-                if wrep is None or wrep.size != sel.size * touched.shape[1]:
-                    wrep = cache[2] = _np.repeat(weights_f64, touched.shape[1])
-            else:
-                wrep = _np.repeat(weights_f64[sel], touched.shape[1])
-            return _np.bincount(
+            deltas = _np.bincount(
                 touched.ravel(),
-                weights=wrep,
+                weights=_np.repeat(w, touched.shape[1]),
                 minlength=n + 1,
             ).astype(_np.int64)
-        # ``pos`` rides in whole-batch order on the full fast path and in
-        # ``sel`` order otherwise; the weight vector must ride the same
-        # order (secondary trees pass ``sel`` permuted by an earlier
-        # dimension's sort, so the two orders genuinely differ).
-        w = weights_f64 if full else weights_f64[sel]
+            return deltas, pos
+        leaf_pos = pos
         mask = pos >= 0
         if not mask.all():
             if not mask.any():
-                return None
-            pos = pos[mask]
+                return None, pos
+            leaf_pos = pos[mask]
             w = w[mask]
-        leaf_deltas = _np.bincount(pos, weights=w, minlength=sk.K)
+        leaf_deltas = _np.bincount(leaf_pos, weights=w, minlength=sk.K)
         deltas = _np.zeros(n + 1, dtype=_np.int64)
         deltas[sk.leaf_ids] = leaf_deltas
         for par, child_start, child_end in sk.levels:
             deltas[par] = deltas[child_start:child_end].reshape(-1, 2).sum(axis=1)
-        return deltas
-
-    def _ensure_flat(self):
-        """Build (once) the secondary routing index of an earlier dimension.
-
-        The nodes owning a secondary tree, as parallel arrays of encoded
-        jurisdiction bounds plus the secondary list — an element is
-        handled by a secondary iff its coordinate lies in the owning
-        node's jurisdiction, which is exactly what the scalar descent
-        path visits.  Both bound lookups then run as *one*
-        ``searchsorted`` call over all secondaries of the tree.
-        """
-        flat = self._flat
-        if flat is None:
-            owners = _np.array(sorted(self.secondary), dtype=_np.intp)
-            sk = self.skel
-            ext = _np.append(self.lows, _INF)
-            flat = self._flat = (
-                ext[sk.klo[owners]],
-                ext[sk.khi[owners]],
-                [self.secondary[u] for u in owners.tolist()],
-            )
-        return flat
-
-    def bulk_collect(self, values, weights, sel, out, hints=None, stash=None) -> bool:
-        """Slack-check a batch sub-range for bulk application.
-
-        ``values``/``weights`` are the full batch arrays of a
-        :class:`~repro.core.batch.PreparedBatch` (``weights`` float64);
-        ``sel`` indexes the elements considered.  Returns True iff the
-        range is *safe* everywhere — ``min H(u) > c(u) + delta(u)`` at each
-        touched node — so, counters being monotone, no prefix of it can
-        signal and applying its deltas at once is observationally
-        identical to element-at-a-time processing (zero events).  The
-        check is one comparison per last-dimension tree against its exact
-        slice of the counter store; on success ``(tree, int64 deltas)`` is
-        appended to ``out`` for the caller to apply once *every* tree
-        agrees (on False ``out`` must be discarded).  ``hints`` maps trees
-        to known delta vectors (None: routes nowhere) — deltas are
-        additive, so the bisection driver derives a right half's as
-        ``parent - left`` — and ``stash`` collects this range's.
-        """
-        if self.last_dim:
-            if hints is not None and self in hints:
-                deltas = hints[self]
-            else:
-                deltas = self.route(values, weights, sel)
-            if stash is not None:
-                stash[self] = deltas
-            if deltas is None:
-                return True
-            # A node would signal inside the range iff its counter plus
-            # the range's delta reaches its heap minimum.  Untouched
-            # nodes (delta zero) never trigger here: between elements
-            # no due signal is left undrained, so ``cnts < mins``.
-            if (self.cnts + deltas[: self.n] >= self.mins).any():
-                return False
-            out.append((self, deltas))
-            return True
-        v = values[sel, self.dim]
-        order = _np.argsort(v, kind="stable")
-        sorted_v = v[order]
-        sorted_sel = sel[order]
-        los, his, secondaries = self._ensure_flat()
-        starts = _np.searchsorted(sorted_v, los, side="left")
-        stops = _np.searchsorted(sorted_v, his, side="left")
-        for j in _np.nonzero(starts < stops)[0]:
-            if not secondaries[j].bulk_collect(
-                values,
-                weights,
-                sorted_sel[starts[j] : stops[j]],
-                out,
-                hints,
-                stash,
-            ):
-                return False
-        return True
+        return deltas, pos
 
 
 def _endpoints(rects: Sequence[Rect], ndims: int):
@@ -648,6 +567,77 @@ def _small_tree(dim: int, last: bool, raw, queries: Sequence[int]):
     return FlatTree(dim, last, sk, vals, bits, lows, 0 if last else -1), found
 
 
+class _ForestRouter:
+    """Batched routing through every tree of a d >= 2 endpoint tree.
+
+    Built from the build's per-dimension forests: ``levels`` alternates
+    ``(ks, lows, paths, klo, khi)`` — key counts per tree, the trees'
+    leaf lows end to end, the global path matrix and key-rank ranges —
+    with the global nodes owning the next dimension's trees.  An element
+    reaches a set of trees per dimension; each (element, tree) pair finds
+    its leaf with one ``searchsorted`` over keys ``tree * M + rank``,
+    where ``rank`` places a low among all lows of the dimension, so the
+    pairs of every tree search at once.  The trees met on a leaf's path
+    give the next dimension's pairs, in descent order; the last
+    dimension's global node numbers are the store columns.
+    """
+
+    __slots__ = ("dims", "paths", "klo", "khi", "n_cols")
+
+    def __init__(self, levels, n_cols: int):
+        self.dims = []
+        self.n_cols = n_cols
+        for d in range(0, len(levels), 2):
+            ks, lows, paths, klo, khi = levels[d]
+            kbase = _np.cumsum(ks) - ks
+            keyed = None
+            if ks.size > 1:
+                uniq = _np.unique(lows)
+                scale = uniq.size + 1
+                keys = _np.repeat(_np.arange(ks.size), ks) * scale + uniq.searchsorted(lows)
+                keyed = (uniq, keys, scale, kbase)
+            nxt = None
+            if d + 1 < len(levels):
+                owners = levels[d + 1]
+                nxt = _np.full(int(paths[-1, 0]) + 1, -1, dtype=_np.intp)
+                nxt[owners] = _np.arange(owners.size)
+            self.dims.append((lows, keyed, paths, nxt))
+            if nxt is None:
+                self.paths = paths
+                tree_of = _np.repeat(_np.arange(ks.size), 2 * ks - 1)
+                self.klo = klo + kbase[tree_of]
+                self.khi = khi + kbase[tree_of]
+
+    def route(self, values, weights, elems):
+        """See :meth:`EndpointTree.route_batch`."""
+        rows_of = None  # the value rows reached (None: all of them)
+        trees = None
+        for dim, (lows, keyed, paths, nxt) in enumerate(self.dims):
+            v = values[:, dim] if rows_of is None else values[rows_of, dim]
+            if keyed is None:
+                rows = lows.searchsorted(v, side="right") - 1
+            else:
+                uniq, keys, scale, kbase = keyed
+                query = trees * scale + (uniq.searchsorted(v, side="right") - 1)
+                rows = keys.searchsorted(query, side="right") - 1
+                rows[rows < kbase[trees]] = -1  # below the tree's first key
+            if nxt is None:
+                break
+            owned = nxt[paths[rows]]
+            r, c = _np.nonzero(owned >= 0)
+            if not r.size:
+                return None
+            rows_of = r if rows_of is None else rows_of[r]
+            trees = owned[r, c]
+        touched = paths[rows]
+        deltas = _np.bincount(
+            touched.ravel(),
+            weights=_np.repeat(weights[rows_of], touched.shape[1]),
+            minlength=self.n_cols + 1,
+        )
+        return deltas[: self.n_cols].astype(_np.int64), elems[rows_of], rows
+
+
 class EndpointTree:
     """The d-dimensional endpoint tree over a list of query rectangles.
 
@@ -681,6 +671,8 @@ class EndpointTree:
         "qptr",
         "qcols",
         "_hot_cache",
+        "_levels",
+        "_router",
     )
 
     def __init__(
@@ -695,6 +687,10 @@ class EndpointTree:
         self.root: Optional[FlatTree] = None
         self.trees: List[FlatTree] = []
         self._hot_cache: Optional[dict] = {} if ndims > 1 else None
+        #: d >= 2: per dimension, the forest the batched router reads
+        #: (see :class:`_ForestRouter`, built on the first batch).
+        self._levels: List[tuple] = []
+        self._router = None
         usable, raw = _endpoints(rects, ndims)
         n_usable = len(usable)
         if counters is not None:
@@ -738,6 +734,8 @@ class EndpointTree:
                 nbase = _np.zeros(1, dtype=_np.intp)
                 pair = _np.repeat(_np.arange(len(found)), [len(f) for f in found])
                 node = _np.array([u for f in found for u in f], dtype=_np.intp)
+                sk = tree.skel
+                forest = (ks, tree.lows, sk.paths, sk.klo, sk.khi)
             else:
                 # Rank every tree's distinct (value, bit) keys with one sort;
                 # (x, 1) and (nextafter(x), 0) stay two keys.
@@ -768,6 +766,7 @@ class EndpointTree:
                 row = kbase[p_tree]
                 pair, node = canonical_sets(paths, nodes, row + a, row + b - 1, a, b)
 
+                forest = (ks, lows, paths, nodes[2][:-1], nodes[3][:-1])
                 level = []
                 for sk, k0, k, base in zip(skels, kbase.tolist(), ks.tolist(), nbase.tolist()):
                     keys = slice(k0, k0 + k)
@@ -778,6 +777,8 @@ class EndpointTree:
             else:
                 for tree, (pg, u) in zip(level, p_owner):
                     parents[pg].secondary[u] = tree
+            if ndims > 1:
+                self._levels.append(forest)
 
             q = p_query[pair]
             if dim:
@@ -808,6 +809,7 @@ class EndpointTree:
             first = _np.ones(grp.size, dtype=bool)
             first[1:] = g_node[1:] != g_node[:-1]
             owners = g_node[first]
+            self._levels.append(owners)
             owner_tree = _np.repeat(_np.arange(n_trees), 2 * ks - 1)[owners]
             p_owner = list(zip(owner_tree.tolist(), (owners - nbase[owner_tree]).tolist()))
             parents = level
@@ -883,12 +885,44 @@ class EndpointTree:
                 stack.extend(reversed([sec[u] for u in row if u in sec]))
         return touched
 
-    def bulk_collect(self, values, weights, sel, out, hints=None, stash=None) -> bool:
-        """Slack-check a batch sub-range (see :meth:`FlatTree.bulk_collect`)."""
+    def route_batch(self, values, weights, elems):
+        """Route a run of batch elements once (docs/PERFORMANCE.md).
+
+        ``values`` / ``weights`` are the rows of the
+        :class:`~repro.core.batch.PreparedBatch` arrays (``weights``
+        float64) holding the elements whose batch indices are ``elems``.
+        Returns None when nothing reaches a last-dimension node, else
+        ``(deltas, elems, rows)``: the int64 weight each store column
+        gains from the elements (exactly the scalar descents' counter
+        increments), and one ``(element, leaf row)`` pair per
+        last-dimension tree an element reaches, in arrival order — row
+        ``r`` of :meth:`leaf_rows`' path matrix is that descent (-1: left
+        of the tree's leftmost endpoint, the all-sentinel row).
+        """
         root = self.root
-        if root is None or len(sel) == 0:
-            return True
-        return root.bulk_collect(values, weights, sel, out, hints, stash)
+        if root is None or len(elems) == 0:
+            return None
+        if root.last_dim:
+            deltas, pos = root._route(values, weights, slice(None))
+            if deltas is None:
+                return None
+            return deltas[: root.n], elems, pos
+        router = self._router
+        if router is None:
+            router = self._router = _ForestRouter(self._levels, self.cnts.size)
+        return router.route(values, weights, elems)
+
+    def leaf_rows(self):
+        """``(paths, klo, khi)`` for :meth:`route_batch`'s leaf rows: the
+        last dimension's path matrix (store columns, padded with the
+        column count) and each store column's leaf-row range — the
+        elements through column ``u`` are those whose row lies in
+        ``[klo[u], khi[u])``."""
+        if self.root.last_dim:
+            sk = self.root.skel
+            return sk.paths, sk.klo, sk.khi
+        router = self._router
+        return router.paths, router.klo, router.khi
 
     # -- introspection -------------------------------------------------------
 

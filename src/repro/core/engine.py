@@ -223,8 +223,8 @@ class Engine(abc.ABC):
         The contract is *bit-identical equivalence*: the returned events —
         queries, timestamps, weights, and order — must match what the
         element-at-a-time loop would produce.  This default implementation
-        is that loop; engines with a real fast path (the slack-aware batch
-        bisection of the DT engines, the vectorized probe of the Baseline)
+        is that loop; engines with a real fast path (the first-crossing
+        batch split of the DT engines, the vectorized probe of the Baseline)
         override it.  See ``docs/PERFORMANCE.md``.
         """
         events: List[MaturityEvent] = []

@@ -44,7 +44,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..streams.element import StreamElement
 from .batch import prepare_batch
-from .dt_engine import TreeInstance, apply_collected, bisect_batch
+from .dt_engine import BatchSplit, TreeInstance, bisect_batch
 from .endpoint_tree import COUNTER_MAX
 from .engine import Engine, EngineError
 from .events import MaturityEvent
@@ -73,10 +73,6 @@ class DTEngine(Engine):
         self._trees: List[Optional[TreeInstance]] = []
         #: query_id -> slot index of the tree currently managing it.
         self._locator: Dict[object, int] = {}
-        #: Adaptive backoff state for :func:`bisect_batch` — consecutive
-        #: fuel-exhausted batches, and batches left to replay scalar.
-        self._bulk_strikes = 0
-        self._bulk_backoff = 0
 
     # -- registration (Section 5) ----------------------------------------
 
@@ -230,49 +226,44 @@ class DTEngine(Engine):
     def process_batch(
         self, elements, timestamp: int
     ) -> List[MaturityEvent]:
-        """Slack-aware batched ingestion across all logarithmic-method trees.
+        """Batched ingestion across all logarithmic-method trees, split
+        exactly at each crossing (see :func:`bisect_batch`).
 
-        A range is bulk-applied only when *every* tree declares it safe —
-        all-or-nothing, because a scalar replay of the range (the bisection
-        leaf) walks every tree, so partially applying one tree's deltas
-        would double-count.  Trees never interact (each query's trackers
-        live in exactly one tree), so "safe in every tree" means the range
-        produces zero events system-wide and the per-element order of
-        Section 5 — slots ascending within each element — is preserved.
+        The batch is routed once per tree.  A crossing — the first
+        element at which some tree's counter reaches its heap minimum —
+        runs through :meth:`process`, which walks every tree, so every
+        tree is first brought up to the element before it; the ranges
+        between crossings are applied in bulk.  Trees never interact
+        (each query's trackers live in exactly one tree), so the per-
+        element order of Section 5 — slots ascending within each element
+        — is preserved.
         """
         batch = prepare_batch(elements, self.dims)
         if not batch.vectorizable:
             if batch.size:
                 self._make_room(max(e.weight for e in batch.elements))
             return super().process_batch(batch.elements, timestamp)
-        weights = batch.weights
-        self._make_room(int(weights.sum()))
+        self._make_room(int(batch.weights.sum()))
         scalar_elements = batch.elements
+        split = BatchSplit(self._trees, batch, self.counters)
 
         def try_bulk(lo: int, hi: int, hints=None, stash=None) -> bool:
-            out: List[Tuple[object, object]] = []
-            for tree in self._trees:
-                if tree is not None and not tree.collect_batch(
-                    batch, lo, hi, out, hints, stash
-                ):
-                    return False
-            apply_collected(out, self.counters)
-            ingested = int(weights[lo:hi].sum())
-            for tree in self._trees:
-                if tree is not None:
-                    tree.total += ingested
-            return True
+            cross = split.advance(lo, hi)
+            if cross is None:
+                return True
+            stash["cross"] = cross
+            return False
 
         def run_scalar(
             lo: int, hi: int, events: List[MaturityEvent], hints=None, stash=None
         ) -> None:
             for i in range(lo, hi):
                 events.extend(self.process(scalar_elements[i], timestamp + i))
-            for tree in self._trees:
-                if tree is not None:
-                    tree.resync_batch(batch, lo, hi, hints, stash)
 
-        return bisect_batch(self, batch, timestamp, try_bulk, run_scalar)
+        try:
+            return bisect_batch(self, batch, timestamp, try_bulk, run_scalar)
+        finally:
+            split.close()
 
     # -- termination ------------------------------------------------------
 

@@ -24,8 +24,8 @@ streams spend a vanishing fraction of their life in.  Keeping the paper
 horizon makes the benchmark measure what fig. 3's long steady state
 measures.  A small fraction of queries (``small_tau_fraction``) gets a
 proportionally reduced threshold so maturities do fire mid-benchmark and
-the batched path's event handling (bisection + scalar replay) is
-exercised and verified against the scalar run.
+the batched path's event handling (the split at each crossing and its
+scalar replay) is exercised and verified against the scalar run.
 """
 
 from __future__ import annotations

@@ -74,18 +74,19 @@ _SPECS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "rts_batch_bisections_total",
         "counter",
-        "Batch ranges split because a node's heap slack was too small",
+        "Batch splits at a crossing: an element at which some node's "
+        "counter reaches its heap minimum",
     ),
     MetricSpec(
         "rts_columnar_descents_total",
         "counter",
-        "Batch ranges bulk-applied through a columnar (SoA) tree descent",
+        "Batch ranges bulk-applied: each prefix before a crossing and "
+        "each batch's quiet rest",
     ),
     MetricSpec(
         "rts_columnar_fallbacks_total",
         "counter",
-        "Batch ranges replayed element-at-a-time (slack exhaustion, "
-        "bisection cutoff, or backoff)",
+        "Crossing elements replayed through the scalar per-element path",
     ),
     # -- query lifecycle ---------------------------------------------------
     MetricSpec("rts_queries_registered_total", "counter", "Queries registered"),

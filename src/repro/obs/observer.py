@@ -251,17 +251,18 @@ class Observability(NullObservability):
         self.metrics.counter("rts_batch_elements_total").inc(n)
 
     def batch_bisected(self, span: int) -> None:
-        """A batch range of ``span`` elements failed the slack check."""
+        """The ``span`` elements left of a batch were split at a
+        crossing (one call per crossing element)."""
         self.metrics.counter("rts_batch_bisections_total").inc()
 
     def columnar_descent(self, span: int) -> None:
-        """A batch range of ``span`` elements was bulk-applied through a
-        vectorized columnar tree descent."""
+        """A batch range of ``span`` elements was bulk-applied: the prefix
+        before a crossing, or the quiet rest of a batch."""
         self.metrics.counter("rts_columnar_descents_total").inc()
 
     def columnar_fallback(self, span: int) -> None:
-        """A batch range of ``span`` elements fell back to the scalar
-        per-element path (slack exhaustion, cutoff, or backoff)."""
+        """``span`` crossing elements (always one) ran through the scalar
+        per-element path."""
         self.metrics.counter("rts_columnar_fallbacks_total").inc()
 
     # -- query lifecycle ---------------------------------------------------

@@ -29,8 +29,8 @@ Engines use timestamps only to stamp maturity events, so each shard runs
 a *compact local clock* over just the elements routed to it; the router
 carries the local→global index map and events come back stamped with true
 global arrival indices.  This keeps every routed slice contiguous — the
-PR-4 batch bisection stays fully effective even when the spatial policy
-filters most of the stream away from a shard.
+engines' first-crossing batch split stays fully effective even when the
+spatial policy filters most of the stream away from a shard.
 
 See ``docs/SHARDING.md`` for the policy guide, the IPC cost model, and
 when spatial-grid routing beats broadcast.

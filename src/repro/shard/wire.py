@@ -15,8 +15,8 @@ only state that ever crosses the process boundary is
   table.
 
 Keeping payloads this small is what lets the IPC cost amortise over the
-PR-4 batch bisection instead of dominating it (see the cost model in
-``docs/SHARDING.md``).
+engines' batched path (bulk ranges split at each first crossing) instead
+of dominating it (see the cost model in ``docs/SHARDING.md``).
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ class HeapArena:
     same way at every scale.
     """
 
-    __slots__ = ("_ekey", "_slots", "_pos", "_ecol", "_seg_start", "_seg_size", "_owners", "_mins", "scan")
+    __slots__ = ("_ekey", "_slots", "_pos", "_ecol", "_seg_start", "_seg_size", "_owners", "_mins", "scan", "moved")
 
     def __init__(
         self,
@@ -70,6 +70,9 @@ class HeapArena:
     ):
         self._mins = mins
         self.scan = scan
+        #: When a list, every re-key and removal appends its column: the
+        #: columns whose minimum may have moved (the batch split reads it).
+        self.moved: Optional[List[int]] = None
         self._ecol: List[int] = cols
         keys: List[int] = []
         owners: List[object] = []
@@ -214,6 +217,8 @@ class HeapArena:
         old = keys[entry]
         keys[entry] = key
         col = self._ecol[entry]
+        if self.moved is not None:
+            self.moved.append(col)
         if self.scan:
             self._sync(col)
             return
@@ -235,6 +240,8 @@ class HeapArena:
         pos, heap, keys, mins = self._pos, self._slots, self._ekey, self._mins
         col_of, start, size, scan = self._ecol, self._seg_start, self._seg_size, self.scan
         sift_up, sift_down = self._sift_up, self._sift_down
+        if self.moved is not None:
+            self.moved.extend(col_of[first : first + count])
         for entry in range(first, first + count):
             rel = pos[entry]
             if rel < 0:

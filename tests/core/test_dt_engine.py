@@ -359,3 +359,113 @@ def test_dt_engine_classes_are_module_level():
         b = RTSSystem(dims=1, engine=name)
         assert type(a.engine) is type(b.engine)
         assert pickle.loads(pickle.dumps(type(a.engine))) is type(a.engine)
+
+
+class TestFirstCrossingSplit:
+    """A batch is bulk-applied up to each first crossing — the first
+    element at which some node's counter reaches its heap minimum — and
+    only that element runs through ``DTEngine.process``.  Every case is
+    checked against the element-at-a-time replay of the baseline."""
+
+    @staticmethod
+    def _point(x, dims):
+        return StreamElement(x if dims == 1 else (x, 5.0), 1)
+
+    @staticmethod
+    def _rect(lo, hi, dims):
+        return [(lo, hi)] if dims == 1 else [(lo, hi), (0, 10)]
+
+    @staticmethod
+    def _run(engine, dims, queries, batches, register_one_by_one=False):
+        """Events of ``batches`` (lists of elements) and the number of
+        ``process`` calls the batched path made."""
+        eng = make_engine(engine, dims)
+        if register_one_by_one:
+            for query in queries:
+                eng.register(query)
+        else:
+            eng.register_batch(queries)
+        calls = []
+        scalar = eng.process
+
+        def counted(element, timestamp):
+            calls.append(timestamp)
+            return scalar(element, timestamp)
+
+        eng.process = counted
+        events, ts = [], 1
+        for batch in batches:
+            events.extend(eng.process_batch(batch, ts))
+            ts += len(batch)
+        return [(e.query.query_id, e.timestamp, e.weight_seen) for e in events], calls, eng
+
+    def _check(self, engine, dims, queries, batches, crossings, register_one_by_one=False):
+        got, calls, eng = self._run(engine, dims, queries, batches, register_one_by_one)
+        want, _calls, _eng = self._run("baseline", dims, queries, batches)
+        assert got == want
+        assert calls == crossings
+        return got, eng
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_process_runs_exactly_the_crossings(self, dims):
+        # tau 6 <= 6h: the query starts in the final phase, so each of
+        # the k elements inside its range signals and none of the
+        # fillers (right of every endpoint) touches a heap.
+        k_at = [0, 13, 20, 27, 39]
+        batch = [self._point(50.0, dims) for _ in range(40)]
+        for i in k_at:
+            batch[i] = self._point(5.0, dims)
+        query = Query(self._rect(0, 10, dims), 6, query_id="q")
+        got, _eng = self._check("dt", dims, [query], [batch], [1 + i for i in k_at])
+        assert got == []  # five of six: still alive
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("engine", ["dt", "dt-static", "dt-scan"])
+    def test_final_phase_storm(self, engine, dims):
+        # Ten unit ranges, each query in its final phase (tau <= 6h with
+        # h = 1), and the elements cycle through them: every element of
+        # the batch signals.  q0 matures on its fifth element (41).
+        queries = [
+            Query(self._rect(j, j + 1, dims), 5 if j == 0 else 6, query_id=f"q{j}")
+            for j in range(10)
+        ]
+        batch = [self._point((i % 10) + 0.5, dims) for i in range(50)]
+        got, _eng = self._check(engine, dims, queries, [batch], list(range(1, 51)))
+        assert got == [("q0", 41, 5)]
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_crossings_in_different_trees(self, dims):
+        # Registered one at a time, the logarithmic method keeps three
+        # queries in two live trees: a alone in slot 0, b and c merged
+        # into slot 1.  Elements 11 and 13 are crossings in both trees at
+        # once (a and b), element 12, between them, in slot 1 only (c).
+        queries = [
+            Query(self._rect(0, 2, dims), 3, query_id="b"),
+            Query(self._rect(2, 4, dims), 3, query_id="c"),
+            Query(self._rect(0, 1, dims), 3, query_id="a"),
+        ]
+        batch = [self._point(50.0, dims) for _ in range(24)]
+        batch[10] = self._point(0.5, dims)
+        batch[11] = self._point(2.5, dims)
+        batch[12] = self._point(0.5, dims)
+        got, eng = self._check(
+            "dt", dims, queries, [batch], [11, 12, 13], register_one_by_one=True
+        )
+        assert eng.slot_sizes() == [1, 2]
+        assert got == []
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("engine", ["dt", "dt-static"])
+    def test_maturities_on_first_and_last_element(self, engine, dims):
+        # "first" matures on the first element of the second batch, which
+        # halves its tree (a rebuild mid-batch); "last" on the last one.
+        queries = [
+            Query(self._rect(0, 1, dims), 2, query_id="first"),
+            Query(self._rect(3, 4, dims), 2, query_id="last"),
+        ]
+        one = [self._point(50.0, dims) for _ in range(9)] + [self._point(0.5, dims)]
+        two = [self._point(0.5, dims)] + [self._point(50.0, dims) for _ in range(8)]
+        two[3] = self._point(3.5, dims)
+        two.append(self._point(3.5, dims))
+        got, _eng = self._check(engine, dims, queries, [one, two], [10, 11, 14, 20])
+        assert got == [("first", 11, 2), ("last", 20, 2)]
