@@ -177,7 +177,10 @@ class PreparedBatch:
         return self._arange[lo:hi]
 
     def total_weight(self) -> int:
-        """Sum of element weights (exact, computed from the Python ints)."""
+        """Sum of element weights, exact: one int64 sum when the batch is
+        vectorizable (it then weighs under 2^53), else the Python ints'."""
+        if self.vectorizable:
+            return int(self.weights.sum())
         return sum(e.weight for e in self.elements)
 
     def __len__(self) -> int:

@@ -49,7 +49,10 @@ owned by the :class:`EndpointTree`; each last-dimension tree owns the
 contiguous slice ``[base, base + n)``, its nodes in BFS order.  The scalar
 descent bumps the columns of one path with a fancy-indexed add, the
 batched path adds whole delta vectors, and both read the same values —
-there is no second copy to keep in step.
+there is no second copy to keep in step.  ``cnts`` is a view of
+``store``, which holds one spare slot past the last column: the path
+matrices pad short paths with the column count, so a scatter-add over
+padded paths lands their padding there instead of needing a mask.
 
 The tree is *static*: dynamic registration is provided one level up by the
 logarithmic method (:mod:`repro.core.logmethod`), exactly as in Section 5.
@@ -666,6 +669,7 @@ class EndpointTree:
         "ndims",
         "root",
         "trees",
+        "store",
         "cnts",
         "mins",
         "qptr",
@@ -696,7 +700,8 @@ class EndpointTree:
         if counters is not None:
             counters.rebuilds += 1  # the primary tree, even when empty
         if not n_usable:
-            self.cnts = _np.zeros(0, dtype=_np.int64)
+            self.store = _np.zeros(1, dtype=_np.int64)
+            self.cnts = self.store[:0]
             self.mins = _np.zeros(0, dtype=_np.int64)
             self.qptr = [0] * (len(rects) + 1)
             self.qcols = _np.zeros(0, dtype=_np.intp)
@@ -705,7 +710,8 @@ class EndpointTree:
         if ndims == 1 and n_usable <= SMALL_TREE:  # one small tree, no levels
             tree, found = _small_tree(0, True, raw[0], range(n_usable))
             self.root, self.trees = tree, [tree]
-            self.cnts = tree.cnts = _np.zeros(tree.n, dtype=_np.int64)
+            self.store = _np.zeros(tree.n + 1, dtype=_np.int64)
+            self.cnts = tree.cnts = self.store[: tree.n]
             self.mins = tree.mins = _np.full(tree.n, COUNTER_MAX, dtype=_np.int64)
             counts = [0] * len(rects)
             for i, f in zip(usable, found):
@@ -789,7 +795,8 @@ class EndpointTree:
             if last:
                 # Last dimension: forest node numbers are store columns.
                 n_cols = int(nbase[-1]) + 2 * int(ks[-1]) - 1
-                cnts = self.cnts = _np.zeros(n_cols, dtype=_np.int64)
+                self.store = _np.zeros(n_cols + 1, dtype=_np.int64)
+                cnts = self.cnts = self.store[:n_cols]
                 mins = self.mins = _np.full(n_cols, COUNTER_MAX, dtype=_np.int64)
                 for tree in level:
                     tree.cnts = cnts[tree.base : tree.base + tree.n]

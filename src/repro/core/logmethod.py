@@ -247,13 +247,6 @@ class DTEngine(Engine):
         scalar_elements = batch.elements
         split = BatchSplit(self._trees, batch, self.counters)
 
-        def try_bulk(lo: int, hi: int, hints=None, stash=None) -> bool:
-            cross = split.advance(lo, hi)
-            if cross is None:
-                return True
-            stash["cross"] = cross
-            return False
-
         def run_scalar(
             lo: int, hi: int, events: List[MaturityEvent], hints=None, stash=None
         ) -> None:
@@ -261,7 +254,7 @@ class DTEngine(Engine):
                 events.extend(self.process(scalar_elements[i], timestamp + i))
 
         try:
-            return bisect_batch(self, batch, timestamp, try_bulk, run_scalar)
+            return bisect_batch(self, batch, timestamp, split.try_bulk, run_scalar)
         finally:
             split.close()
 

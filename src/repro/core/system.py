@@ -291,7 +291,11 @@ class RTSSystem:
         end = self._clock + len(batch)
         obs_on = self.obs.enabled
         if obs_on:
-            self.obs.batch_processed(end, len(batch), sum(e.weight for e in batch))
+            if prepared is batch:
+                weight = sum(e.weight for e in batch)
+            else:
+                weight = prepared.total_weight()
+            self.obs.batch_processed(end, len(batch), weight)
         events = self.engine.process_batch(prepared, start)
         self._clock = end  # a batch the engine rejects takes no ticks
         for event in events:

@@ -1,6 +1,7 @@
 """Unit tests for TreeInstance and the static (Section 4) DT engine."""
 
 import pickle
+import random
 
 import pytest
 
@@ -469,3 +470,99 @@ class TestFirstCrossingSplit:
         two.append(self._point(3.5, dims))
         got, _eng = self._check(engine, dims, queries, [one, two], [10, 11, 14, 20])
         assert got == [("first", 11, 2), ("last", 20, 2)]
+
+
+class TestSignalDenseBatches:
+    """Batched ingestion of a signal-dense stream — 1% of the queries at a
+    small threshold among queries that never mature, as in the static
+    benchmark — against the element-at-a-time replay on the same engine:
+    the same events and the same per-query collected weights after every
+    batch, the same protocol work, and no more counter bumps."""
+
+    DOMAIN = 1000.0
+    BATCH = 240
+
+    def _queries(self, rng, dims, count=300):
+        queries = []
+        for i in range(count):
+            rect = []
+            for _ in range(dims):
+                lo = rng.uniform(0, self.DOMAIN * 0.9)
+                rect.append((lo, lo + rng.uniform(1, self.DOMAIN * 0.3)))
+            # Every hundredth query signals often: rounds, then a final
+            # phase, then maturity inside the stream.
+            tau = rng.randint(30, 150) if i % 100 == 7 else 10**9
+            queries.append(Query(rect, tau, query_id=f"q{i}"))
+        return queries
+
+    def _stream(self, rng, dims, batches=8):
+        def point():
+            if dims == 1:
+                return rng.uniform(0, self.DOMAIN)
+            return tuple(rng.uniform(0, self.DOMAIN) for _ in range(dims))
+
+        return [
+            [StreamElement(point(), rng.choice((1, 1, 1, 2, 5))) for _ in range(self.BATCH)]
+            for _ in range(batches)
+        ]
+
+    def _replay(self, engine, dims, queries, batches, batched, singles):
+        """Per-batch events and alive queries' collected weights, the
+        engine's work counters and the timestamps ``process`` ran at."""
+        eng = make_engine(engine, dims)
+        eng.register_batch(queries[singles:])
+        for query in queries[:singles]:
+            eng.register(query)
+        calls = []
+        scalar = eng.process
+
+        def counted(element, timestamp):
+            calls.append(timestamp)
+            return scalar(element, timestamp)
+
+        eng.process = counted
+        alive = [query.query_id for query in queries]
+        trace, ts = [], 1
+        for batch in batches:
+            if batched:
+                events = eng.process_batch(batch, ts)
+            else:
+                events = []
+                for i, element in enumerate(batch):
+                    events.extend(eng.process(element, ts + i))
+            ts += len(batch)
+            done = {e.query.query_id for e in events}
+            alive = [qid for qid in alive if qid not in done]
+            trace.append(
+                (
+                    [(e.query.query_id, e.timestamp, e.weight_seen) for e in events],
+                    [eng.collected_weight(qid) for qid in alive],
+                )
+            )
+        return trace, eng.counters.snapshot(), calls, eng
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize(
+        "engine, singles",
+        [("dt", 0), ("dt-static", 0), ("dt-scan", 0), ("dt", 3)],
+        ids=["dt", "dt-static", "dt-scan", "dt-two-trees"],
+    )
+    def test_batched_matches_scalar_replay(self, engine, singles, dims):
+        rng = random.Random(20 + dims)
+        queries = self._queries(rng, dims)
+        batches = self._stream(rng, dims)
+        got, work, calls, eng = self._replay(engine, dims, queries, batches, True, singles)
+        want, scalar_work, _calls, _eng = self._replay(
+            engine, dims, queries, batches, False, singles
+        )
+        if singles:
+            assert sum(1 for size in eng.slot_sizes() if size) >= 2
+        assert got == want
+        assert any(events for events, _weights in got)
+        for name in ("heap_ops", "messages", "rounds", "rebuilds"):
+            assert work[name] == scalar_work[name], name
+        assert work["counter_bumps"] <= scalar_work["counter_bumps"]
+        # Crossings fall in the first, middle and last third of a batch.
+        thirds = {(t - 1) % self.BATCH * 3 // self.BATCH for t in calls}
+        assert thirds == {0, 1, 2}
+        assert len(calls) > 2 * len(batches)
