@@ -4,6 +4,7 @@ import pytest
 
 from repro import (
     Interval,
+    Observability,
     Query,
     QueryStatus,
     Rect,
@@ -12,6 +13,7 @@ from repro import (
     available_engines,
     make_engine,
 )
+from repro.core.batch import prepare_batch
 from repro.core.engine import Engine
 
 
@@ -104,6 +106,21 @@ class TestStreaming:
         system.register([(0, 10), (0, 10)], threshold=1)
         events = system.process(StreamElement((5.0, 5.0), 1))
         assert len(events) == 1
+
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_batch_weight_reported_exactly(self, prepared):
+        # Vectorizable batches weigh under 2^53: the packed int64 sum is
+        # exact, like the Python one over the elements.
+        obs = Observability()
+        system = RTSSystem(dims=1, observability=obs)
+        system.register([(0, 10)], threshold=1 << 60)
+        heavy = (1 << 51) + 3
+        batch = [StreamElement(5.0, heavy), StreamElement(7.0, heavy + 2), StreamElement(20.0, 1)]
+        if prepared:
+            batch = prepare_batch(batch, 1)
+            assert batch.vectorizable
+        system.process_batch(batch)
+        assert obs.metrics.value("rts_element_weight_total") == 2 * heavy + 3
 
     def test_process_many(self):
         system = RTSSystem(dims=1)
