@@ -662,7 +662,9 @@ class EndpointTree:
     dimensions nested the same way dimension by dimension.  ``cnts`` /
     ``mins`` are the counter store, one column per last-dimension node
     of every tree; ``trees`` lists the last-dimension trees in column
-    order.
+    order.  Each dimension's trees are laid out in the order of their
+    owner nodes, and a tree's nodes in BFS order, so a descent
+    (:meth:`columns`) visits its columns in increasing order.
     """
 
     __slots__ = (

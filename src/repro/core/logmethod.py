@@ -73,6 +73,8 @@ class DTEngine(Engine):
         self._trees: List[Optional[TreeInstance]] = []
         #: query_id -> slot index of the tree currently managing it.
         self._locator: Dict[object, int] = {}
+        #: The split of the batch being ingested (see :meth:`process`).
+        self._split: Optional[BatchSplit] = None
 
     # -- registration (Section 5) ----------------------------------------
 
@@ -199,12 +201,20 @@ class DTEngine(Engine):
             )
 
     def process(self, element: StreamElement, timestamp: int) -> List[MaturityEvent]:
+        events: List[MaturityEvent] = []
+        split = self._split
+        if split is not None and split.pending is element:
+            # A crossing of the batch being ingested: the split has
+            # brought the counters through it and knows its due nodes.
+            for slot, tree, matured in split.cross():
+                if matured:
+                    self._matured(slot, tree, matured, timestamp, events)
+            return events
         self.validate_element(element)
         weight = element.weight
         room = COUNTER_MAX - weight
         if room < 0:
             self._make_room(weight)  # raises: no tree can take it
-        events: List[MaturityEvent] = []
         for slot, tree in enumerate(self._trees):
             if tree is None:
                 continue
@@ -212,16 +222,22 @@ class DTEngine(Engine):
                 tree = self._rebuild_slot(slot, "overflow")
                 if tree is None:
                     continue
-            for query, weight_seen in tree.process(element):
-                del self._locator[query.query_id]
-                events.append(
-                    MaturityEvent(
-                        query=query, timestamp=timestamp, weight_seen=weight_seen
-                    )
-                )
-            if tree.needs_rebuild:
-                self._rebuild_slot(slot)
+            matured = tree.process(element)
+            if matured:
+                self._matured(slot, tree, matured, timestamp, events)
         return events
+
+    def _matured(self, slot: int, tree: TreeInstance, matured, timestamp: int, events) -> None:
+        """Report the maturities of ``tree`` (slot ``slot``) at one element
+        and rebuild the tree if they halved it (only a maturity can: a
+        termination rebuilds at once)."""
+        for query, weight_seen in matured:
+            del self._locator[query.query_id]
+            events.append(
+                MaturityEvent(query=query, timestamp=timestamp, weight_seen=weight_seen)
+            )
+        if tree.needs_rebuild:
+            self._rebuild_slot(slot)
 
     def process_batch(
         self, elements, timestamp: int
@@ -231,9 +247,10 @@ class DTEngine(Engine):
 
         The batch is routed once per tree.  A crossing — the first
         element at which some tree's counter reaches its heap minimum —
-        runs through :meth:`process`, which walks every tree, so every
-        tree is first brought up to the element before it; the ranges
-        between crossings are applied in bulk.  Trees never interact
+        goes through :meth:`process`, which drains it, through the open
+        split, in the trees it is due in; every tree that can signal
+        later in the batch is first brought up to and through it, and
+        the others catch up at the batch end.  Trees never interact
         (each query's trackers live in exactly one tree), so the per-
         element order of Section 5 — slots ascending within each element
         — is preserved.
@@ -245,7 +262,7 @@ class DTEngine(Engine):
             return super().process_batch(batch.elements, timestamp)
         self._make_room(int(batch.weights.sum()))
         scalar_elements = batch.elements
-        split = BatchSplit(self._trees, batch, self.counters)
+        split = self._split = BatchSplit(self._trees, batch, self.counters)
 
         def run_scalar(
             lo: int, hi: int, events: List[MaturityEvent], hints=None, stash=None
@@ -256,6 +273,7 @@ class DTEngine(Engine):
         try:
             return bisect_batch(self, batch, timestamp, split.try_bulk, run_scalar)
         finally:
+            self._split = None
             split.close()
 
     # -- termination ------------------------------------------------------

@@ -86,7 +86,7 @@ _SPECS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "rts_columnar_fallbacks_total",
         "counter",
-        "Crossing elements replayed through the scalar per-element path",
+        "Crossing elements drained one at a time between bulk-applied ranges",
     ),
     # -- query lifecycle ---------------------------------------------------
     MetricSpec("rts_queries_registered_total", "counter", "Queries registered"),

@@ -261,8 +261,8 @@ class Observability(NullObservability):
         self.metrics.counter("rts_columnar_descents_total").inc()
 
     def columnar_fallback(self, span: int) -> None:
-        """``span`` crossing elements (always one) ran through the scalar
-        per-element path."""
+        """``span`` crossing elements (always one) were drained one at a
+        time, between bulk-applied ranges."""
         self.metrics.counter("rts_columnar_fallbacks_total").inc()
 
     # -- query lifecycle ---------------------------------------------------
