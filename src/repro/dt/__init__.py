@@ -1,57 +1,37 @@
 """Standalone distributed tracking (Cormode–Muthukrishnan–Yi; paper
 Sections 3.2 and 7) — the substrate the RTS algorithm reduces to.
 
-Transport stack (bottom up): :class:`Transport` is the pluggable wire
-interface; :class:`StarNetwork` is the ideal synchronous channel the
-paper assumes; :class:`FaultyNetwork` is the seeded lossy adversary; and
-:class:`ReliableChannel` restores exactly-once in-order delivery on top
-of it (see ``docs/ROBUSTNESS.md``).
+A :class:`Coordinator` and ``h`` :class:`Participant` sites exchange
+:class:`Message` objects over a :class:`StarNetwork`, the ideal
+synchronous channel the paper's analysis assumes: every message arrives
+exactly once, in order, instantly, and only the message count matters.
+:func:`run_tracking` drives one instance end to end; the engine's
+per-query rule (:mod:`repro.core.tracker`) makes the same decisions.
 """
 
 from .coordinator import Coordinator
-from .faults import FaultSpec, FaultStats, FaultyNetwork
 from .messages import COORDINATOR, Message, MessageType
 from .network import StarNetwork
 from .participant import Participant, ParticipantMode
 from .protocol import (
-    FaultyTrackingResult,
     NaiveTracker,
     TrackingResult,
     run_naive,
     run_tracking,
-    run_tracking_faulty,
     run_unweighted,
 )
-from .reliable import (
-    TRANSPORT_OVERHEAD_FACTOR,
-    ChannelStats,
-    ReliableChannel,
-)
-from .transport import Packet, Transport, TransportError, WireKind
 
 __all__ = [
     "COORDINATOR",
-    "ChannelStats",
     "Coordinator",
-    "FaultSpec",
-    "FaultStats",
-    "FaultyNetwork",
-    "FaultyTrackingResult",
     "Message",
     "MessageType",
     "NaiveTracker",
-    "Packet",
     "Participant",
     "ParticipantMode",
-    "ReliableChannel",
     "StarNetwork",
-    "TRANSPORT_OVERHEAD_FACTOR",
     "TrackingResult",
-    "Transport",
-    "TransportError",
-    "WireKind",
     "run_naive",
     "run_tracking",
-    "run_tracking_faulty",
     "run_unweighted",
 ]

@@ -12,31 +12,19 @@ The coordinator drives the round structure:
 
 Each round shrinks ``tau'`` by at least a third (the paper shows
 ``tau' <= 2 tau / 3`` from ``tau > 6h``), giving ``O(log tau)`` rounds and
-``O(h log tau)`` messages overall.
-
-Channel assumptions
--------------------
-The Section 3.2 analysis presumes a perfect channel.  This coordinator is
-written *event-driven* so it also runs over asynchronous transports
-(:mod:`repro.dt.faults` + :mod:`repro.dt.reliable`): counter collection
-completes when the ``h``-th REPORT arrives rather than assuming replies
-return within the COLLECT broadcast, and every phase carries an *epoch*
-so signals and reports belonging to an already-closed round are discarded
-idempotently instead of polluting the next round's tally.  Over the
-synchronous :class:`~repro.dt.network.StarNetwork` the observable
-behaviour (decisions, message counts) is unchanged.
+``O(h log tau)`` messages overall.  The phase rule and
+:data:`FINAL_PHASE_FACTOR` are the engine's
+(:class:`~repro.core.tracker.QueryTracker`).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..core.tracker import FINAL_PHASE_FACTOR
 from ..obs.observer import NULL_OBS
 from .messages import COORDINATOR, Message, MessageType
-from .transport import Transport
-
-#: ``tau <= FINAL_PHASE_FACTOR * h`` triggers the straightforward phase.
-FINAL_PHASE_FACTOR = 6
+from .network import StarNetwork
 
 
 class Coordinator:
@@ -53,9 +41,7 @@ class Coordinator:
     tau:
         The maturity threshold (positive integer).
     network:
-        The :class:`~repro.dt.transport.Transport` all sites share
-        (synchronous :class:`~repro.dt.network.StarNetwork` or a reliable
-        channel over a faulty transport).
+        The :class:`~repro.dt.network.StarNetwork` all sites share.
     obs:
         Optional :class:`~repro.obs.Observability` sink for round
         transitions and slack announcements (no-op by default).
@@ -66,9 +52,6 @@ class Coordinator:
         Set to the collected total when maturity is declared; None before.
     rounds:
         Number of completed normal rounds.
-    epoch:
-        Current phase identifier, bumped on every slack / final-phase
-        announcement; stale-epoch signals and reports are ignored.
     """
 
     __slots__ = (
@@ -77,19 +60,17 @@ class Coordinator:
         "network",
         "matured_at",
         "rounds",
-        "epoch",
         "_signals",
         "_final",
         "_collecting",
         "_running_total",
         "_collect_sum",
         "_collect_pending",
-        "_collected_so_far",
         "_round_ctx",
         "obs",
     )
 
-    def __init__(self, h: int, tau: int, network: Transport, obs=NULL_OBS):
+    def __init__(self, h: int, tau: int, network: StarNetwork, obs=NULL_OBS):
         if h < 1:
             raise ValueError(f"need at least one participant, got {h}")
         if tau < 1:
@@ -100,14 +81,12 @@ class Coordinator:
         self.obs = obs if obs is not None else NULL_OBS
         self.matured_at: Optional[int] = None
         self.rounds = 0
-        self.epoch = 0
         self._signals = 0
         self._final = False
         self._collecting = False
         self._running_total = 0  # final phase: sum of forwarded deltas
         self._collect_sum = 0
         self._collect_pending = 0
-        self._collected_so_far = 0  # weight confirmed by completed rounds
         self._round_ctx = None  # span of the round collection in flight
         network.attach(COORDINATOR, self.handle)
 
@@ -122,9 +101,7 @@ class Coordinator:
         self.network.detach(COORDINATOR)
 
     def _open_phase(self, tau_remaining: int, already_collected: int) -> None:
-        self.epoch += 1
         self._collecting = False
-        self._collected_so_far = already_collected
         if tau_remaining <= FINAL_PHASE_FACTOR * self.h:
             self._final = True
             self._running_total = already_collected
@@ -138,24 +115,11 @@ class Coordinator:
                 self.obs.dt_slack("coordinator", lam, self.h)
             self._broadcast(MessageType.SLACK, payload=lam)
 
-    def _epoch_ok(self, message: Message) -> bool:
-        """Accept current-epoch traffic; ``None`` (hand-built messages on
-        the synchronous channel) matches any epoch."""
-        return message.epoch is None or message.epoch == self.epoch
-
     def handle(self, message: Message) -> None:
-        """React to a participant message.
-
-        Idempotent under stale delivery: anything from a closed epoch —
-        or a signal arriving while the round's counters are already being
-        collected — is discarded, which is what makes the protocol safe
-        over at-least-once channels.
-        """
+        """React to a participant message."""
         if self.matured_at is not None:
             return  # tracking is over; late messages are ignored
         if message.mtype is MessageType.SIGNAL:
-            if self._collecting or not self._epoch_ok(message):
-                return  # stale signal from an already-closed round
             if self._final:
                 self._running_total += message.payload
                 if self._running_total >= self.tau:
@@ -165,8 +129,6 @@ class Coordinator:
             if self._signals >= self.h:
                 self._begin_collect()
         elif message.mtype is MessageType.REPORT:
-            if not self._collecting or not self._epoch_ok(message):
-                return  # duplicate / stale report
             self._collect_sum += message.payload
             self._collect_pending -= 1
             if self._collect_pending == 0:
@@ -177,10 +139,8 @@ class Coordinator:
     def _begin_collect(self) -> None:
         """The h-th signal arrived: end the round, request counters.
 
-        Over the synchronous network the REPORTs arrive re-entrantly
-        during the COLLECT broadcast and :meth:`_finish_collect` runs
-        before this method returns; over an asynchronous transport they
-        trickle in on later pumps.
+        The REPORTs arrive re-entrantly during the COLLECT broadcast, so
+        :meth:`_finish_collect` runs before this method returns.
         """
         self.rounds += 1
         self._collecting = True
@@ -229,7 +189,6 @@ class Coordinator:
                     src=COORDINATOR,
                     dst=i,
                     payload=payload,
-                    epoch=self.epoch,
                     trace=trace,
                 )
             )

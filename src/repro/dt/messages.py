@@ -49,15 +49,6 @@ class Message:
     payload:
         At most one word: the slack for SLACK, the counter for REPORT, the
         weighted delta for final-phase SIGNAL, else None.
-    epoch:
-        Phase identifier for at-least-once channels: the coordinator bumps
-        it on every SLACK / FINAL_PHASE announcement and discards signals
-        and reports stamped with an older epoch, which keeps its handler
-        idempotent under delayed or re-delivered traffic (see
-        ``docs/ROBUSTNESS.md``).  ``None`` — the synchronous-channel
-        default for hand-built messages — matches any epoch.  The round
-        counter is ``O(log tau)`` bits, within the paper's one-word
-        message budget.
     trace:
         Optional span-context wire tuple (``SpanContext.to_wire()``)
         propagating the coordinator's round span to participants, whose
@@ -70,7 +61,6 @@ class Message:
     src: int
     dst: int
     payload: Optional[int] = None
-    epoch: Optional[int] = None
     trace: Optional[tuple] = None
 
     @property

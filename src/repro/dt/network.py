@@ -7,23 +7,19 @@ setting where message latency is irrelevant and only the *count* matters.
 An optional trace retains messages for inspection in tests and examples.
 
 This is the *ideal* channel of the Section 3.2 analysis — every message
-arrives exactly once, in order, instantly.  It is one implementation of
-the pluggable :class:`~repro.dt.transport.Transport` interface; the lossy
-counterpart lives in :mod:`repro.dt.faults` and the recovery layer in
-:mod:`repro.dt.reliable` (see ``docs/ROBUSTNESS.md``).
+arrives exactly once, in order, instantly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from .messages import COORDINATOR, Message, MessageType
-from .transport import Transport
 
 Handler = Callable[[Message], None]
 
 
-class StarNetwork(Transport):
+class StarNetwork:
     """Routes messages between one coordinator and ``h`` participants.
 
     Parameters

@@ -7,29 +7,16 @@ variant (Section 7) a single increment may cover several slacks, so the
 participant keeps signalling — "repeat Line 1" — until either the residual
 drops below the slack or the coordinator has declared the round over.  In
 the final phase it simply forwards every increment as a weighted delta.
-
-Outgoing signals are stamped with the *epoch* of the coordinator
-announcement that opened the current phase, so an asynchronous channel
-can deliver them late without corrupting the next round's tally (the
-coordinator drops stale epochs; see ``docs/ROBUSTNESS.md``).  The full
-protocol state fits in :meth:`Participant.snapshot`, enabling
-crash/restart experiments in the chaos harness.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
 
 from ..obs.observer import NULL_OBS
 from ..obs.trace import SpanContext
 from .messages import COORDINATOR, Message, MessageType
-from .transport import Transport
-
-
-#: Sentinel distinguishing "stamp with my current epoch" from an explicit
-#: epoch (including None) passed by the COLLECT/REPORT echo path.
-_OWN_EPOCH = object()
+from .network import StarNetwork
 
 
 class ParticipantMode(enum.Enum):
@@ -53,20 +40,16 @@ class Participant:
         "cbar",
         "lam",
         "mode",
-        "epoch",
-        "_round_id",
         "obs",
     )
 
-    def __init__(self, index: int, network: Transport, obs=NULL_OBS):
+    def __init__(self, index: int, network: StarNetwork, obs=NULL_OBS):
         self.index = index
         self.network = network
         self.c = 0  # cumulative counter (never reset)
         self.cbar = 0  # counter value at the last signal / round start
         self.lam = 0
         self.mode = ParticipantMode.IDLE
-        self.epoch: Optional[int] = None  # last coordinator announcement
-        self._round_id = 0
         self.obs = obs if obs is not None else NULL_OBS
         network.attach(index, self.handle)
 
@@ -82,24 +65,23 @@ class Participant:
             raise ValueError(f"counter increments must be positive, got {delta}")
         self.c += delta
         if self.mode is ParticipantMode.IDLE:
-            # No round parameters yet (before the first SLACK after
-            # start or restore): increments accumulate in ``c`` and are
-            # reconciled by the next COLLECT/SLACK exchange.
+            # No round in force (before the first SLACK, or after the
+            # round that declared maturity): increments only accumulate.
             return
         if self.mode is ParticipantMode.FINAL:
             # Forward the whole increment as one weighted message.
             self.cbar = self.c
             self._send(MessageType.SIGNAL, payload=delta)
             return
-        if self.mode is ParticipantMode.ROUND:
-            my_round = self._round_id
-            while (
-                self.mode is ParticipantMode.ROUND
-                and self._round_id == my_round
-                and self.c - self.cbar >= self.lam
-            ):
-                self.cbar += self.lam
-                self._send(MessageType.SIGNAL)
+        # A signal that ends the round runs the round end before _send
+        # returns: the site then is IDLE or FINAL, or in a new round with
+        # cbar = c, and the loop stops.
+        while (
+            self.mode is ParticipantMode.ROUND
+            and self.c - self.cbar >= self.lam
+        ):
+            self.cbar += self.lam
+            self._send(MessageType.SIGNAL)
 
     # -- protocol messages ------------------------------------------------
 
@@ -113,8 +95,6 @@ class Participant:
             self.lam = message.payload
             self.cbar = self.c
             self.mode = ParticipantMode.ROUND
-            self.epoch = message.epoch
-            self._round_id += 1
         elif message.mtype is MessageType.COLLECT:
             if self.obs.enabled and message.trace is not None:
                 # Record this site's collection as a child of the
@@ -126,75 +106,30 @@ class Participant:
                     participant=self.index,
                     counter=self.c,
                 )
-            # The reply echoes the COLLECT's epoch, so the coordinator can
-            # tell which round's counters it is summing — and the trace
-            # context, so the reply stays attributable to its round.
-            self._send(
-                MessageType.REPORT,
-                payload=self.c,
-                epoch=message.epoch,
-                trace=message.trace,
-            )
+            # The reply echoes the trace context, so it stays attributable
+            # to its round.
+            self._send(MessageType.REPORT, payload=self.c, trace=message.trace)
         elif message.mtype is MessageType.ROUND_END:
             # Stop signalling until the next SLACK (or FINAL_PHASE).
             self.mode = ParticipantMode.IDLE
-            self.epoch = message.epoch
-            self._round_id += 1
         elif message.mtype is MessageType.FINAL_PHASE:
             self.mode = ParticipantMode.FINAL
             self.cbar = self.c
-            self.epoch = message.epoch
-            self._round_id += 1
         else:
             raise ValueError(f"participant got unexpected message {message!r}")
 
-    def _send(
-        self, mtype: MessageType, payload=None, epoch=_OWN_EPOCH, trace=None
-    ) -> None:
-        if epoch is _OWN_EPOCH:
-            epoch = self.epoch
+    def _send(self, mtype: MessageType, payload=None, trace=None) -> None:
         self.network.send(
             Message(
                 mtype=mtype,
                 src=self.index,
                 dst=COORDINATOR,
                 payload=payload,
-                epoch=epoch,
                 trace=trace,
             )
         )
 
-    # -- crash / recovery --------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """The full protocol state, JSON-compatible (chaos checkpoints)."""
-        return {
-            "index": self.index,
-            "c": self.c,
-            "cbar": self.cbar,
-            "lam": self.lam,
-            "mode": self.mode.value,
-            "epoch": self.epoch,
-            "round_id": self._round_id,
-        }
-
-    @classmethod
-    def restore(
-        cls, snap: Dict[str, object], network: Transport, obs=NULL_OBS
-    ) -> "Participant":
-        """Rebuild a participant from a :meth:`snapshot` (crash recovery).
-
-        The restored instance attaches to ``network`` at its old address;
-        the caller must have detached (or crashed) the old one first.
-        """
-        p = cls(int(snap["index"]), network, obs=obs)
-        p.c = int(snap["c"])
-        p.cbar = int(snap["cbar"])
-        p.lam = int(snap["lam"])
-        p.mode = ParticipantMode(snap["mode"])
-        p.epoch = snap["epoch"]
-        p._round_id = int(snap["round_id"])
-        return p
+    # -- teardown ---------------------------------------------------------
 
     def close(self) -> None:
         """Detach from the network (teardown; inverse of construction)."""

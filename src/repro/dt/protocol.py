@@ -14,14 +14,12 @@ forwards every counter increment to the coordinator: correct, but costing
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .coordinator import Coordinator
-from .faults import FaultSpec, FaultStats, FaultyNetwork
-from .messages import Message, MessageType
+from .messages import MessageType
 from .network import StarNetwork
 from .participant import Participant
-from .reliable import ChannelStats, ReliableChannel
 
 
 @dataclass(slots=True)
@@ -149,162 +147,6 @@ class NaiveTracker:
     @property
     def matured(self) -> bool:
         return self.matured_at is not None
-
-
-@dataclass(slots=True)
-class FaultyTrackingResult:
-    """Outcome of one DT run over a lossy channel (chaos harness).
-
-    The protocol-level decisions (``matured_at_step``,
-    ``total_collected``, ``rounds``) must match the fault-free
-    :func:`run_tracking` oracle exactly; the remaining fields account for
-    what the fault schedule cost on the wire.
-    """
-
-    matured_at_step: Optional[int]
-    total_collected: Optional[int]
-    rounds: int
-    channel: ChannelStats
-    faults: FaultStats
-    crashes: int  # crash/recover points actually exercised
-    ticks: int  # total transport ticks pumped
-
-    @property
-    def matured(self) -> bool:
-        return self.matured_at_step is not None
-
-    @property
-    def overhead_factor(self) -> float:
-        """Wire frames per unique delivered protocol message."""
-        return self.channel.wire_total / max(self.channel.delivered, 1)
-
-
-#: Log-entry tags of the per-participant write-ahead log.
-_WAL_INC = "inc"
-_WAL_MSG = "msg"
-
-
-def run_tracking_faulty(
-    h: int,
-    tau: int,
-    increments: Iterable[Tuple[int, int]],
-    spec: FaultSpec = FaultSpec(),
-    seed: int = 0,
-    crash_plan: Optional[Dict[int, Sequence[int]]] = None,
-    checkpoint_every: int = 0,
-    crash_down_ticks: int = 3,
-    max_retries: int = 20,
-    base_timeout: int = 8,
-    obs=None,
-) -> FaultyTrackingResult:
-    """Run the DT protocol over a seeded lossy channel, with crashes.
-
-    The topology is :class:`~repro.dt.faults.FaultyNetwork` (drop /
-    duplicate / reorder per ``spec``, replayable from ``seed``) under a
-    :class:`~repro.dt.reliable.ReliableChannel`.  The driver quiesces the
-    channel after every increment, so — channel exactly-once in-order
-    delivery plus the protocol's epoch stamps — the coordinator's
-    decisions are provably identical to the synchronous fault-free run
-    (see ``docs/ROBUSTNESS.md``; property-tested in ``tests/chaos/``).
-
-    Crash model
-    -----------
-    Each participant keeps a durable checkpoint — protocol snapshot plus
-    its channel endpoint state — refreshed every ``checkpoint_every``
-    quiescent steps (0 = only the initial checkpoint), and a write-ahead
-    log of everything since: local increments and delivered coordinator
-    messages, logged before processing.  ``crash_plan`` maps a 1-based
-    step to the participant indices crashed right after that step's
-    increment (possibly mid-flight): the wire runs ``crash_down_ticks``
-    ticks with the endpoint dark (in-flight frames to it are lost), then
-    the participant is rebuilt from its checkpoint and the WAL is
-    replayed.  Replayed sends reuse their original sequence numbers, so
-    the coordinator's dedup absorbs them; frames lost while dark are
-    retransmitted by the coordinator's sender side.
-    """
-    crash_plan = crash_plan or {}
-    network = FaultyNetwork(spec, seed=seed, obs=obs)
-    channel = ReliableChannel(
-        network, max_retries=max_retries, base_timeout=base_timeout, obs=obs
-    )
-    coordinator = Coordinator(h=h, tau=tau, network=channel, obs=obs)
-    participants = [Participant(i, channel, obs=obs) for i in range(h)]
-
-    # Durable per-participant state: WAL + (snapshot, endpoint) checkpoint.
-    logs: List[List[Tuple[str, object]]] = [[] for _ in range(h)]
-
-    def bind_logged_handler(i: int) -> None:
-        def logged(message: Message, _i=i) -> None:
-            logs[_i].append((_WAL_MSG, message))  # write-ahead, then apply
-            participants[_i].handle(message)
-
-        channel.rebind(i, logged)
-
-    def take_checkpoint(i: int) -> Tuple[Dict, Dict]:
-        logs[i].clear()
-        return (participants[i].snapshot(), channel.endpoint_snapshot(i))
-
-    for i in range(h):
-        bind_logged_handler(i)
-
-    coordinator.start()
-    ticks = channel.run_until_quiescent()
-    checkpoints = [take_checkpoint(i) for i in range(h)]
-    crashes = 0
-    matured_step = None
-
-    for step, (site, delta) in enumerate(increments, start=1):
-        if not 0 <= site < h:
-            raise ValueError(f"site {site} out of range for h={h}")
-        logs[site].append((_WAL_INC, delta))
-        participants[site].increase(delta)
-
-        for victim in crash_plan.get(step, ()):
-            # -- crash: volatile state (object + link state) is gone -------
-            channel.crash(victim)
-            for _ in range(crash_down_ticks):
-                channel.pump()
-                ticks += 1
-            # -- recover from durable state --------------------------------
-            snap, endpoint = checkpoints[victim]
-            wal = list(logs[victim])
-            channel.detach(victim)  # drop the dead registration
-            channel.restore_endpoint(endpoint)
-            participants[victim] = Participant.restore(snap, channel, obs=obs)
-            bind_logged_handler(victim)
-            # Replay rebuilds the WAL as it goes: increments are re-logged
-            # here, deliveries by the logged handler itself.
-            logs[victim] = []
-            replayed = participants[victim]
-            for kind, data in wal:
-                if kind == _WAL_INC:
-                    logs[victim].append((_WAL_INC, data))
-                    replayed.increase(data)
-                else:
-                    channel.replay_deliver(victim, data)
-            crashes += 1
-
-        ticks += channel.run_until_quiescent()
-        if coordinator.matured:
-            matured_step = step
-            break
-        if checkpoint_every and step % checkpoint_every == 0:
-            for i in range(h):
-                checkpoints[i] = take_checkpoint(i)
-
-    result = FaultyTrackingResult(
-        matured_at_step=matured_step,
-        total_collected=coordinator.matured_at,
-        rounds=coordinator.rounds,
-        channel=channel.stats,
-        faults=network.stats,
-        crashes=crashes,
-        ticks=ticks,
-    )
-    coordinator.close()
-    for participant in participants:
-        participant.close()
-    return result
 
 
 def run_naive(

@@ -1,6 +1,6 @@
 """Chaos harness: replay workloads under seeded fault schedules.
 
-Three attack surfaces, one acceptance bar (see ``docs/ROBUSTNESS.md``):
+Two attack surfaces, one acceptance bar (see ``docs/ROBUSTNESS.md``):
 
 **System level** — :func:`run_system_chaos` drives a workload script
 through a :class:`~repro.core.recovery.DurableSystem`, checkpointing
@@ -21,13 +21,6 @@ workers crash at seeded per-shard batch ordinals
 must emit the identical ordered maturity-event sequence, restart
 exactly once per injected crash, and replay without orphan events.
 
-**Protocol level** — :func:`run_protocol_chaos` sweeps seeded DT
-instances over a lossy :class:`~repro.dt.faults.FaultyNetwork` under
-the :class:`~repro.dt.reliable.ReliableChannel`, with participant
-crash/restore points, and requires decision-identity with the
-synchronous fault-free :func:`~repro.dt.protocol.run_tracking` oracle
-plus the documented retry-overhead bound.
-
 Every fault schedule derives from one integer seed, so a CI failure is
 replayable locally with the same flags.
 """
@@ -36,14 +29,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.recovery import DurableSystem
 from ..core.system import RTSSystem, available_engines
-from ..dt.faults import FaultSpec
-from ..dt.protocol import run_tracking, run_tracking_faulty
-from ..dt.reliable import TRANSPORT_OVERHEAD_FACTOR, TRANSPORT_OVERHEAD_SLACK
 from ..sanitize import SanitizeError
 from ..shard.errors import ShardError
 from ..shard.supervisor import ShardFaultPlan, SupervisedExecutor
@@ -51,10 +41,8 @@ from ..shard.system import ShardedRTSSystem
 from ..streams.workload import ELEMENT, REGISTER, REGISTER_BATCH, WorkloadScript
 
 __all__ = [
-    "ProtocolChaosResult",
     "ShardChaosResult",
     "SystemChaosResult",
-    "run_protocol_chaos",
     "run_shard_chaos",
     "run_system_chaos",
 ]
@@ -95,22 +83,6 @@ class ShardChaosResult:
     @property
     def ok(self) -> bool:
         return self.status in ("ok", "skipped")
-
-
-@dataclass(slots=True)
-class ProtocolChaosResult:
-    """Outcome of a protocol-level chaos sweep vs the fault-free oracle."""
-
-    trials: int
-    mismatches: List[str] = field(default_factory=list)
-    overhead_breaches: List[str] = field(default_factory=list)
-    worst_overhead: float = 0.0
-    total_crashes: int = 0
-    total_retries: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches and not self.overhead_breaches
 
 
 def _pick_crash_points(
@@ -402,83 +374,6 @@ def run_shard_chaos(
             f"{supervisor.replay_orphans_total} replayed events were never "
             "emitted before the crash"
         )
-    return result
-
-
-def _make_increments(
-    h: int, tau: int, rng: random.Random
-) -> List[Tuple[int, int]]:
-    """A seeded weighted increment sequence guaranteed to reach ``tau``."""
-    increments: List[Tuple[int, int]] = []
-    total = 0
-    target = 2 * tau  # overshoot so maturity happens mid-sequence
-    while total < target:
-        weight = rng.randint(1, 3)
-        increments.append((rng.randrange(h), weight))
-        total += weight
-    return increments
-
-
-def run_protocol_chaos(
-    trials: int = 10,
-    spec: FaultSpec = FaultSpec(drop_rate=0.2, dup_rate=0.2, reorder_rate=0.2),
-    seed: int = 0,
-    crashes: int = 3,
-    checkpoint_every: int = 7,
-) -> ProtocolChaosResult:
-    """Sweep seeded DT instances over the lossy channel vs the oracle.
-
-    Each trial draws ``h``, ``tau`` and an increment sequence from the
-    seeded RNG, runs the fault-free oracle, then the same instance over
-    a :class:`FaultyNetwork` with ``crashes`` participant crash/restore
-    points, and requires identical protocol decisions
-    (``matured_at_step``, ``total_collected``, ``rounds``) plus the
-    documented wire-overhead bound
-    ``wire_total <= TRANSPORT_OVERHEAD_FACTOR * delivered +
-    TRANSPORT_OVERHEAD_SLACK``.
-    """
-    rng = random.Random(seed)
-    result = ProtocolChaosResult(trials=trials)
-    for trial in range(trials):
-        h = rng.randint(1, 6)
-        tau = rng.randint(5, 300)
-        increments = _make_increments(h, tau, rng)
-        oracle = run_tracking(h, tau, increments)
-        horizon = oracle.matured_at_step or len(increments)
-        crash_plan: Dict[int, List[int]] = {}
-        for _ in range(min(crashes, horizon)):
-            step = rng.randint(1, horizon)
-            crash_plan.setdefault(step, []).append(rng.randrange(h))
-        faulty = run_tracking_faulty(
-            h,
-            tau,
-            increments,
-            spec=spec,
-            seed=rng.randrange(2**32),
-            crash_plan=crash_plan,
-            checkpoint_every=checkpoint_every,
-        )
-        result.total_crashes += faulty.crashes
-        result.total_retries += faulty.channel.retries
-        result.worst_overhead = max(result.worst_overhead, faulty.overhead_factor)
-        decisions = (
-            (oracle.matured_at_step, oracle.total_collected, oracle.rounds),
-            (faulty.matured_at_step, faulty.total_collected, faulty.rounds),
-        )
-        if decisions[0] != decisions[1]:
-            result.mismatches.append(
-                f"trial {trial} (h={h}, tau={tau}): oracle "
-                f"{decisions[0]} != faulty {decisions[1]}"
-            )
-        bound = (
-            TRANSPORT_OVERHEAD_FACTOR * faulty.channel.delivered
-            + TRANSPORT_OVERHEAD_SLACK
-        )
-        if faulty.channel.wire_total > bound:
-            result.overhead_breaches.append(
-                f"trial {trial} (h={h}, tau={tau}): wire "
-                f"{faulty.channel.wire_total} > bound {bound}"
-            )
     return result
 
 

@@ -22,9 +22,9 @@ repro.experiments.cli``)::
     rts-experiments sanitize --mode stochastic --scale 20000 --engine all
     rts-experiments sanitize wl.json --engine dt --format json
 
-    # robustness: replay a workload under seeded crash/recover chaos and
-    # sweep the DT protocol over a lossy channel (see docs/ROBUSTNESS.md);
-    # exits non-zero on any divergence from the fault-free oracle
+    # robustness: replay a workload under seeded crash/recover chaos
+    # (see docs/ROBUSTNESS.md); exits non-zero on any divergence from
+    # the fault-free oracle
     rts-experiments chaos --mode stochastic --scale 20000 --engine all
     rts-experiments chaos wl.json --engine dt --crashes 5 --seed 7
 
@@ -132,25 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serial-executor oracle, see docs/ROBUSTNESS.md)",
     )
     parser.add_argument(
-        "--drop",
-        type=float,
-        default=0.2,
-        help="'chaos' target: per-packet drop probability (default 0.2)",
-    )
-    parser.add_argument(
-        "--dup",
-        type=float,
-        default=0.2,
-        help="'chaos' target: per-packet duplication probability "
-        "(default 0.2)",
-    )
-    parser.add_argument(
-        "--reorder",
-        type=float,
-        default=0.2,
-        help="'chaos' target: per-packet reorder probability (default 0.2)",
-    )
-    parser.add_argument(
         "--crashes",
         type=int,
         default=3,
@@ -162,12 +143,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=50,
         help="'chaos' target: operations between checkpoints (default 50)",
-    )
-    parser.add_argument(
-        "--trials",
-        type=int,
-        default=8,
-        help="'chaos' target: protocol-level chaos trials (default 8)",
     )
     parser.add_argument(
         "--format",
@@ -704,23 +679,19 @@ def _run_sanitize(args, parser) -> int:
 def _run_chaos(args, parser) -> int:
     """Replay a workload under seeded crash/recover chaos; verify exactly.
 
-    Two layers (see docs/ROBUSTNESS.md): every requested engine is
-    crash/recovered through the checkpoint + WAL path and must match the
-    workload oracle element for element, and the DT protocol is swept
-    over a seeded lossy channel and must match the fault-free oracle's
-    decisions within the documented retry-overhead bound.  Exits 0 only
-    when every run is clean.
+    Every requested engine is crash/recovered through the checkpoint +
+    WAL path and must match the workload oracle element for element
+    (see docs/ROBUSTNESS.md).  Exits 0 only when every run is clean.
     """
     import json
 
-    from ..dt.faults import FaultSpec
-    from .chaos import chaos_engines, run_protocol_chaos, run_system_chaos
+    from .chaos import chaos_engines, run_system_chaos
 
     if args.level == "shard":
         return _run_shard_chaos(args, parser)
 
     script = _build_or_load_workload(args, parser)
-    report: dict = {"engines": {}, "protocol": {}}
+    report: dict = {"engines": {}}
     ok = True
     for engine in chaos_engines(args.engine):
         started = time.perf_counter()
@@ -744,28 +715,6 @@ def _run_chaos(args, parser) -> int:
             "detail": result.detail,
         }
 
-    spec = FaultSpec(
-        drop_rate=args.drop, dup_rate=args.dup, reorder_rate=args.reorder
-    )
-    started = time.perf_counter()
-    protocol = run_protocol_chaos(
-        trials=args.trials,
-        spec=spec,
-        seed=args.seed,
-        crashes=args.crashes,
-    )
-    elapsed = time.perf_counter() - started
-    ok = ok and protocol.ok
-    report["protocol"] = {
-        "trials": protocol.trials,
-        "elapsed_s": round(elapsed, 2),
-        "crashes": protocol.total_crashes,
-        "retries": protocol.total_retries,
-        "worst_overhead": round(protocol.worst_overhead, 2),
-        "mismatches": protocol.mismatches,
-        "overhead_breaches": protocol.overhead_breaches,
-    }
-
     if args.obs_format == "json":
         print(
             json.dumps(
@@ -773,11 +722,6 @@ def _run_chaos(args, parser) -> int:
                     "level": args.level,
                     "mode": script.mode,
                     "seed": args.seed,
-                    "faults": {
-                        "drop": args.drop,
-                        "dup": args.dup,
-                        "reorder": args.reorder,
-                    },
                     **report,
                 },
                 indent=2,
@@ -787,7 +731,6 @@ def _run_chaos(args, parser) -> int:
         print(
             f"# chaos on {script.mode!r} workload (dims={script.params.dims}, "
             f"ops={script.operation_count()}, seed={args.seed}): "
-            f"drop={args.drop} dup={args.dup} reorder={args.reorder} "
             f"crashes={args.crashes}"
         )
         for engine, info in report["engines"].items():
@@ -802,16 +745,6 @@ def _run_chaos(args, parser) -> int:
                 print(f"{engine}: skipped ({info['detail']})")
             else:
                 print(f"{engine}: {info['status'].upper()}: {info['detail']}")
-        proto = report["protocol"]
-        verdict = "exact" if protocol.ok else "DIVERGED"
-        print(
-            f"dt-protocol: {verdict} over {proto['trials']} lossy-channel "
-            f"trials ({proto['crashes']} crashes, {proto['retries']} retries, "
-            f"worst overhead {proto['worst_overhead']}x, "
-            f"{proto['elapsed_s']}s)"
-        )
-        for line in protocol.mismatches + protocol.overhead_breaches:
-            print(f"  - {line}")
     return 0 if ok else 1
 
 

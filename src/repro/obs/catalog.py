@@ -145,12 +145,6 @@ _SPECS: Tuple[MetricSpec, ...] = (
     ),
     # -- robustness --------------------------------------------------------
     MetricSpec(
-        "rts_transport_events_total",
-        "counter",
-        "Transport-layer fault and recovery events, by kind",
-        labels=("event",),
-    ),
-    MetricSpec(
         "rts_ingest_quarantined_total",
         "counter",
         "Malformed stream records skipped under on_error='skip', by adapter",

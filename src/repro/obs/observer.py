@@ -98,9 +98,6 @@ class NullObservability:
     def dt_participant_mode(self, index: int, mode: str) -> None:
         pass
 
-    def transport_event(self, event: str, n: int = 1) -> None:
-        pass
-
     def ingest_quarantined(self, where: str, n: int = 1) -> None:
         pass
 
@@ -170,7 +167,6 @@ class Observability(NullObservability):
         "_now",
         "_msg_counters",
         "_slack_counter",
-        "_transport_counters",
         "_quarantine_counters",
         "_shard_counters",
         "_phase_hists",
@@ -196,9 +192,8 @@ class Observability(NullObservability):
         #: dict lookup instead of a registry get-or-create.
         self._msg_counters: Dict[str, object] = {}
         self._slack_counter = None  # one per query on every tree build
-        #: Same caching pattern for transport faults, ingest quarantine,
-        #: shard routing, and the phase profiler's histograms.
-        self._transport_counters: Dict[str, object] = {}
+        #: Same caching pattern for ingest quarantine, shard routing,
+        #: and the phase profiler's histograms.
         self._quarantine_counters: Dict[str, object] = {}
         self._shard_counters: Dict[int, object] = {}
         self._phase_hists: Dict[str, object] = {}
@@ -307,19 +302,6 @@ class Observability(NullObservability):
                 type=mtype,
             )
             self._msg_counters[mtype] = counter
-        counter.inc(n)
-
-    def transport_event(self, event: str, n: int = 1) -> None:
-        """One transport-layer fault/recovery event (drop, duplicate,
-        defer, retry, redelivery, crash, restart, dead_letter, ...)."""
-        counter = self._transport_counters.get(event)
-        if counter is None:
-            counter = self.metrics.counter(
-                "rts_transport_events_total",
-                "Transport-layer fault and recovery events, by kind",
-                event=event,
-            )
-            self._transport_counters[event] = counter
         counter.inc(n)
 
     def ingest_quarantined(self, where: str, n: int = 1) -> None:

@@ -27,12 +27,6 @@ from ..core.logmethod import DTEngine
 from ..core.system import RTSSystem
 from ..core.tracker import FINAL_PHASE_FACTOR, QueryTracker, TrackerState
 from ..dt.coordinator import Coordinator
-from ..dt.faults import FaultyNetwork
-from ..dt.reliable import (
-    TRANSPORT_OVERHEAD_FACTOR,
-    TRANSPORT_OVERHEAD_SLACK,
-    ReliableChannel,
-)
 from ..shard.executor import ParallelExecutor, SerialExecutor
 from ..shard.system import ShardedRTSSystem
 from ..structures.heap import HeapArena
@@ -940,11 +934,8 @@ def validate_coordinator(coord: Coordinator, level: str) -> Iterator[Violation]:
             subject=subject,
             context=_ctx(total=coord.matured_at, tau=coord.tau),
         )
-    # Only ideal transports count raw protocol messages; over a reliable
-    # channel the bound is enforced on the channel itself (retry
-    # amplification included) by validate_reliable_channel.
-    sent = getattr(coord.network, "messages_sent", None)
-    if sent is not None and sent > max_dt_messages(coord.h, coord.tau):
+    sent = coord.network.messages_sent
+    if sent > max_dt_messages(coord.h, coord.tau):
         yield Violation(
             "dt-message-bound",
             f"{sent} messages exceed the O(h log tau) bound "
@@ -953,102 +944,6 @@ def validate_coordinator(coord: Coordinator, level: str) -> Iterator[Violation]:
             section="S3.2",
             subject=subject,
             context=_ctx(messages=sent, h=coord.h, tau=coord.tau),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Fault-tolerant transport stack (docs/ROBUSTNESS.md)
-# ---------------------------------------------------------------------------
-
-
-@register_checker(FaultyNetwork)
-def validate_faulty_network(
-    net: FaultyNetwork, level: str
-) -> Iterator[Violation]:
-    """Packet conservation: every enqueued copy is accounted for."""
-    subject = repr(net)
-    stats = net.stats
-    accounted = stats.delivered + stats.lost_to_crash + net.pending
-    if stats.enqueued() != accounted:
-        yield Violation(
-            "transport-conservation",
-            f"{stats.enqueued()} packets enqueued but "
-            f"{stats.delivered} delivered + {stats.lost_to_crash} lost to "
-            f"crashes + {net.pending} queued = {accounted}",
-            section="S3.2",
-            subject=subject,
-            context=_ctx(
-                enqueued=stats.enqueued(),
-                delivered=stats.delivered,
-                lost_to_crash=stats.lost_to_crash,
-                queued=net.pending,
-            ),
-        )
-    if min(stats.sent, stats.dropped, stats.duplicated, stats.deferred) < 0:
-        yield Violation(
-            "counter-negative",
-            "fault statistics went negative",
-            section="S3.2",
-            subject=subject,
-        )
-
-
-@register_checker(ReliableChannel)
-def validate_reliable_channel(
-    channel: ReliableChannel, level: str
-) -> Iterator[Violation]:
-    """Sequencing sanity plus the documented retry-amplification bound."""
-    subject = repr(channel)
-    for (src, dst), sender in channel._senders.items():
-        for seq in sender.pending:
-            if seq >= sender.next_seq:
-                yield Violation(
-                    "channel-sequencing",
-                    f"link {src}->{dst}: unacked seq {seq} >= next_seq "
-                    f"{sender.next_seq} (never allocated)",
-                    section="S3.2",
-                    subject=subject,
-                    context=_ctx(src=src, dst=dst, seq=seq),
-                )
-    for (src, dst), receiver in channel._receivers.items():
-        for seq in receiver.held:
-            if seq <= receiver.watermark:
-                yield Violation(
-                    "channel-sequencing",
-                    f"link {src}->{dst}: held seq {seq} at or below the "
-                    f"delivery watermark {receiver.watermark}",
-                    section="S3.2",
-                    subject=subject,
-                    context=_ctx(src=src, dst=dst, seq=seq),
-                )
-    stats = channel.stats
-    if stats.delivered > stats.data_sent:
-        yield Violation(
-            "channel-exactly-once",
-            f"{stats.delivered} unique deliveries exceed the "
-            f"{stats.data_sent} messages ever submitted",
-            section="S3.2",
-            subject=subject,
-            context=_ctx(delivered=stats.delivered, data_sent=stats.data_sent),
-        )
-    # Retry amplification must stay within a constant factor of the
-    # messages actually delivered, or the paper's O(h log tau)
-    # communication bound no longer survives the lossy channel.
-    bound = TRANSPORT_OVERHEAD_FACTOR * stats.delivered + TRANSPORT_OVERHEAD_SLACK
-    if stats.wire_total > bound:
-        yield Violation(
-            "transport-overhead",
-            f"{stats.wire_total} wire frames for {stats.delivered} "
-            f"delivered messages exceed the documented bound "
-            f"{TRANSPORT_OVERHEAD_FACTOR}x + {TRANSPORT_OVERHEAD_SLACK} "
-            f"= {bound}",
-            section="S3.2",
-            subject=subject,
-            context=_ctx(
-                wire=stats.wire_total,
-                delivered=stats.delivered,
-                factor=TRANSPORT_OVERHEAD_FACTOR,
-            ),
         )
 
 

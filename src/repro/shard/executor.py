@@ -39,8 +39,7 @@ restarts off.  The ``"supervised"`` preset
   checkpoint, journal or emitted-key set is kept.
 * **Exactly-once.**  Events re-derived *during* replay were already
   emitted before the crash; they are suppressed against a per-shard set
-  of emitted event keys (the dedup discipline of ``dt/reliable.py``'s
-  receiver watermark).  A replayed event *not* in that set is a replay
+  of emitted event keys.  A replayed event *not* in that set is a replay
   orphan — the sanitizer's ``shard-replay-exactly-once`` invariant
   requires zero.
 * **Escalation.**  A death past the restart budget escalates per

@@ -1,1 +1,1 @@
-"""Chaos tests: fault injection, reliable delivery, crash recovery."""
+"""Chaos tests: seeded crash injection and recovery."""

@@ -8,8 +8,8 @@ Tracked resources:
 * program classes that declare themselves resources with a class
   docstring marker::
 
-      class ReliableChannel:
-          '''Exactly-once delivery layer ...
+      class Coordinator:
+          '''The tracking coordinator ...
 
           rtscheck: resource
           '''
