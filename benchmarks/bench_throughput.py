@@ -132,3 +132,64 @@ def test_signal_storm(benchmark, dims):
             "batched_over_scalar": batched_s / scalar_s,
         }
     )
+
+
+#: Registration merges into a loaded engine (docs/PERFORMANCE.md, "Tree
+#: build"): each timed ``register`` carries through the full slots
+#: ``0 .. j-1`` of the logarithmic method and builds one tree of
+#: ``2^j`` queries, re-basing the ``2^j - 1`` it moves.
+MERGE_SIZES = (1, 8, 64, 512)
+MERGE_REPEATS = 7
+
+
+def merge_times(sizes=MERGE_SIZES, repeats=MERGE_REPEATS):
+    """Best-of-``repeats`` seconds of one ``register`` that merges ``k``
+    queries, for each ``k`` in ``sizes`` (powers of two), on a ``dt``
+    engine loaded with the bench workload's queries and stream.
+
+    Before each timed call, ``k - 1`` queries registered one at a time
+    fill slots ``0 .. j-1``; after it, the ``k`` merged queries are
+    terminated, which empties their slot again.  Only the merging
+    ``register`` is timed.  The probes reuse the workload's rectangles
+    and thresholds, so their opening keys tie as the bench's do."""
+    from time import perf_counter
+
+    from repro import Query
+    from repro.core.system import make_engine
+
+    workload = _get_workload()
+    engine = make_engine("dt", workload.dims)
+    engine.register_batch(workload.queries)
+    engine.process_batch(workload.elements, 1)
+    templates = workload.queries
+    serial = 0
+    best = {}
+    for k in sizes:
+        best[k] = float("inf")
+        for _ in range(repeats):
+            probes = []
+            for _ in range(k):
+                q = templates[serial % len(templates)]
+                probes.append(Query(q.rect, q.threshold, query_id=("merge", serial)))
+                serial += 1
+            for q in probes[:-1]:
+                engine.register(q)
+            start = perf_counter()
+            engine.register(probes[-1])
+            best[k] = min(best[k], perf_counter() - start)
+            assert engine.slot_sizes()[k.bit_length() - 1] == k
+            for q in probes:
+                engine.terminate(q.query_id)
+    return best
+
+
+def test_register_merge_sizes(benchmark):
+    holder = {}
+
+    def run():
+        holder["best"] = merge_times()
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+    benchmark.extra_info.update(
+        {"repeats": MERGE_REPEATS, **{f"merge_{k}_s": s for k, s in holder["best"].items()}}
+    )

@@ -1,7 +1,7 @@
 """One endpoint tree and the shared batched-ingestion driver (Section 4).
 
-:class:`TreeInstance` bundles one (static) endpoint tree with the query
-trackers living on it and implements the per-element hot path: counter
+:class:`TreeInstance` bundles one (static) endpoint tree with the DT
+state of the queries on it and implements the per-element hot path: counter
 maintenance along the descent paths, then the heap-drain slack inspection
 at each due node (:meth:`TreeInstance.drain`).  Its counters and heap
 minima live in one int64 store (``cnts`` / ``mins``, one column per
@@ -30,10 +30,10 @@ from ..obs.observer import NULL_OBS
 from ..streams.element import StreamElement
 from .batch import PreparedBatch
 from .endpoint_tree import EndpointTree
-from .engine import Engine, EngineError, WorkCounters
+from .engine import Engine, WorkCounters
 from .events import MaturityEvent
 from .query import Query
-from .tracker import QueryTracker, TrackerState, start_trackers
+from .tracker import DONE, TrackerColumns
 
 
 def apply_collected(out, counters: WorkCounters) -> None:
@@ -597,8 +597,8 @@ class BatchSplit:
             s.close()
 
 
-class TreeInstance:
-    """One endpoint tree plus the DT trackers of the queries it manages.
+class TreeInstance(TrackerColumns):
+    """One endpoint tree plus the DT state of the queries it manages.
 
     Parameters
     ----------
@@ -616,7 +616,9 @@ class TreeInstance:
         Build the no-heap ablation's arena (see
         :class:`~repro.structures.heap.HeapArena`).
 
-    ``cnts`` / ``mins`` are the tree's counter store (see
+    The queries' DT state is the inherited per-slot columns (see
+    :class:`~repro.core.tracker.TrackerColumns`), slot ``s`` being
+    ``entries[s]``.  ``cnts`` / ``mins`` are the tree's counter store (see
     :class:`~repro.core.endpoint_tree.EndpointTree`) and ``arena`` holds
     every sigma-heap.  ``total`` is the weight ingested since
     construction, which bounds every counter; the engines keep it at or
@@ -624,17 +626,12 @@ class TreeInstance:
     """
 
     __slots__ = (
-        "trackers",
         "tree",
-        "cnts",
         "mins",
-        "arena",
         "total",
         "built_count",
         "alive",
         "_scan",
-        "_counters",
-        "_obs",
     )
 
     def __init__(
@@ -645,31 +642,12 @@ class TreeInstance:
         scan: bool = False,
         obs=NULL_OBS,
     ):
-        self._counters = counters
-        self._obs = obs
-        self.trackers: Dict[object, QueryTracker] = {}
-        rects = []
-        for query, tau, consumed in entries:
-            if query.query_id in self.trackers:
-                raise EngineError(f"duplicate query id {query.query_id!r}")
-            self.trackers[query.query_id] = QueryTracker(query, tau, consumed)
-            rects.append(query.rect)
-        tree = self.tree = EndpointTree(rects, dims, counters)
-        self.cnts = tree.cnts
+        super().__init__(entries)
+        tree = self.tree = EndpointTree([q.rect for q in self.query], dims, counters)
         self.mins = tree.mins
         self.total = 0
-        self.arena = start_trackers(
-            list(self.trackers.values()),
-            tree.cnts,
-            tree.mins,
-            tree.qptr,
-            tree.qcols,
-            counters,
-            obs,
-            scan,
-        )
-        self.built_count = len(self.trackers)
-        self.alive = self.built_count
+        self.start(tree.qptr, tree.qcols, tree.cnts, tree.mins, counters, obs, scan)
+        self.built_count = self.alive = len(entries)
         #: The no-heap ablation inspects every touched node on every
         #: bump: pre-filtering by ``mins`` would hand it the very
         #: per-node minimum whose absence it measures.
@@ -710,28 +688,27 @@ class TreeInstance:
 
         Each column's heap is drained against its counter ``c(u)``: sigma
         entries are popped while the minimum is at most ``c(u)``, and the
-        owning tracker runs the DT protocol step.  The caller picks the
+        owning slot runs the DT round rule.  The caller picks the
         due columns once, before the first drain, in descent order.  That
         is exact: a query's canonical regions are disjoint, so an element
         lies in at most one of them, and a drain re-keys the query only
         at that node and at nodes the element does not touch — always
-        above their counters (see :meth:`QueryTracker.on_signal`).
+        above their counters (see :meth:`TrackerColumns.signal`).
         """
-        counters = self._counters
-        obs = self._obs
         arena = self.arena
+        first_due, payload, signal = arena.first_due, arena.payload, self.signal
         cnts = self.cnts
         matured: List[Tuple[Query, int]] = []
         for i in cols:
             c = cnts.item(i)
             while True:
-                entry = arena.first_due(i, c)
+                entry = first_due(i, c)
                 if entry < 0:
                     break
-                tracker: QueryTracker = arena.payload(entry)
-                weight_seen = tracker.on_signal(arena, entry, c, counters, obs)
+                slot = payload(entry)
+                weight_seen = signal(slot, entry, c)
                 if weight_seen is not None:
-                    matured.append((tracker.query, weight_seen))
+                    matured.append((self.query[slot], weight_seen))
                     self.alive -= 1
         return matured
 
@@ -794,47 +771,25 @@ class TreeInstance:
 
     def terminate(self, query_id: object) -> bool:
         """TERMINATE: detach the query's heap entries; skeleton unchanged."""
-        tracker = self.trackers.get(query_id)
-        if tracker is None or tracker.state is TrackerState.DONE:
+        slot = self.slot.get(query_id)
+        if slot is None or self.state[slot] == DONE:
             return False
-        tracker.detach(self.arena, self._counters)
+        self.detach(slot)
         self.alive -= 1
         return True
 
-    def alive_entries(self) -> List[Tuple[Query, int, int]]:
-        """Snapshot of alive queries with re-based remaining thresholds.
-
-        For each alive query the exact collected weight ``W(q)`` (sum of
-        its canonical counters) is subtracted from its epoch-relative
-        threshold — Section 4's threshold adjustment during rebuilding —
-        and added to the query's ``consumed`` offset.
-        """
-        out: List[Tuple[Query, int, int]] = []
-        for tracker in self.trackers.values():
-            if tracker.state is TrackerState.DONE:
-                continue
-            collected = tracker.collected_weight()
-            remaining = tracker.tau - collected
-            if remaining < 1:
-                raise AssertionError(
-                    f"query {tracker.query.query_id!r} should have matured: "
-                    f"remaining threshold {remaining}"
-                )
-            out.append((tracker.query, remaining, tracker.consumed + collected))
-        return out
-
     def contains(self, query_id: object) -> bool:
-        tracker = self.trackers.get(query_id)
-        return tracker is not None and tracker.state is not TrackerState.DONE
+        slot = self.slot.get(query_id)
+        return slot is not None and self.state[slot] != DONE
 
     def collected_weight(self, query_id: object) -> int:
         """Exact W(q) for an alive query: canonical counter sum plus the
         weight absorbed in earlier tree epochs (Section 4's derivation,
         ``O(h_q)`` = polylog time)."""
-        tracker = self.trackers.get(query_id)
-        if tracker is None or tracker.state is TrackerState.DONE:
+        slot = self.slot.get(query_id)
+        if slot is None or self.state[slot] == DONE:
             raise KeyError(f"query {query_id!r} is not alive")
-        return tracker.consumed + tracker.collected_weight()
+        return self.consumed[slot] + self.collected(slot)
 
     @property
     def needs_rebuild(self) -> bool:

@@ -30,298 +30,311 @@ With ``h`` participants and remaining threshold ``tau'``:
 The min-heap trick (Section 4, Eq. 5) makes slack inspection at a node
 cost O(1) when no signal is due, regardless of how many queries share the
 node: only the query with the *smallest* sigma can possibly be due.
+
+The coordinators of all queries on one endpoint tree are one
+:class:`TrackerColumns`: a list per field, indexed by the query's *slot*
+(its position in the tree's registration order), so a tree build starts
+every query in a few list passes and a merge re-bases them in one step
+per tree.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import List, Optional, Sequence
+from itertools import accumulate
+from operator import sub
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.observer import NULL_OBS
 from ..structures.heap import HeapArena
-from .engine import WorkCounters
+from .engine import EngineError, WorkCounters
 from .query import Query
 
 #: The constant of the DT protocol: the "straightforward" final phase is
 #: entered once the remaining threshold drops to ``6h`` or below.
 FINAL_PHASE_FACTOR = 6
 
+#: A slot's lifecycle within one endpoint tree: a normal round with
+#: positive slack, the final phase (``tau' <= 6h``), inert (an empty
+#: canonical set: the query can never mature), or done (matured or
+#: terminated; detached from all heaps).  ROUND and FINAL are the live
+#: states.
+ROUND, FINAL, INERT, DONE = range(4)
+STATE_NAMES = ("round", "final", "inert", "done")
 
-class TrackerState(enum.Enum):
-    """Lifecycle of a query's DT instance within one endpoint tree."""
 
-    ROUND = "round"  # normal round with positive slack
-    FINAL = "final"  # straightforward final phase (tau' <= 6h)
-    INERT = "inert"  # empty canonical set: the query can never mature
-    DONE = "done"  # matured or terminated; detached from all heaps
+class TrackerColumns:
+    """DT coordinator state of every query on one endpoint tree.
 
+    Slot ``s`` is the ``s``-th of the ``(query, tau, consumed)`` entries
+    the tree was built with.  ``tau[s]`` is the *remaining* threshold
+    relative to the tree's epoch: the engine re-bases it whenever the
+    query moves between trees (logarithmic method) or the tree is
+    rebuilt (global rebuilding), by subtracting the weight already
+    collected, which it adds to ``consumed[s]`` so maturity reports the
+    lifetime total ``W(q)``.
 
-class QueryTracker:
-    """DT coordinator state for one query inside one endpoint tree.
+    The slot's canonical node set ``U_q`` is the counter-store columns
+    ``qcols[qptr[s]:qptr[s + 1]]`` (see
+    :class:`~repro.core.endpoint_tree.EndpointTree`), and that range is
+    also its sigma entries' ids in the :class:`HeapArena` :meth:`start`
+    builds; each entry's payload is its slot.  Per slot:
 
-    The tracker drives round transitions; its sigma entries (one per
-    canonical node) live in the tree's :class:`~repro.structures.heap.HeapArena`
-    as the contiguous entry ids ``first .. first + h - 1``, parallel to
-    ``cols``.  The arena is passed in to every operation — the tracker
-    holds no reference to it, so a discarded tree leaves no reference
-    cycle behind.  ``tau`` is the *remaining* threshold relative to the
-    tree's epoch: the engine re-bases it whenever the query moves between
-    trees (logarithmic method) or the tree is rebuilt (global
-    rebuilding), by subtracting the weight already collected.
+    ``state``
+        one of ROUND, FINAL, INERT, DONE;
+    ``lam``
+        the current slack ``lambda_q`` (0 outside a normal round);
+    ``signals``
+        signals received in the current round;
+    ``w_run``
+        final phase only: the coordinator's running total of ``sum c(u)``;
+    ``msgs`` / ``rounds``
+        simulated DT messages and completed rounds of this query alone
+        (the per-instance view of ``WorkCounters.messages`` / ``rounds``),
+        letting the sanitizer check the O(h log tau) bounds of Section 3.2
+        per query.
 
-    Attributes
-    ----------
-    cols:
-        The canonical node set ``U_q`` as counter-store columns
-        (last-dimension nodes), filled from the tree build.
-    first:
-        Entry id of the sigma entry at ``cols[0]``.
-    lam:
-        Current slack ``lambda_q`` (0 while in the final phase).
-    signals:
-        Signals received in the current round.
-    w_run:
-        Final phase only: the coordinator's running total of
-        ``sum c(u)``.
-    msgs:
-        Simulated DT messages attributable to this query alone (the
-        per-instance view of ``WorkCounters.messages``), letting the
-        sanitizer check the O(h log tau) bound of Section 3.2 per query.
-    cnts:
-        The owning tree's counter column (bound by :meth:`start`): the
-        tracker reads ``c(u)`` as ``cnts[u]``.
+    ``slot`` maps a query id to its slot.
     """
 
     __slots__ = (
         "query",
         "tau",
         "consumed",
-        "cols",
-        "first",
-        "state",
         "lam",
         "signals",
         "w_run",
-        "rounds_run",
+        "state",
         "msgs",
+        "rounds",
+        "slot",
+        "qptr",
+        "qcols",
         "cnts",
+        "arena",
+        "_counters",
+        "_obs",
     )
 
-    def __init__(self, query: Query, tau: int, consumed: int = 0):
-        if tau < 1:
-            raise ValueError(f"remaining threshold must be >= 1, got {tau}")
-        if consumed < 0:
-            raise ValueError(f"consumed weight must be >= 0, got {consumed}")
-        self.query = query
-        self.tau = tau
-        #: weight already collected in previous tree epochs (re-basing
-        #: offset), so maturity reports the lifetime total W(q).
-        self.consumed = consumed
-        self.cols: List[int] = []
-        self.first = 0
-        self.state = TrackerState.INERT
-        self.lam = 0
-        self.signals = 0
-        self.w_run = 0
-        self.rounds_run = 0
-        self.msgs = 0
-        self.cnts = None
+    def __init__(self, entries: Sequence[Tuple[Query, int, int]]):
+        if entries:
+            query, tau, consumed = map(list, zip(*entries))
+        else:
+            query, tau, consumed = [], [], []
+        if tau and min(tau) < 1:
+            raise ValueError(f"remaining threshold must be >= 1, got {min(tau)}")
+        if consumed and min(consumed) < 0:
+            raise ValueError(f"consumed weight must be >= 0, got {min(consumed)}")
+        self.query: List[Query] = query
+        self.tau: List[int] = tau
+        self.consumed: List[int] = consumed
+        self.slot: Dict[object, int] = {q.query_id: s for s, q in enumerate(query)}
+        if len(self.slot) != len(query):
+            # The map keeps a repeated id's last slot, so its first one differs.
+            dup = next(q.query_id for s, q in enumerate(query) if self.slot[q.query_id] != s)
+            raise EngineError(f"duplicate query id {dup!r}")
+        self.arena: Optional[HeapArena] = None
 
-    # -- setup -------------------------------------------------------------
-
-    def start(self, cnts, counters: WorkCounters, obs=NULL_OBS):
-        """Begin tracking on a freshly built tree (all counters zero).
-
-        Must be called exactly once, after ``cols`` is filled; ``cnts`` is
-        that tree's counter column.  Opens the first round (or goes
-        straight to the final phase when ``tau <= 6h``) and returns the
-        key of the query's sigma entries — with every counter at zero,
-        ``1`` in the final phase and ``lambda`` in a round — or None for
-        an empty canonical set.  :func:`start_trackers` installs the
-        entries and reports the slack announcements to ``obs``.
-        """
-        if self.cnts is not None:
-            raise RuntimeError("tracker already started")
-        self.cnts = cnts
-        h = len(self.cols)
-        if h == 0:
-            self.state = TrackerState.INERT
-            return None
-        counters.heap_ops += h  # one sigma entry per canonical node
-        if self.tau <= FINAL_PHASE_FACTOR * h:
-            self.state = TrackerState.FINAL
-            self.lam = 0
-            self.w_run = 0
-            if obs.enabled:
-                obs.dt_final_phase(self.query.query_id, self.tau)
-            return 1
-        self.state = TrackerState.ROUND
-        self.lam = self.tau // (2 * h)
-        self.signals = 0
-        # Announcing the slack costs one message per participant.
-        counters.messages += h
-        self.msgs += h
-        if obs.enabled:  # (the caller emits the slack message count)
-            obs.dt_slack(self.query.query_id, self.lam, h)
-        return self.lam
-
-    # -- signal handling ----------------------------------------------------
-
-    def on_signal(
+    def start(
         self,
-        arena: HeapArena,
-        entry: int,
-        c: int,
+        qptr: List[int],
+        qcols,
+        cnts,
+        mins,
         counters: WorkCounters,
         obs=NULL_OBS,
-    ) -> Optional[int]:
-        """Handle one due signal (``c(u) >= sigma_q(u)``) of ``entry``.
+        scan: bool = False,
+    ) -> None:
+        """Begin tracking on a freshly built tree (all counters zero).
+
+        Slot ``s``'s canonical set is ``qcols[qptr[s]:qptr[s + 1]]`` and
+        ``cnts`` / ``mins`` are the tree's counter store.  Opens every
+        slot's first round — or its final phase when ``tau <= 6h`` — and
+        builds the arena (the Section 4 heaps ``H(u)``): one sigma entry
+        per canonical column, keyed, with every counter at zero, by the
+        slack ``lambda`` in a round and ``1`` in the final phase.
+        ``scan`` builds the no-heap ablation's arena.
+        """
+        if self.arena is not None:
+            raise RuntimeError("trackers already started")
+        self.qptr = qptr
+        self.qcols = qcols
+        self.cnts = cnts
+        self._counters = counters
+        self._obs = obs
+        hs = list(map(sub, qptr[1:], qptr))
+        # One pass: a normal round opens iff tau > 6h, with slack
+        # lambda = tau // 2h >= 3 as its key, and announcing it costs one
+        # message per participant; else the final phase's key is 1.
+        self.lam = lam = []
+        self.state = state = []
+        self.msgs = msgs = []
+        keys = []
+        factor = FINAL_PHASE_FACTOR
+        for t, h in zip(self.tau, hs):
+            if h and t > factor * h:
+                k = t // (2 * h)
+                lam.append(k)
+                state.append(ROUND)
+                msgs.append(h)
+                keys.append(k)
+            else:
+                lam.append(0)
+                state.append(FINAL if h else INERT)
+                msgs.append(0)
+                keys.append(1)
+        m = len(hs)
+        self.signals = [0] * m
+        self.w_run = [0] * m
+        self.rounds = [0] * m
+        slack = sum(msgs)
+        counters.heap_ops += qptr[-1]  # one sigma entry per canonical node
+        counters.messages += slack
+        if obs.enabled:
+            opened = []
+            for q, t, k, st in zip(self.query, self.tau, lam, state):
+                if k:
+                    opened.append(q.query_id)
+                elif st == FINAL:
+                    obs.dt_final_phase(q.query_id, t)
+            if opened:
+                obs.dt_slack_opened(opened, slack)
+        self.arena = HeapArena(qcols, keys, range(m), hs, mins, scan)
+
+    # -- the round rule -----------------------------------------------------
+
+    def signal(self, slot: int, entry: int, c: int) -> Optional[int]:
+        """Handle one due signal (``c(u) >= sigma_q(u)``) of ``entry``,
+        one of slot ``slot``'s sigma entries.
 
         ``c`` is the node's counter ``c(u)``, which the draining caller
         already holds.  Returns the total collected weight ``W(q)`` when
         the query matures on this signal, else None.  On maturity the
-        tracker removes all its entries and transitions to DONE.
+        slot's entries are removed and it is DONE.
 
+        In a normal round the signal advances ``sigma`` by ``lambda``;
+        the ``h``-th signal ends the round: the coordinator collects the
+        precise counters, checks maturity and opens the next round with
+        ``lambda' = tau' // 2h`` or, at ``tau' <= 6h``, the final phase.
         Every key this writes is above its node's counter — at a round
         end ``c(u) + lambda'`` or ``c(u) + 1`` at every node — except
         ``sigma + lambda`` at this node, which the caller's drain re-pops
-        while it is still due.  So no signal is left due anywhere.
+        while it is still due (Section 7's "repeat Line 1").  So no
+        signal is left due anywhere.
         """
+        counters = self._counters
+        obs = self._obs
+        arena = self.arena
         counters.messages += 1  # the participant's one-bit signal
-        self.msgs += 1
+        self.msgs[slot] += 1
         if obs.enabled:
             obs.dt_messages("signal")
-        if self.state is TrackerState.FINAL:
+        if self.state[slot] == FINAL:
             # Weighted delta forwarding: sigma was cbar + 1.
-            delta = c - (arena.key(entry) - 1)
-            self.w_run += delta
+            w_run = self.w_run[slot] + c - (arena.key(entry) - 1)
+            self.w_run[slot] = w_run
             arena.rekey(entry, c + 1)
             counters.heap_ops += 1
-            if self.w_run >= self.tau:
-                self.detach(arena, counters)
-                return self.consumed + self.w_run
+            if w_run >= self.tau[slot]:
+                self.detach(slot)
+                return self.consumed[slot] + w_run
             return None
 
-        # Normal round: advance cbar by lambda (sigma += lambda); the heap
-        # drain loop re-pops the entry if the weighted increment covered
-        # several slacks (Section 7's "repeat Line 1").
-        self.signals += 1
-        arena.rekey(entry, arena.key(entry) + self.lam)
+        signals = self.signals[slot] + 1
+        self.signals[slot] = signals
+        arena.rekey(entry, arena.key(entry) + self.lam[slot])
         counters.heap_ops += 1
-        if self.signals < len(self.cols):
+        lo = self.qptr[slot]
+        hi = self.qptr[slot + 1]
+        h = hi - lo
+        if signals < h:
             return None
-        return self._end_round(arena, counters, obs)
 
-    def _end_round(self, arena: HeapArena, counters: WorkCounters, obs=NULL_OBS) -> Optional[int]:
-        """Round boundary: collect counters, check maturity, re-slack."""
-        h = len(self.cols)
-        # Collecting precise counters: one request + one reply per site.
+        # Round end.  Collecting the precise counters: one request and one
+        # reply per site.
         counters.messages += 2 * h
-        self.msgs += 2 * h
+        self.msgs[slot] += 2 * h
         counters.rounds += 1
-        self.rounds_run += 1
-        cnts = self.cnts
-        counts = [cnts.item(u) for u in self.cols]
+        rounds = self.rounds[slot] = self.rounds[slot] + 1
+        counts = self.cnts[self.qcols[lo:hi]].tolist()
         w_now = sum(counts)
+        tau = self.tau[slot]
         if obs.enabled:
             obs.dt_messages("collect", h)
             obs.dt_messages("report", h)
             obs.dt_round_end(
-                self.query.query_id,
-                self.rounds_run,
+                self.query[slot].query_id,
+                rounds,
                 collected=w_now,
-                remaining=max(self.tau - w_now, 0),
+                remaining=max(tau - w_now, 0),
             )
-        if w_now >= self.tau:
-            self.detach(arena, counters)
-            return self.consumed + w_now
-        tau_prime = self.tau - w_now
+        if w_now >= tau:
+            self.detach(slot)
+            return self.consumed[slot] + w_now
+        tau_prime = tau - w_now
         if tau_prime <= FINAL_PHASE_FACTOR * h:
-            self.state = TrackerState.FINAL
-            self.lam = 0
-            self.w_run = w_now
+            self.state[slot] = FINAL
+            self.lam[slot] = 0
+            self.w_run[slot] = w_now
             if obs.enabled:
-                obs.dt_final_phase(self.query.query_id, tau_prime)
+                obs.dt_final_phase(self.query[slot].query_id, tau_prime)
             step = 1
         else:
-            self.lam = step = tau_prime // (2 * h)
-            self.signals = 0
+            self.lam[slot] = step = tau_prime // (2 * h)
+            self.signals[slot] = 0
             counters.messages += h  # announce the new slack
-            self.msgs += h
+            self.msgs[slot] += h
             if obs.enabled:
                 obs.dt_messages("slack", h)
-                obs.dt_slack(self.query.query_id, self.lam, h)
-        for entry, c in enumerate(counts, self.first):
-            arena.rekey(entry, c + step)
+                obs.dt_slack(self.query[slot].query_id, step, h)
+        rekey = arena.rekey
+        for entry, c in enumerate(counts, lo):
+            rekey(entry, c + step)
         counters.heap_ops += h
         return None
 
     # -- teardown ----------------------------------------------------------
 
-    def detach(self, arena: HeapArena, counters: WorkCounters) -> None:
-        """Remove every sigma entry (maturity, termination, or rebuild).
-
-        A live tracker's entries are all in the arena (only this method
-        removes them), and each removal keeps its column's ``mins`` slot
-        exact.
-        """
-        if self.is_live:
-            h = len(self.cols)
-            arena.remove_run(self.first, h)
-            counters.heap_ops += h
-        self.state = TrackerState.DONE
+    def detach(self, slot: int) -> None:
+        """Remove every sigma entry of ``slot`` (maturity, termination) and
+        mark it DONE.  A live slot's entries are all in the arena (only
+        this method removes them), and each removal keeps its column's
+        ``mins`` slot exact."""
+        if self.state[slot] <= FINAL:
+            lo = self.qptr[slot]
+            h = self.qptr[slot + 1] - lo
+            self.arena.remove_run(lo, h)
+            self._counters.heap_ops += h
+        self.state[slot] = DONE
 
     # -- introspection ------------------------------------------------------
 
-    def collected_weight(self) -> int:
-        """Exact ``W(q)`` relative to the tree epoch (sum of ``c(u)``)."""
-        cnts = self.cnts
-        return sum(cnts.item(u) for u in self.cols)
+    def collected(self, slot: int) -> int:
+        """Exact ``W(q)`` of ``slot`` relative to the tree epoch (the sum
+        of its canonical counters)."""
+        qptr = self.qptr
+        return sum(self.cnts[self.qcols[qptr[slot] : qptr[slot + 1]]].tolist())
 
-    @property
-    def is_live(self) -> bool:
-        """True while the tracker still participates in the protocol."""
-        return self.state in (TrackerState.ROUND, TrackerState.FINAL)
+    def alive_entries(self) -> List[Tuple[Query, int, int]]:
+        """``(query, remaining threshold, consumed)`` of every slot not
+        DONE, in slot order, with each query's collected weight ``W(q)``
+        subtracted from its threshold and added to its offset — Section
+        4's threshold adjustment when a tree is rebuilt or merged.
 
-    def __repr__(self) -> str:
-        return (
-            f"QueryTracker(q={self.query.query_id!r}, tau={self.tau}, "
-            f"h={len(self.cols)}, state={self.state.value}, lam={self.lam})"
-        )
-
-
-def start_trackers(
-    trackers: Sequence[QueryTracker],
-    cnts,
-    mins,
-    qptr: Sequence[int],
-    qcols,
-    counters: WorkCounters,
-    obs=NULL_OBS,
-    scan: bool = False,
-) -> HeapArena:
-    """Start every tracker of a freshly built tree and build its arena
-    (the Section 4 heaps ``H(u)``).
-
-    ``qcols[qptr[i]:qptr[i + 1]]`` is tracker ``i``'s canonical set (see
-    :class:`~repro.core.endpoint_tree.EndpointTree`), and that pair range
-    is also its entry-id range: each started tracker owns one sigma entry
-    per canonical column, keyed by the key :meth:`QueryTracker.start`
-    returns.  ``scan`` builds the no-heap ablation's arena.
-    """
-    cols = qcols.tolist()
-    hs = [hi - lo for lo, hi in zip(qptr, qptr[1:])]
-    keys = []
-    slack = 0
-    in_round = TrackerState.ROUND
-    for tracker, lo, h in zip(trackers, qptr, hs):
-        tracker.cols = cols[lo : lo + h]
-        tracker.first = lo
-        key = tracker.start(cnts, counters, obs)
-        keys.append(0 if key is None else key)
-        if tracker.state is in_round:
-            slack += h
-    if obs.enabled and slack:
-        # Every opening round's slack announcement, counted in one step.
-        obs.dt_messages("slack", slack)
-    return HeapArena(cols, keys, trackers, hs, mins, scan)
+        Every slot's weight comes from one gather of the canonical
+        counters and one running sum (exact Python ints; an inert slot's
+        empty range sums to zero)."""
+        acc = list(accumulate(self.cnts[self.qcols].tolist(), initial=0))
+        qptr = self.qptr
+        out: List[Tuple[Query, int, int]] = []
+        for s, state in enumerate(self.state):
+            if state == DONE:
+                continue
+            w = acc[qptr[s + 1]] - acc[qptr[s]]
+            remaining = self.tau[s] - w
+            if remaining < 1:
+                raise AssertionError(
+                    f"query {self.query[s].query_id!r} should have matured: "
+                    f"remaining threshold {remaining}"
+                )
+            out.append((self.query[s], remaining, self.consumed[s] + w))
+        return out

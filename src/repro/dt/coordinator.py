@@ -14,7 +14,7 @@ Each round shrinks ``tau'`` by at least a third (the paper shows
 ``tau' <= 2 tau / 3`` from ``tau > 6h``), giving ``O(log tau)`` rounds and
 ``O(h log tau)`` messages overall.  The phase rule and
 :data:`FINAL_PHASE_FACTOR` are the engine's
-(:class:`~repro.core.tracker.QueryTracker`).
+(:meth:`~repro.core.tracker.TrackerColumns.signal`).
 """
 
 from __future__ import annotations

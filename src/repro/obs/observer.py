@@ -39,7 +39,7 @@ aggregation protocol (:mod:`repro.obs.aggregate`) is built on.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from .catalog import CATALOG, LATENCY_BUCKETS, SIZE_BUCKETS, TIME_BUCKETS
 from .metrics import MetricsRegistry
@@ -85,6 +85,9 @@ class NullObservability:
         pass
 
     def dt_slack(self, query_id: object, lam: int, h: int) -> None:
+        pass
+
+    def dt_slack_opened(self, query_ids: Sequence[object], messages: int) -> None:
         pass
 
     def dt_round_end(
@@ -191,7 +194,7 @@ class Observability(NullObservability):
         #: message-type -> Counter cache, so the per-message hot path is a
         #: dict lookup instead of a registry get-or-create.
         self._msg_counters: Dict[str, object] = {}
-        self._slack_counter = None  # one per query on every tree build
+        self._slack_counter = None  # the slack-announcement counter, cached
         #: Same caching pattern for ingest quarantine, shard routing,
         #: and the phase profiler's histograms.
         self._quarantine_counters: Dict[str, object] = {}
@@ -432,6 +435,26 @@ class Observability(NullObservability):
         span = self.spans.get(query_id)
         if span is not None:
             span.add_event(event)
+
+    def dt_slack_opened(self, query_ids: Sequence[object], messages: int) -> None:
+        """A tree build opened a normal round for each of ``query_ids``,
+        announcing ``messages`` slacks in all: one ``dt.slack`` event,
+        attached to each of those queries' spans."""
+        counter = self._slack_counter
+        if counter is None:
+            counter = self._slack_counter = self.metrics.counter(
+                "rts_dt_slack_announcements_total"
+            )
+        counter.inc(len(query_ids))
+        self.dt_messages("slack", messages)
+        event = self.trace.append(
+            "dt.slack", ts=self._now, queries=len(query_ids), h=messages
+        )
+        spans = self.spans
+        for query_id in query_ids:
+            span = spans.get(query_id)
+            if span is not None:
+                span.add_event(event)
 
     def dt_round_end(
         self, query_id: object, round_no: int, collected: int, remaining: int

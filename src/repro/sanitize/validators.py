@@ -25,7 +25,7 @@ from ..core.endpoint_tree import COUNTER_MAX, EndpointTree, FlatTree
 from ..core.engine import Engine
 from ..core.logmethod import DTEngine
 from ..core.system import RTSSystem
-from ..core.tracker import FINAL_PHASE_FACTOR, QueryTracker, TrackerState
+from ..core.tracker import DONE, FINAL, FINAL_PHASE_FACTOR, INERT, ROUND, STATE_NAMES
 from ..dt.coordinator import Coordinator
 from ..shard.executor import ParallelExecutor, SerialExecutor
 from ..shard.system import ShardedRTSSystem
@@ -277,156 +277,144 @@ def _validate_counter_store(flat: FlatTree) -> Iterator[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# Query trackers (Sections 3.2, 4 and 7)
+# Tree instances: per-slot DT state, tree and heap (Sections 3.2, 4 and 7)
 # ---------------------------------------------------------------------------
 
 
-@register_checker(QueryTracker)
-def validate_tracker(tracker: QueryTracker, level: str) -> Iterator[Violation]:
-    """Round/slack accounting and protocol-state bounds (all cheap)."""
-    subject = repr(tracker)
-    h = len(tracker.cols)
-    state = tracker.state
-    if tracker.tau < 1:
+def _validate_slot(inst: TreeInstance, s: int, h: int, subject: str) -> Iterator[Violation]:
+    """Round/slack accounting and protocol-state bounds of slot ``s``,
+    whose canonical set has ``h`` columns (all cheap)."""
+    state, tau, lam = inst.state[s], inst.tau[s], inst.lam[s]
+    rounds, msgs = inst.rounds[s], inst.msgs[s]
+    subject = f"{subject} slot {s} (query {inst.query[s].query_id!r}, {STATE_NAMES[state]})"
+    if tau < 1:
         yield Violation(
             "tracker-threshold",
-            f"remaining threshold tau = {tracker.tau} must be >= 1",
+            f"remaining threshold tau = {tau} must be >= 1",
             section="S4",
             subject=subject,
         )
-    if tracker.consumed < 0:
+    if inst.consumed[s] < 0:
         yield Violation(
             "tracker-threshold",
-            f"consumed weight {tracker.consumed} is negative",
+            f"consumed weight {inst.consumed[s]} is negative",
             section="S4",
             subject=subject,
         )
-    if state is TrackerState.ROUND:
+    if state == ROUND:
         # tau' > 6h when the round opened, so lambda = floor(tau'/(2h)) >= 3.
-        if tracker.lam < 3:
+        if lam < 3:
             yield Violation(
                 "tracker-slack",
-                f"normal-round slack lambda = {tracker.lam} < 3 "
+                f"normal-round slack lambda = {lam} < 3 "
                 "(rounds open only while tau' > 6h, so "
                 "floor(tau'/(2h)) >= 3)",
                 section="S3.2",
                 subject=subject,
-                context=_ctx(lam=tracker.lam, h=h, tau=tracker.tau),
+                context=_ctx(lam=lam, h=h, tau=tau),
             )
-        if h > 0 and tracker.lam > tracker.tau // (2 * h):
+        if h > 0 and lam > tau // (2 * h):
             yield Violation(
                 "tracker-slack",
-                f"slack lambda = {tracker.lam} exceeds floor(tau/(2h)) = "
-                f"{tracker.tau // (2 * h)} (slack must shrink with tau')",
+                f"slack lambda = {lam} exceeds floor(tau/(2h)) = "
+                f"{tau // (2 * h)} (slack must shrink with tau')",
                 section="S3.2",
                 subject=subject,
-                context=_ctx(lam=tracker.lam, h=h, tau=tracker.tau),
+                context=_ctx(lam=lam, h=h, tau=tau),
             )
-        if not 0 <= tracker.signals < max(h, 1):
+        signals = inst.signals[s]
+        if not 0 <= signals < max(h, 1):
             yield Violation(
                 "tracker-signals",
-                f"{tracker.signals} signals recorded in a round of h = {h} "
+                f"{signals} signals recorded in a round of h = {h} "
                 "participants (the h-th signal must close the round)",
                 section="S3.2",
                 subject=subject,
-                context=_ctx(signals=tracker.signals, h=h),
+                context=_ctx(signals=signals, h=h),
             )
-    elif state is TrackerState.FINAL:
-        if tracker.lam != 0:
+    elif state == FINAL:
+        if lam != 0:
             yield Violation(
                 "tracker-slack",
-                f"final phase must have zero slack, found lambda = {tracker.lam}",
+                f"final phase must have zero slack, found lambda = {lam}",
                 section="S7",
                 subject=subject,
-                context=_ctx(lam=tracker.lam),
+                context=_ctx(lam=lam),
             )
-        if not 0 <= tracker.w_run < tracker.tau:
+        w_run = inst.w_run[s]
+        if not 0 <= w_run < tau:
             yield Violation(
                 "tracker-final-phase",
-                f"final-phase running total {tracker.w_run} outside "
-                f"[0, tau = {tracker.tau}) — the query should have matured",
+                f"final-phase running total {w_run} outside "
+                f"[0, tau = {tau}) — the query should have matured",
                 section="S7",
                 subject=subject,
-                context=_ctx(w_run=tracker.w_run, tau=tracker.tau),
+                context=_ctx(w_run=w_run, tau=tau),
             )
-        if tracker.tau > FINAL_PHASE_FACTOR * h and tracker.rounds_run == 0:
+        if tau > FINAL_PHASE_FACTOR * h and rounds == 0:
             yield Violation(
                 "tracker-final-phase",
-                f"final phase entered at start although tau = {tracker.tau} "
+                f"final phase entered at start although tau = {tau} "
                 f"> {FINAL_PHASE_FACTOR}h = {FINAL_PHASE_FACTOR * h}",
                 section="S7",
                 subject=subject,
-                context=_ctx(tau=tracker.tau, h=h),
+                context=_ctx(tau=tau, h=h),
             )
-    elif state is TrackerState.INERT:
+    elif state == INERT:
         if h:
             yield Violation(
                 "tracker-entries",
-                f"inert tracker holds {h} canonical columns",
+                f"inert slot holds {h} canonical columns",
                 section="S4",
                 subject=subject,
                 context=_ctx(h=h),
             )
-    elif state is TrackerState.DONE:
-        pass  # its entries are checked against the arena by the tree instance
-    if tracker.rounds_run > max_dt_rounds(tracker.tau):
+    if rounds > max_dt_rounds(tau):
         yield Violation(
             "dt-round-bound",
-            f"{tracker.rounds_run} rounds exceed the O(log tau) bound "
-            f"{max_dt_rounds(tracker.tau)} for tau = {tracker.tau}",
+            f"{rounds} rounds exceed the O(log tau) bound "
+            f"{max_dt_rounds(tau)} for tau = {tau}",
             section="S3.2",
             subject=subject,
-            context=_ctx(rounds=tracker.rounds_run, tau=tracker.tau),
+            context=_ctx(rounds=rounds, tau=tau),
         )
-    if h > 0 and tracker.msgs > max_dt_messages(h, tracker.tau):
+    if h > 0 and msgs > max_dt_messages(h, tau):
         yield Violation(
             "dt-message-bound",
-            f"{tracker.msgs} DT messages exceed the O(h log tau) bound "
-            f"{max_dt_messages(h, tracker.tau)} (h = {h}, tau = {tracker.tau})",
+            f"{msgs} DT messages exceed the O(h log tau) bound "
+            f"{max_dt_messages(h, tau)} (h = {h}, tau = {tau})",
             section="S3.2",
             subject=subject,
-            context=_ctx(msgs=tracker.msgs, h=h, tau=tracker.tau),
+            context=_ctx(msgs=msgs, h=h, tau=tau),
         )
-
-
-# ---------------------------------------------------------------------------
-# Tree instances: tracker <-> tree <-> heap cross-consistency (Section 4)
-# ---------------------------------------------------------------------------
+    if state <= FINAL:
+        collected = inst.collected(s)
+        if collected >= tau:
+            yield Violation(
+                "maturity-missed",
+                f"live query {inst.query[s].query_id!r} has collected "
+                f"{collected} >= tau = {tau} without maturing",
+                section="S4",
+                subject=subject,
+                context=_ctx(query=inst.query[s].query_id, collected=collected, tau=tau),
+            )
 
 
 @register_checker(TreeInstance)
 def validate_tree_instance(inst: TreeInstance, level: str) -> Iterator[Violation]:
     subject = f"TreeInstance(alive={inst.alive}, built={inst.built_count})"
-    non_done = sum(
-        1 for t in inst.trackers.values() if t.state is not TrackerState.DONE
-    )
+    non_done = sum(1 for state in inst.state if state != DONE)
     if inst.alive != non_done:
         yield Violation(
             "alive-count",
-            f"alive = {inst.alive} but {non_done} trackers are not DONE",
+            f"alive = {inst.alive} but {non_done} slots are not DONE",
             section="S4",
             subject=subject,
             context=_ctx(alive=inst.alive, non_done=non_done),
         )
-    for tracker in inst.trackers.values():
-        yield from validate_tracker(tracker, level)
-        if tracker.state in (TrackerState.INERT, TrackerState.DONE):
-            continue  # detached states carry no due-signal obligations
-        if tracker.state in (TrackerState.ROUND, TrackerState.FINAL):
-            collected = tracker.collected_weight()
-            if collected >= tracker.tau:
-                yield Violation(
-                    "maturity-missed",
-                    f"live query {tracker.query.query_id!r} has collected "
-                    f"{collected} >= tau = {tracker.tau} without maturing",
-                    section="S4",
-                    subject=subject,
-                    context=_ctx(
-                        query=tracker.query.query_id,
-                        collected=collected,
-                        tau=tracker.tau,
-                    ),
-                )
+    qptr = inst.qptr
+    for s in range(len(inst.state)):
+        yield from _validate_slot(inst, s, qptr[s + 1] - qptr[s], subject)
     if not level_covers(level, "full"):
         return
 
@@ -434,32 +422,33 @@ def validate_tree_instance(inst: TreeInstance, level: str) -> Iterator[Violation
     arena = inst.arena
     yield from validate_heap_arena(arena, level)
 
-    # Entry ownership: a live tracker's id range sits in the arena at its
+    # Entry ownership: a live slot's id range sits in the arena at its
     # canonical columns, a finished one's is gone, and every entry left in
-    # a segment belongs to a live tracker of this tree.
-    live = set()
-    for tracker in inst.trackers.values():
-        qid = tracker.query.query_id
-        ids = range(tracker.first, tracker.first + len(tracker.cols))
-        if tracker.state in (TrackerState.ROUND, TrackerState.FINAL):
-            live.add(id(tracker))
-            for i, e in enumerate(ids):
+    # a segment belongs to a live slot of this tree.
+    qcols = inst.qcols.tolist()
+    n_entries = len(arena._ecol)  # rtslint: disable=heap-internals
+    for s, state in enumerate(inst.state):
+        qid = inst.query[s].query_id
+        ids = range(qptr[s], qptr[s + 1])
+        if state <= FINAL:
+            for e in ids:
+                col = qcols[e] if e < len(qcols) else None
                 if (
-                    e >= len(arena._ecol)  # rtslint: disable=heap-internals
+                    e >= n_entries
                     or not arena.in_heap(e)
-                    or arena.column(e) != tracker.cols[i]
-                    or arena.payload(e) is not tracker
+                    or arena.column(e) != col
+                    or arena.payload(e) != s
                 ):
                     yield Violation(
                         "tracker-entries",
                         f"query {qid!r}: entry {e} is not its attached sigma "
-                        f"entry at canonical column {tracker.cols[i]}",
+                        f"entry at canonical column {col}",
                         section="S4",
                         subject=subject,
-                        context=_ctx(query=qid, entry=e, column=tracker.cols[i]),
+                        context=_ctx(query=qid, entry=e, column=col),
                     )
-        elif tracker.state is TrackerState.DONE:
-            if any(arena.in_heap(e) for e in ids):
+        elif state == DONE:
+            if any(e < n_entries and arena.in_heap(e) for e in ids):
                 yield Violation(
                     "tracker-entries",
                     f"done query {qid!r} still has entries in the arena",
@@ -483,26 +472,29 @@ def validate_tree_instance(inst: TreeInstance, level: str) -> Iterator[Violation
                 context=_ctx(column=col, min_key=top, counter=counter),
             )
         for e in arena.segment(col):
-            if id(arena.payload(e)) not in live:
+            owner = arena.payload(e)
+            if not (0 <= owner < len(inst.state) and inst.state[owner] <= FINAL):
                 yield Violation(
                     "heap-entry-owner",
                     f"entry {e} at column {col} does not belong to a live "
-                    "tracker of this tree",
+                    "slot of this tree",
                     section="S4",
                     subject=subject,
                     context=_ctx(column=col, entry=e, key=arena.key(e)),
                 )
 
-    # Canonical-set consistency: the columns a tracker signals on must be
+    # Canonical-set consistency: the columns a slot signals on must be
     # exactly the canonical decomposition of its query rectangle, and
     # within each last-dimension tree the jurisdictions must be disjoint.
     bases = [flat.base for flat in inst.tree.trees]
-    for tracker in inst.trackers.values():
-        if tracker.state is TrackerState.DONE:
+    for s, state in enumerate(inst.state):
+        if state == DONE:
             continue
-        qid = tracker.query.query_id
+        query = inst.query[s]
+        qid = query.query_id
+        cols = qcols[qptr[s] : qptr[s + 1]]
         try:
-            found = inst.tree.canonical_columns(tracker.query.rect)
+            found = inst.tree.canonical_columns(query.rect)
         except AssertionError as exc:
             # The decomposition itself fell apart — the structure is too
             # corrupted to recompute canonical sets at all.
@@ -514,18 +506,18 @@ def validate_tree_instance(inst: TreeInstance, level: str) -> Iterator[Violation
                 context=_ctx(query=qid),
             )
             continue
-        if sorted(found) != sorted(tracker.cols):
+        if sorted(found) != sorted(cols):
             yield Violation(
                 "canonical-consistency",
                 f"query {qid!r}: tracked canonical set does not match the "
-                f"decomposition of its rectangle ({len(tracker.cols)} "
+                f"decomposition of its rectangle ({len(cols)} "
                 f"tracked vs {len(found)} recomputed)",
                 section="S4",
                 subject=subject,
-                context=_ctx(query=qid, tracked=len(tracker.cols), actual=len(found)),
+                context=_ctx(query=qid, tracked=len(cols), actual=len(found)),
             )
         by_tree: Dict[int, List[Tuple[int, int]]] = {}
-        for col in tracker.cols:
+        for col in cols:
             t = bisect_right(bases, col) - 1
             if t < 0:
                 continue

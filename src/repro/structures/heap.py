@@ -16,6 +16,7 @@ no Python object per entry or per heap.
 from __future__ import annotations
 
 from array import array as _array
+from itertools import accumulate, compress
 from typing import List, Optional, Sequence
 
 import numpy as _np
@@ -25,10 +26,13 @@ import numpy as _np
 MIN_CAP = int(_np.iinfo(_np.int64).max)
 
 
-#: Arenas of at most this many entries are heapified segment by segment
-#: with the sift code below; larger ones with :func:`_heapify_segments`,
-#: which produces the identical layout in a few array passes per depth.
-SMALL_ARENA = 64
+#: Arenas of fewer entries than this are laid out entry by entry in
+#: Python, and only the segments whose registration order breaks heap
+#: order are sifted; larger ones in array passes by
+#: :func:`_heapify_segments`.  Both give the identical layout; the cutoff
+#: is where the array passes start to win (docs/PERFORMANCE.md, "Tree
+#: build").
+ARRAY_LAYOUT_ENTRIES = 1024
 
 
 class HeapArena:
@@ -37,8 +41,8 @@ class HeapArena:
     Parameters
     ----------
     cols:
-        The column (node) of every entry, in entry-id order (a list of
-        ints, which the arena keeps).
+        The column (node) of every entry, in entry-id order: an intp
+        array (a tree build's ``qcols``) or a list of ints.
     run_keys, run_payloads, run_lengths:
         Run ``i`` is the next ``run_lengths[i]`` entry ids, with initial
         key ``run_keys[i]`` and owner ``run_payloads[i]`` (opaque to the
@@ -73,7 +77,6 @@ class HeapArena:
         #: When a list, every re-key and removal appends its column: the
         #: columns whose minimum may have moved (the batch split reads it).
         self.moved: Optional[List[int]] = None
-        self._ecol: List[int] = cols
         keys: List[int] = []
         owners: List[object] = []
         for key, owner, h in zip(run_keys, run_payloads, run_lengths):
@@ -81,41 +84,53 @@ class HeapArena:
             owners += [owner] * h
         self._ekey = keys
         self._owners = owners
-        if len(cols) > SMALL_ARENA:
-            self._lay_out(run_keys, run_lengths)
-            return
-        # Small arenas: push entry by entry, then run the reference
-        # heapify segment by segment with the sift code below.
+        self._ecol: List[int] = cols if isinstance(cols, list) else cols.tolist()
+        if len(keys) >= ARRAY_LAYOUT_ENTRIES:
+            self._lay_out(_np.asarray(cols, dtype=_np.intp), run_keys, run_lengths)
+        else:
+            self._lay_out_entries()
+
+    def _lay_out_entries(self) -> None:
+        """Push entry by entry, noting each segment whose registration
+        order is not a heap, then heapify just those (heapify leaves a
+        heap as it is)."""
+        cols, keys, mins = self._ecol, self._ekey, self._mins
         sizes = [0] * len(mins)
-        fill = [0] * len(mins)
         for c in cols:
             sizes[c] += 1
-        starts = [0] * len(sizes)
-        for c in range(1, len(sizes)):
-            starts[c] = starts[c - 1] + sizes[c - 1]
+        starts = list(accumulate(sizes, initial=0))
+        starts.pop()
+        fill = starts[:]
         slots = [0] * len(cols)
         pos = [0] * len(cols)
+        broken = {}  # a dict, not a set: iterated in the order found
         for e, c in enumerate(cols):
-            rel = pos[e] = fill[c]
-            slots[starts[c] + rel] = e
-            fill[c] = rel + 1
+            p = fill[c]
+            fill[c] = p + 1
+            slots[p] = e
+            r = pos[e] = p - starts[c]
+            if r and keys[slots[p - r + ((r - 1) >> 1)]] > keys[e]:
+                broken[c] = None
         self._slots, self._pos = slots, pos
         self._seg_start, self._seg_size = starts, sizes
-        full = [c for c, n in enumerate(sizes) if n]
-        if not scan:
-            for c in full:
-                s, n = starts[c], sizes[c]
+        full = list(compress(range(len(sizes)), sizes))
+        if self.scan:
+            tops = [self.top(c) for c in full]
+        else:
+            sift_down = self._sift_down
+            for c in broken:
+                s = starts[c]
+                n = sizes[c]
                 for p in range(s + (n >> 1) - 1, s - 1, -1):
-                    self._sift_down(p, s, s + n)
-        tops = [self.top(c) for c in full] if scan else [keys[slots[starts[c]]] for c in full]
+                    sift_down(p, s, s + n)
+            tops = [keys[slots[starts[c]]] for c in full]
         mins[full] = [MIN_CAP if t > MIN_CAP else t for t in tops]
 
-    def _lay_out(self, run_keys, run_lengths) -> None:
+    def _lay_out(self, col, run_keys, run_lengths) -> None:
         """The same layout in array passes: a stable sort groups the entries
         by column and :func:`_heapify_segments` sifts every segment."""
         mins = self._mins
-        n = len(self._ecol)
-        col = _np.fromiter(self._ecol, dtype=_np.intp, count=n)
+        n = len(col)
         sizes = _np.bincount(col, minlength=len(mins))
         starts = _np.cumsum(sizes) - sizes
         heap = _np.argsort(col, kind="stable")  # by column, ids in order

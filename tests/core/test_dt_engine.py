@@ -9,9 +9,10 @@ from repro import Observability, Query, RTSSystem, StreamElement
 from repro.core.dt_engine import TreeInstance
 from repro.core.endpoint_tree import COUNTER_MAX, EndpointTree
 from repro.core.engine import EngineError, WorkCounters
+from repro.core.geometry import Interval, Rect
 from repro.core.logmethod import StaticDTEngine
 from repro.core.system import make_engine
-from repro.core.tracker import TrackerState
+from repro.core.tracker import FINAL
 
 
 def q(lo, hi, tau, qid):
@@ -25,7 +26,7 @@ class TestTreeInstance:
         out = []
         for _ in range(5):
             out.extend(inst.process(StreamElement(5.0, 1)))
-        assert out == [(inst.trackers["a"].query, 5)]
+        assert out == [(inst.query[inst.slot["a"]], 5)]
         assert inst.alive == 0
 
     def test_terminate_is_idempotent(self):
@@ -50,7 +51,7 @@ class TestTreeInstance:
         for _ in range(30):
             inst.process(StreamElement(5.0, 1))
         entries = inst.alive_entries()
-        assert entries == [(inst.trackers["a"].query, 70, 30)]
+        assert entries == [(inst.query[inst.slot["a"]], 70, 30)]
 
     def test_needs_rebuild_at_half(self):
         counters = WorkCounters()
@@ -73,6 +74,86 @@ class TestTreeInstance:
             for query, w in inst2.process(StreamElement(3.0, 1)):
                 matured.append((query.query_id, i, w))
         assert matured == [("a", 100, 100)]
+
+
+class TestRebasing:
+    """A merge re-bases every alive query by the weight its old tree
+    collected.  The trees it takes in hold an inert query (an empty
+    region: no canonical node, so an empty range of counters) and slots
+    whose queries matured or were terminated; each alive query's
+    remaining threshold and offset must follow from the weight that fell
+    in its region since the tree was built."""
+
+    @staticmethod
+    def _queries(dims, rng):
+        def rect():
+            out = []
+            for _ in range(dims):
+                lo = rng.uniform(0, 70)
+                out.append((lo, lo + rng.uniform(5, 30)))
+            return out
+
+        empty = Rect([Interval.half_open(40.0, 40.0)] * dims)
+        queries = [Query(empty, 7, query_id="inert")]
+        for i in range(40):
+            tau = rng.choice((3, 25, 400, 10**6))
+            queries.insert(rng.randrange(len(queries) + 1), Query(rect(), tau, query_id=f"q{i}"))
+        return queries
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_alive_entries_skip_dead_and_inert_slots(self, dims):
+        rng = random.Random(dims)
+        queries = self._queries(dims, rng)
+        entries = [(query, query.threshold, 5) for query in queries]
+        inst = TreeInstance(entries, dims, WorkCounters())
+        weight = {query.query_id: 0 for query in queries}
+        dead = set()
+        for step in range(300):
+            v = tuple(rng.uniform(0, 100) for _ in range(dims))
+            w = rng.choice((1, 2, 5))
+            for query, _seen in inst.process(StreamElement(v[0] if dims == 1 else v, w)):
+                dead.add(query.query_id)
+            for query in queries:
+                if query.rect.contains(v):
+                    weight[query.query_id] += w
+            if step % 50 == 49:
+                qid = rng.choice(queries).query_id
+                if inst.terminate(qid):
+                    dead.add(qid)
+        assert dead and "inert" not in dead
+        want = [
+            (query, query.threshold - weight[query.query_id], 5 + weight[query.query_id])
+            for query in queries
+            if query.query_id not in dead
+        ]
+        assert weight["inert"] == 0
+        assert inst.alive_entries() == want
+
+    @pytest.mark.parametrize("engine", ["dt", "dt-static", "dt-scan"])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_merges_keep_every_collected_weight(self, engine, dims):
+        rng = random.Random(10 + dims)
+        eng = make_engine(engine, dims)
+        queries = {}
+        weight = {}
+        for i, query in enumerate(self._queries(dims, rng)):
+            eng.register(query)  # each register merges the low slots
+            queries[query.query_id] = query
+            weight[query.query_id] = 0
+            for _ in range(rng.choice((0, 3, 12))):
+                v = tuple(rng.uniform(0, 100) for _ in range(dims))
+                w = rng.choice((1, 2, 5))
+                for event in eng.process(StreamElement(v[0] if dims == 1 else v, w), i):
+                    del weight[event.query.query_id]
+                for qid in weight:
+                    if queries[qid].rect.contains(v):
+                        weight[qid] += w
+            if i % 7 == 6:
+                qid = rng.choice(sorted(weight))
+                assert eng.terminate(qid)
+                del weight[qid]
+            assert {qid: eng.collected_weight(qid) for qid in weight} == weight
+        assert "inert" in weight and len(weight) < len(queries)
 
 
 class TestStaticDTEngine:
@@ -264,12 +345,13 @@ class TestPrecomputedDueSet:
         eng = make_engine("dt", dims)
         eng.register_batch(self._queries(dims))
         elements, at = self._stream(dims)
-        tracker = eng._trees[eng._locator["q"]].trackers["q"]
+        inst = eng._trees[eng._locator["q"]]
+        slot = inst.slot["q"]
         events = []
         for t, element in enumerate(elements[: at[1]], 1):
             events.extend(eng.process(element, t))
         assert [e.query.query_id for e in events] == ["r"]
-        assert tracker.rounds_run == 1 and tracker.state is TrackerState.FINAL
+        assert inst.rounds[slot] == 1 and inst.state[slot] == FINAL
 
 
 class TestCounterBound:

@@ -7,6 +7,7 @@ import pytest
 from repro import Query, StreamElement
 from repro.core.engine import EngineError
 from repro.core.logmethod import DTEngine
+from repro.core.tracker import DONE
 
 
 def q(lo, hi, tau, qid):
@@ -51,8 +52,8 @@ class TestStructuralProperties:
         for slot, tree in enumerate(engine._trees):
             if tree is None:
                 continue
-            for qid, tracker in tree.trackers.items():
-                if tracker.state.value != "done":
+            for qid, slot in tree.slot.items():
+                if tree.state[slot] != DONE:
                     assert qid not in seen
                     seen[qid] = slot
         assert len(seen) == 50

@@ -42,9 +42,10 @@ def _replay_against_simulator(engine, seed):
             system.register(query)
     eng = system.engine
     inst = eng._trees[eng._locator["q"]]
-    tracker = inst.trackers["q"]
-    h = len(tracker.cols)
-    site_of = {col: site for site, col in enumerate(tracker.cols)}
+    slot = inst.slot["q"]
+    cols = inst.qcols[inst.qptr[slot] : inst.qptr[slot + 1]].tolist()
+    h = len(cols)
+    site_of = {col: site for site, col in enumerate(cols)}
 
     increments = []
     events = []
@@ -59,18 +60,18 @@ def _replay_against_simulator(engine, seed):
         events = system.process(v, w)
 
     sim = run_tracking(h, tau, increments)
-    # The engine's tracker sends no ROUND_END / FINAL_PHASE broadcasts.
+    # The engine's round rule sends no ROUND_END / FINAL_PHASE broadcasts.
     broadcasts = (
         sim.per_type[MessageType.ROUND_END] + sim.per_type[MessageType.FINAL_PHASE]
     )
     assert [e.query.query_id for e in events] == ["q"]
     assert sim.matured_at_step == len(increments)
     assert sim.total_collected == events[0].weight_seen
-    assert sim.rounds == tracker.rounds_run
-    assert tracker.msgs == sim.messages - broadcasts
-    assert tracker.msgs <= max_dt_messages(h, tau)
-    assert tracker.rounds_run <= max_dt_rounds(tau)
-    return h, tracker.rounds_run
+    assert sim.rounds == inst.rounds[slot]
+    assert inst.msgs[slot] == sim.messages - broadcasts
+    assert inst.msgs[slot] <= max_dt_messages(h, tau)
+    assert inst.rounds[slot] <= max_dt_rounds(tau)
+    return h, inst.rounds[slot]
 
 
 @pytest.mark.parametrize("engine", ["dt", "dt-static", "dt-scan"])

@@ -97,6 +97,29 @@ class TestObservability:
         (event,) = obs.spans.get("q").events
         assert event.kind == "dt.slack" and event.fields["lam"] == 12
 
+    def test_one_slack_event_per_tree_build(self):
+        from repro import Query, RTSSystem
+
+        obs = Observability()
+        system = RTSSystem(dims=1, engine="dt", observability=obs)
+        # Three open a normal round (tau > 6h), one starts in its final
+        # phase, one is inert (an empty region).
+        queries = [Query([(i, i + 20.5)], 10**6, query_id=i) for i in range(3)]
+        queries += [Query([(0, 1)], 2, query_id="final"), Query([(5, 4)], 9, query_id="inert")]
+        system.register_batch(queries)
+        (event,) = obs.trace.events("dt.slack")
+        (tree,) = [t for t in system.engine._trees if t is not None]
+        hs = [tree.qptr[s + 1] - tree.qptr[s] for s in range(3)]
+        assert event.fields == {"queries": 3, "h": sum(hs)}
+        assert obs.metrics.value("rts_dt_slack_announcements_total") == 3
+        assert obs.metrics.value("rts_dt_messages_total", type="slack") == sum(hs)
+        for qid in range(3):
+            assert event in obs.spans.get(qid).events
+        assert event not in obs.spans.get("final").events
+        # The next build (a one-query tree) emits one event of its own.
+        system.register(Query([(50, 60)], 10**6, query_id="late"))
+        assert len(obs.trace.events("dt.slack")) == 2
+
     def test_rebuild_and_merge(self):
         obs = Observability()
         obs.rebuild("halved", queries=8, heap_entries=120)

@@ -136,9 +136,8 @@ def test_build_matches_brute_force_oracle(case, taus):
     inst = TreeInstance(entries, dims, WorkCounters())
     arena = inst.arena
     by_col = {}
-    for tracker in inst.trackers.values():
-        for k, col in enumerate(tracker.cols):
-            by_col.setdefault(col, []).append(tracker.first + k)
+    for e, col in enumerate(inst.qcols.tolist()):
+        by_col.setdefault(col, []).append(e)
     for col in range(len(inst.mins)):
         ids = by_col.get(col, [])
         keys = [arena.key(e) for e in ids]

@@ -12,7 +12,7 @@ import pytest
 
 from repro import RTSSystem
 from repro.core.endpoint_tree import Skeleton
-from repro.core.tracker import TrackerState
+from repro.core.tracker import DONE, ROUND
 from repro.dt.coordinator import Coordinator
 from repro.dt.network import StarNetwork
 from repro.dt.participant import Participant
@@ -25,7 +25,7 @@ def _invariants(obj, level="full"):
 
 
 def _dt_system(engine="dt"):
-    """A DT system with live trackers in the normal-round state."""
+    """A DT system with live queries in the normal-round state."""
     system = RTSSystem(dims=1, engine=engine)
     system.register([(0, 10)], threshold=1000, query_id="a")
     system.register([(5, 20)], threshold=800, query_id="b")
@@ -53,13 +53,14 @@ def _arena(keys):
 
 
 def _round_tracker(system):
+    """``(tree, slot)`` of a query in the ROUND state."""
     for tree in system.engine._trees:
         if tree is None:
             continue
-        for tracker in tree.trackers.values():
-            if tracker.state is TrackerState.ROUND:
-                return tracker
-    raise AssertionError("expected a tracker in the ROUND state")
+        for slot, state in enumerate(tree.state):
+            if state == ROUND:
+                return tree, slot
+    raise AssertionError("expected a query in the ROUND state")
 
 
 class TestTreeSanitizer:
@@ -101,19 +102,17 @@ class TestTreeSanitizer:
     def test_canonical_set_mismatch_detected(self):
         system = _dt_system()
         inst = _first_instance(system)
-        tracker = next(
-            t for t in inst.trackers.values() if t.state is not TrackerState.DONE
-        )
-        tracker.cols = tracker.cols[:-1]  # drop one canonical node
+        slot = next(s for s, state in enumerate(inst.state) if state != DONE)
+        inst.qptr[slot + 1] -= 1  # drop one canonical node
         found = _invariants(system)
         assert "canonical-consistency" in found or "tracker-entries" in found
 
     def test_tracker_range_off_its_columns_detected(self):
         system = _dt_system()
-        inst = _first_instance(system)
-        tracker = _round_tracker(system)
-        assert len(tracker.cols) >= 1
-        tracker.first += 1  # the id range slides onto a neighbour's entries
+        inst, slot = _round_tracker(system)
+        assert inst.qptr[slot + 1] - inst.qptr[slot] >= 1
+        inst.qptr[slot] += 1  # the id range slides onto a neighbour's entries
+        inst.qptr[slot + 1] += 1
         assert "tracker-entries" in _invariants(system)
 
 
@@ -133,39 +132,39 @@ class TestHeapSanitizer:
 
     def test_corruption_inside_live_system_detected(self):
         system = _dt_system()
-        inst = _first_instance(system)
-        tracker = _round_tracker(system)
-        inst.arena._pos[tracker.first] = 1234
+        inst, slot = _round_tracker(system)
+        inst.arena._pos[inst.qptr[slot]] = 1234
         assert "heap-handle" in _invariants(system)
 
 
 class TestTrackerSanitizer:
     def test_corrupt_round_slack_detected(self):
-        tracker = _round_tracker(_dt_system())
-        tracker.lam = 1  # impossible: rounds only open while tau' > 6h
-        assert "tracker-slack" in _invariants(tracker)
+        inst, slot = _round_tracker(_dt_system())
+        inst.lam[slot] = 1  # impossible: rounds only open while tau' > 6h
+        assert "tracker-slack" in _invariants(inst)
 
     def test_oversized_slack_detected(self):
-        tracker = _round_tracker(_dt_system())
-        tracker.lam = tracker.tau  # far above floor(tau/(2h))
-        assert "tracker-slack" in _invariants(tracker)
+        inst, slot = _round_tracker(_dt_system())
+        inst.lam[slot] = inst.tau[slot]  # far above floor(tau/(2h))
+        assert "tracker-slack" in _invariants(inst)
 
     def test_signal_overflow_detected(self):
-        tracker = _round_tracker(_dt_system())
-        tracker.signals = len(tracker.cols)  # h-th signal must end the round
-        assert "tracker-signals" in _invariants(tracker)
+        inst, slot = _round_tracker(_dt_system())
+        # the h-th signal must end the round
+        inst.signals[slot] = inst.qptr[slot + 1] - inst.qptr[slot]
+        assert "tracker-signals" in _invariants(inst)
 
 
 class TestDTBoundSanitizer:
     def test_message_bound_violation_detected(self):
-        tracker = _round_tracker(_dt_system())
-        tracker.msgs = 10**9  # way past O(h log tau)
-        assert "dt-message-bound" in _invariants(tracker)
+        inst, slot = _round_tracker(_dt_system())
+        inst.msgs[slot] = 10**9  # way past O(h log tau)
+        assert "dt-message-bound" in _invariants(inst)
 
     def test_round_bound_violation_detected(self):
-        tracker = _round_tracker(_dt_system())
-        tracker.rounds_run = 10**6
-        assert "dt-round-bound" in _invariants(tracker)
+        inst, slot = _round_tracker(_dt_system())
+        inst.rounds[slot] = 10**6
+        assert "dt-round-bound" in _invariants(inst)
 
     def test_coordinator_round_bound_detected(self):
         network = StarNetwork()
@@ -218,13 +217,12 @@ class TestEngineSanitizers:
 class TestBasicLevel:
     def test_basic_skips_structural_traversals(self):
         system = _dt_system()
-        inst = _first_instance(system)
-        tracker = _round_tracker(system)
-        inst.arena._pos[tracker.first] = 1234  # full-level corruption only
+        inst, slot = _round_tracker(system)
+        inst.arena._pos[inst.qptr[slot]] = 1234  # full-level corruption only
         assert "heap-handle" not in _invariants(system, level="basic")
         assert "heap-handle" in _invariants(system, level="full")
 
     def test_basic_still_catches_protocol_state(self):
-        tracker = _round_tracker(_dt_system())
-        tracker.lam = 1
-        assert "tracker-slack" in _invariants(tracker, level="basic")
+        inst, slot = _round_tracker(_dt_system())
+        inst.lam[slot] = 1
+        assert "tracker-slack" in _invariants(inst, level="basic")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sanitize import collect
-from repro.structures.heap import MIN_CAP, SMALL_ARENA, HeapArena
+from repro.structures.heap import ARRAY_LAYOUT_ENTRIES, MIN_CAP, HeapArena
 
 
 def arena_of(cols, keys, ncols=None, scan=False):
@@ -124,9 +124,10 @@ class TestBasicOperations:
 
     def test_push_unordered_then_heapify(self):
         # Both layout paths (entry by entry, and array passes for arenas
-        # above SMALL_ARENA entries) give each segment the layout of
-        # pushing its entries in registration order and heapifying.
-        for per_col in (3, 40):
+        # of ARRAY_LAYOUT_ENTRIES entries and more) give each segment the
+        # layout of pushing its entries in registration order and
+        # heapifying.
+        for per_col in (3, ARRAY_LAYOUT_ENTRIES // 5 + 1):
             self.check_heapify_layout(per_col)
 
     @staticmethod
@@ -137,7 +138,7 @@ class TestBasicOperations:
         rnd.shuffle(cols)
         keys = [rnd.randint(0, 20) for _ in cols]
         arena, mins = arena_of(cols, keys, ncols)
-        assert (len(cols) > SMALL_ARENA) == (per_col == 40)
+        assert (len(cols) >= ARRAY_LAYOUT_ENTRIES) == (per_col > 3)
         for c in range(ncols):
             ids = [e for e, col in enumerate(cols) if col == c]
             want = [ids[i] for i in reference_heapify([keys[e] for e in ids])]
@@ -147,13 +148,77 @@ class TestBasicOperations:
 
     def test_keys_beyond_int64_keep_their_order(self):
         big = MIN_CAP + 5
-        for cols in ([0, 0, 0], [0] * (SMALL_ARENA + 1)):
+        for cols in ([0, 0, 0], [0] * ARRAY_LAYOUT_ENTRIES):
             keys = [big + 3, big, 7] + [big + 9] * (len(cols) - 3)
             arena, mins = arena_of(cols, keys, 1)
             assert arena.first_due(0, 10) == 2 and mins[0] == 7
             arena.remove(2)
             assert arena.key(arena.first_due(0, 2 * big)) == big
             assert mins[0] == MIN_CAP  # capped, never above the store's bound
+
+
+def build_runs(n_entries, keys, rnd):
+    """Runs shaped like a tree build's: one per query, 1-12 distinct
+    columns each (a canonical set), keys drawn from ``keys``."""
+    ncols = max(12, n_entries // 4)
+    cols, run_keys, lengths = [], [], []
+    while len(cols) < n_entries:
+        h = min(rnd.randint(1, 12), n_entries - len(cols))
+        cols += rnd.sample(range(ncols), h)
+        run_keys.append(rnd.choice(keys))
+        lengths.append(h)
+    return cols, run_keys, lengths, ncols
+
+
+#: Entry counts across the layout cutoff, up to about 5000 queries.
+LAYOUT_SIZES = [
+    1,
+    2,
+    9,
+    300,
+    ARRAY_LAYOUT_ENTRIES - 2,
+    ARRAY_LAYOUT_ENTRIES - 1,
+    ARRAY_LAYOUT_ENTRIES,
+    ARRAY_LAYOUT_ENTRIES + 1,
+    ARRAY_LAYOUT_ENTRIES + 7,
+    58_000,
+]
+#: Few distinct keys, so that most entries of a segment tie; and keys at
+#: and beyond 2^63, which the array path orders by dense rank.
+TIED_KEYS = (1, 3, 3, 3, 8, 8, 20)
+BIG_KEYS = (MIN_CAP - 1, MIN_CAP, MIN_CAP + 1, MIN_CAP + 2**40, 3, 3)
+
+
+class TestLayoutAcrossCutoff:
+    """Each path's arena equals, slot for slot, pushing every entry in
+    registration order and running a textbook heapify per segment."""
+
+    @pytest.mark.parametrize("keys", [TIED_KEYS, BIG_KEYS], ids=["tied", "big"])
+    @pytest.mark.parametrize("n_entries", LAYOUT_SIZES)
+    @pytest.mark.parametrize("scan", [False, True], ids=["heap", "scan"])
+    def test_layout_matches_reference(self, n_entries, keys, scan):
+        if n_entries == LAYOUT_SIZES[-1] and (keys is BIG_KEYS or scan):
+            pytest.skip("one run of the largest size covers it")
+        rnd = random.Random(n_entries)
+        cols, run_keys, lengths, ncols = build_runs(n_entries, keys, rnd)
+        mins = np.full(ncols, MIN_CAP, dtype=np.int64)
+        arena = HeapArena(np.array(cols, dtype=np.intp), run_keys, range(len(lengths)), lengths, mins, scan)
+        owner = [r for r, h in enumerate(lengths) for _ in range(h)]
+        key = [run_keys[r] for r in owner]
+        assert [arena.payload(e) for e in range(n_entries)] == owner
+        by_col = {}
+        for e, c in enumerate(cols):
+            by_col.setdefault(c, []).append(e)
+        for c in range(ncols):
+            ids = by_col.get(c, [])
+            if scan:
+                assert arena.segment(c) == ids
+            else:
+                assert arena.segment(c) == [ids[i] for i in reference_heapify([key[e] for e in ids])]
+            want = min((key[e] for e in ids), default=MIN_CAP)
+            assert mins[c] == min(want, MIN_CAP)
+        if n_entries <= 3000:
+            assert collect(arena) == []
 
 
 class TestRandomizedInvariants:

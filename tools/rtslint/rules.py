@@ -132,8 +132,12 @@ _HEAP_PRIVATE = {
     "_seg_start",
     "_seg_size",
     "_owners",
+    "_mins",
     "_sift_up",
     "_sift_down",
+    "_sync",
+    "_lay_out",
+    "_lay_out_entries",
 }
 
 
@@ -175,6 +179,7 @@ _EMIT_HOOKS = {
     "query_terminated",
     "dt_messages",
     "dt_slack",
+    "dt_slack_opened",
     "dt_round_end",
     "dt_final_phase",
     "dt_participant_mode",
