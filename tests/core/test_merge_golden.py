@@ -1,6 +1,6 @@
 """Golden figures of the DT engines' registration merges.
 
-Seeded replays of dt, dt-static and dt-scan in one and two dimensions
+Seeded replays of dt, dt-static and dt-scan in one to three dimensions
 that register about 300 queries one at a time, so the logarithmic
 method builds trees of 1 to 256 queries.  Many queries share a
 threshold, so their opening keys tie inside the new trees' heaps, and a
@@ -27,7 +27,7 @@ from repro import Query, StreamElement
 from repro.core.geometry import Interval, Rect
 from repro.core.system import make_engine
 
-CASES = [(engine, dims) for dims in (1, 2) for engine in ("dt", "dt-static", "dt-scan")]
+CASES = [(engine, dims) for dims in (1, 2, 3) for engine in ("dt", "dt-static", "dt-scan")]
 
 #: Few distinct thresholds: queries with one threshold and one canonical
 #: set size open their rounds on the same key.
@@ -91,7 +91,8 @@ def replay(engine, dims, seed=5):
 
 
 #: Recorded before per-query tracker objects became per-tree columns;
-#: that change kept every figure.
+#: that change kept every figure.  The 3-D figures were recorded before
+#: the endpoint tree's per-object trees became per-dimension arrays.
 GOLDEN = {
     ('dt', 1): ({'containment_checks': 0, 'counter_bumps': 35695, 'heap_ops': 4817, 'messages': 5067, 'rounds': 114, 'rebuilds': 290}, {'containment_checks': 0, 'counter_bumps': 3024, 'heap_ops': 1087, 'messages': 1073, 'rounds': 6, 'rebuilds': 21}, '0dc1abc2161e875d'),
     ('dt-static', 1): ({'containment_checks': 0, 'counter_bumps': 20967, 'heap_ops': 121608, 'messages': 119572, 'rounds': 72, 'rebuilds': 281}, {'containment_checks': 0, 'counter_bumps': 2222, 'heap_ops': 18957, 'messages': 18753, 'rounds': 1, 'rebuilds': 20}, 'a8bb2857a4384257'),
@@ -99,6 +100,9 @@ GOLDEN = {
     ('dt', 2): ({'containment_checks': 0, 'counter_bumps': 28436, 'heap_ops': 5249, 'messages': 4596, 'rounds': 14, 'rebuilds': 2456}, {'containment_checks': 0, 'counter_bumps': 3723, 'heap_ops': 1957, 'messages': 1810, 'rounds': 0, 'rebuilds': 590}, '3014d60988ff34aa'),
     ('dt-static', 2): ({'containment_checks': 0, 'counter_bumps': 24839, 'heap_ops': 221042, 'messages': 200147, 'rounds': 6, 'rebuilds': 70753}, {'containment_checks': 0, 'counter_bumps': 3524, 'heap_ops': 36785, 'messages': 35410, 'rounds': 0, 'rebuilds': 10052}, '3014d60988ff34aa'),
     ('dt-scan', 2): ({'containment_checks': 0, 'counter_bumps': 28436, 'heap_ops': 5249, 'messages': 4596, 'rounds': 14, 'rebuilds': 2456}, {'containment_checks': 0, 'counter_bumps': 3723, 'heap_ops': 1957, 'messages': 1810, 'rounds': 0, 'rebuilds': 590}, '3014d60988ff34aa'),
+    ('dt', 3): ({'containment_checks': 0, 'counter_bumps': 7956, 'heap_ops': 4804, 'messages': 4127, 'rounds': 2, 'rebuilds': 6664}, {'containment_checks': 0, 'counter_bumps': 1048, 'heap_ops': 2152, 'messages': 1888, 'rounds': 0, 'rebuilds': 2470}, '43bd416ba5ff153b'),
+    ('dt-static', 3): ({'containment_checks': 0, 'counter_bumps': 8181, 'heap_ops': 235400, 'messages': 207207, 'rounds': 0, 'rebuilds': 286117}, {'containment_checks': 0, 'counter_bumps': 1056, 'heap_ops': 42221, 'messages': 37938, 'rounds': 0, 'rebuilds': 47121}, '43bd416ba5ff153b'),
+    ('dt-scan', 3): ({'containment_checks': 0, 'counter_bumps': 7956, 'heap_ops': 4804, 'messages': 4127, 'rounds': 2, 'rebuilds': 6664}, {'containment_checks': 0, 'counter_bumps': 1048, 'heap_ops': 2152, 'messages': 1888, 'rounds': 0, 'rebuilds': 2470}, '43bd416ba5ff153b'),
 }
 
 
