@@ -798,11 +798,11 @@ class TreeInstance(TrackerColumns):
 
     def stats(self) -> Dict[str, object]:
         """Structural snapshot of this tree (diagnostics)."""
-        root = self.tree.root
+        primary = self.tree.primary()
         return {
             "alive": self.alive,
             "built": self.built_count,
             "primary_height": self.tree.height(),
-            "primary_nodes": 0 if root is None else root.n,
+            "primary_nodes": 0 if primary is None else primary.n,
             "heap_entries": len(self.arena),
         }

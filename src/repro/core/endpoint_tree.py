@@ -38,21 +38,26 @@ A tree is its sorted key array plus a :class:`Skeleton` — the balanced
 shape over ``K`` keys, which depends on ``K`` alone and is shared by
 every tree with ``K`` keys.  Nodes are integers in BFS order; node ``u``
 covers the key ranks ``[klo[u], khi[u])``.  There is no Python object per
-node: the whole build (key ranking, skeletons, canonical sets) runs as a
-few array passes per dimension over *all* trees of that dimension at once.
+node or per tree: each dimension's trees are one :class:`Forest`, their
+keys, nodes and paths laid end to end in arrays, with an owner map from
+each node to the next dimension's tree it carries.  The whole build (key
+ranking, skeletons, canonical sets) runs as a few array passes per
+dimension over *all* trees of that dimension at once, and the scalar
+descent, the batched router and the introspection read the same arrays.
 
 Counter store
 -------------
 The counters ``c(u)`` and the heap minima ``min H(u)`` of all
 last-dimension nodes live in two int64 columns, ``cnts`` and ``mins``,
-owned by the :class:`EndpointTree`; each last-dimension tree owns the
-contiguous slice ``[base, base + n)``, its nodes in BFS order.  The scalar
-descent bumps the columns of one path with a fancy-indexed add, the
-batched path adds whole delta vectors, and both read the same values —
-there is no second copy to keep in step.  ``cnts`` is a view of
-``store``, which holds one spare slot past the last column: the path
-matrices pad short paths with the column count, so a scatter-add over
-padded paths lands their padding there instead of needing a mask.
+owned by the :class:`EndpointTree`: column ``u`` is the last forest's
+global node ``u``, so each last-dimension tree owns a contiguous slice,
+its nodes in BFS order.  The scalar descent bumps the columns of one
+path with a fancy-indexed add, the batched path adds whole delta
+vectors, and both read the same values — there is no second copy to
+keep in step.  ``cnts`` is a view of ``store``, which holds one spare
+slot past the last column: the path matrices pad short paths with the
+column count, so a scatter-add over padded paths lands their padding
+there instead of needing a mask.
 
 The tree is *static*: dynamic registration is provided one level up by the
 logarithmic method (:mod:`repro.core.logmethod`), exactly as in Section 5.
@@ -326,23 +331,140 @@ def _canonical_block(paths, nodes, rows_a, rows_b, a, b):
     return pair, emit[pair, col]
 
 
-def _forest(ks):
-    """Node columns of many trees laid end to end (tree ``g`` of ``ks[g]``
-    keys takes nodes ``[nbase[g], nbase[g] + 2 ks[g] - 1)``).
+class Forest:
+    """Every endpoint tree of one dimension, laid end to end as arrays.
 
-    Returns ``(skeletons, nbase, nodes, paths)``: ``nodes`` is
-    ``(left, right, klo, khi)`` with global child indices, local key
-    ranks and a trailing sentinel slot, and ``paths`` holds every tree's
-    path rows (tree ``g``'s key rank ``r`` at row ``sum(ks[:g]) + r``) in
-    global node indices, padded with the sentinel, plus an all-sentinel
-    last row.
+    Tree ``t`` has ``ks[t]`` keys, at key indices ``[kbase[t], kbase[t] +
+    ks[t])`` of ``vals`` / ``bits`` (the distinct boundary keys ``(value,
+    bit)`` in key order) and ``lows`` (their encoded floats, see
+    :func:`~repro.core.geometry.encoded_key`: the leaves' jurisdiction
+    lows, the ``searchsorted`` routing table), and nodes ``[nbase[t],
+    nbase[t] + 2 ks[t] - 1)`` of the ``n`` global nodes, in BFS order with
+    the shape ``skels[t]``.  ``paths`` row ``kbase[t] + r`` is the
+    root-to-leaf path of tree ``t``'s key rank ``r`` in global nodes,
+    padded with ``n``, and its last row is all padding.  ``left`` /
+    ``right`` are the global children (-1 at a leaf) and ``klo`` /
+    ``khi`` the key indices a node covers, so also the path rows through
+    it.  Every dimension but the last maps its nodes to the next
+    dimension's trees in ``owner`` (-1: none, also at the trailing slot
+    ``n`` the padding reads; the trees are numbered in the order of
+    their owners), and the last dimension's nodes are the counter-store
+    columns.  ``keyed`` serves the batched search of a dimension with
+    several trees (see :meth:`EndpointTree.route_batch`).  One dimension
+    is a forest of one tree, whose global and local numbers coincide.
     """
+
+    __slots__ = (
+        "dim",
+        "skels",
+        "ks",
+        "kbase",
+        "nbase",
+        "n",
+        "vals",
+        "bits",
+        "lows",
+        "paths",
+        "left",
+        "right",
+        "klo",
+        "khi",
+        "owner",
+        "keyed",
+        "_scalar",
+        "_keys",
+    )
+
+    def __init__(self, dim: int, skels, ks, kbase, nbase, vals, bits, lows, paths, nodes):
+        self.dim, self.skels = dim, skels
+        self.ks, self.kbase, self.nbase = ks, kbase, nbase
+        self.vals, self.bits, self.lows = vals, bits, lows
+        self.paths = paths
+        self.left, self.right, self.klo, self.khi = nodes
+        self.n = len(self.left)
+        self.owner = None
+        self.keyed = None
+        self._scalar = None  # the scalar descent's lists, built on demand
+        self._keys = None  # the boundary keys as tuples, built on demand
+
+    def scalar(self):
+        """``(lows, kbounds, nbase, owner)`` as Python lists for the
+        scalar descent (``kbounds`` also ends with the key count, and
+        ``owner`` is None in the last dimension), built on first use."""
+        lists = self._scalar
+        if lists is None:
+            own = self.owner
+            lists = self._scalar = (
+                self.lows.tolist(),
+                [*self.kbase.tolist(), len(self.vals)],
+                self.nbase.tolist(),
+                None if own is None else own.tolist(),
+            )
+        return lists
+
+    # -- keys and jurisdictions ---------------------------------------------
+
+    def key(self, i: int) -> BoundaryKey:
+        """Boundary key at key index ``i``."""
+        return (self.vals.item(i), int(self.bits.item(i)))
+
+    def tree_of(self, u: int) -> int:
+        """The tree of global node ``u``."""
+        return int(self.nbase.searchsorted(u, side="right")) - 1
+
+    def jurisdiction(self, u: int) -> Tuple[BoundaryKey, BoundaryKey]:
+        """``I(u) = [lo, hi)`` of global node ``u``."""
+        t = self.tree_of(u)
+        hi = int(self.khi[u])
+        end = int(self.kbase[t] + self.ks[t])
+        return self.key(int(self.klo[u])), PLUS_INFINITY if hi == end else self.key(hi)
+
+    def rank(self, t: int, key: BoundaryKey) -> int:
+        """Rank of ``key`` among tree ``t``'s keys; ``+inf`` ranks ``K``.
+
+        ``key`` must be one of the tree's keys (AssertionError otherwise):
+        canonical sets only exist for ranges whose endpoints are keys.
+        """
+        k0, k = int(self.kbase[t]), int(self.ks[t])
+        if key == PLUS_INFINITY:
+            return k
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = list(zip(self.vals.tolist(), self.bits.astype(int).tolist()))
+        i = bisect_left(keys, key, k0, k0 + k)
+        if i < k0 + k and keys[i] == key:
+            return i - k0
+        raise AssertionError(
+            f"{key!r} is not an endpoint key of this tree: query endpoints "
+            "must be keys of the tree"
+        )
+
+    def canonical(self, t: int, lo: BoundaryKey, hi: BoundaryKey) -> List[int]:
+        """Global canonical nodes of ``[lo, hi)`` in tree ``t`` (endpoints
+        must be keys), in walk order."""
+        if not lo < hi:
+            return []
+        base = int(self.nbase[t])
+        return [base + u for u in self.skels[t].canonical(self.rank(t, lo), self.rank(t, hi))]
+
+
+def _one_tree(dim: int, sk: Skeleton, ks, vals, bits, lows) -> Forest:
+    """The forest of one tree of shape ``sk``: the skeleton's own columns."""
+    base = _np.zeros(1, dtype=_np.intp)  # the tree's key and node base
+    nodes = (sk.left, sk.right, sk.klo, sk.khi)
+    return Forest(dim, [sk], ks, base, base, vals, bits, lows, sk.paths, nodes)
+
+
+def _forest(dim: int, ks, vals, bits, lows):
+    """The forest of trees of ``ks[t]`` keys each, over the given keys
+    (see :class:`Forest`), and its node columns with a trailing slot for
+    the path padding, for :func:`canonical_sets`."""
     if len(ks) == 1:
         sk = skeleton(int(ks[0]))
-        return [sk], _np.zeros(1, dtype=_np.intp), sk.ext(), sk.paths
+        return _one_tree(dim, sk, ks, vals, bits, lows), sk.ext()
+    kbase = _np.cumsum(ks) - ks
     sizes = 2 * ks - 1
     nbase = _np.cumsum(sizes) - sizes
-    kbase = _np.cumsum(ks) - ks
     total = int(sizes.sum())
     left = _np.full(total + 1, -2, dtype=_np.intp)
     right = _np.full(total + 1, -2, dtype=_np.intp)
@@ -364,159 +486,68 @@ def _forest(ks):
         left[block] = _np.where(child >= 0, child + off, -1)
         child = _np.tile(sk.right, trees.size)
         right[block] = _np.where(child >= 0, child + off, -1)
-        klo[block] = _np.tile(sk.klo, trees.size)
-        khi[block] = _np.tile(sk.khi, trees.size)
+        koff = _np.repeat(kbase[trees], sk.n)
+        klo[block] = _np.tile(sk.klo, trees.size) + koff
+        khi[block] = _np.tile(sk.khi, trees.size) + koff
         rows = sk.paths[:K]
         glob = rows[None, :, :] + nbase[trees][:, None, None]
         glob[:, rows == sk.n] = total
         at = (kbase[trees][:, None] + _np.arange(K)).ravel()
         paths[at, : sk.height + 1] = glob.reshape(-1, sk.height + 1)
     skels = [shapes[u] for u in inv.tolist()]
-    return skels, nbase, (left, right, klo, khi), paths
+    nodes = (left, right, klo, khi)
+    forest = Forest(dim, skels, ks, kbase, nbase, vals, bits, lows, paths, [c[:-1] for c in nodes])
+    # The batched search of several trees at once: keys ``tree * M +
+    # rank``, where ``rank`` places a low among all lows of the dimension.
+    uniq, rank = _np.unique(lows, return_inverse=True)
+    scale = uniq.size + 1
+    forest.keyed = (uniq, _np.repeat(_np.arange(ks.size), ks) * scale + rank.ravel(), scale)
+    return forest, nodes
 
 
-class FlatTree:
-    """One endpoint tree of one dimension: sorted keys plus a skeleton.
+def _route(forest: Forest, values, weights):
+    """1-D batched descent through the one tree of ``forest``: per-node
+    weight deltas of ``values`` (float64 ``weights``).
 
-    ``vals`` / ``bits`` are the distinct boundary keys ``(value, bit)`` in
-    key order and ``lows`` their encoded floats (see
-    :func:`~repro.core.geometry.encoded_key`), the leaves' jurisdiction
-    lows — the ``searchsorted`` routing table.  A last-dimension tree owns
-    counter-store columns ``[base, base + n)`` (``cnts`` / ``mins`` are
-    views of that slice, local node ``i`` at column ``base + i``); an
-    earlier-dimension tree maps some of its nodes to the next dimension's
-    trees in ``secondary``.
+    Exactly the scalar descents' counter increments: elements land on
+    leaf slots via ``searchsorted`` over the leaf lows (values left of
+    the leftmost endpoint drop out), then every ancestor accumulates —
+    through one ``bincount`` over the gathered path rows, or, for a range
+    whose path block would dwarf the tree, level by level over
+    ``levels``.  Returns ``(deltas, pos)``: None when nothing routes, else
+    int64 deltas (summed in float64, exact since a vectorizable batch
+    weighs under 2^53) with ``n + 1`` slots, the last a scratch slot
+    absorbing the path padding; and each element's leaf rank (-1 left of
+    the leftmost endpoint).
     """
-
-    __slots__ = (
-        "dim",
-        "last_dim",
-        "skel",
-        "vals",
-        "bits",
-        "lows",
-        "n",
-        "base",
-        "cnts",
-        "mins",
-        "secondary",
-        "_low_list",
-    )
-
-    def __init__(self, dim: int, last_dim: bool, skel: Skeleton, vals, bits, lows, base: int = -1):
-        self.dim, self.last_dim, self.skel = dim, last_dim, skel
-        self.vals, self.bits, self.lows = vals, bits, lows
-        self.n = skel.n
-        self.base = base
-        self.cnts = None
-        self.mins = None
-        self.secondary: Dict[int, FlatTree] = {}
-        self._low_list = None  # scalar routing table, built on demand
-
-    # -- keys and jurisdictions ---------------------------------------------
-
-    def key(self, rank: int) -> BoundaryKey:
-        """Boundary key of rank ``rank`` (``+inf`` past the last key)."""
-        if rank >= len(self.vals):
-            return PLUS_INFINITY
-        return (self.vals.item(rank), int(self.bits.item(rank)))
-
-    def jurisdiction(self, u: int) -> Tuple[BoundaryKey, BoundaryKey]:
-        """``I(u) = [lo, hi)`` of local node ``u``."""
-        sk = self.skel
-        return self.key(int(sk.klo[u])), self.key(int(sk.khi[u]))
-
-    def rank(self, key: BoundaryKey) -> int:
-        """Rank of ``key`` among this tree's keys; ``+inf`` ranks ``K``.
-
-        ``key`` must be one of the tree's keys (AssertionError otherwise):
-        canonical sets only exist for ranges whose endpoints are keys.
-        """
-        if key == PLUS_INFINITY:
-            return len(self.vals)
-        keys = list(zip(self.vals.tolist(), self.bits.astype(int).tolist()))
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key:
-            return i
-        raise AssertionError(
-            f"{key!r} is not an endpoint key of this tree: query endpoints "
-            "must be keys of the tree"
-        )
-
-    def canonical(self, lo: BoundaryKey, hi: BoundaryKey) -> List[int]:
-        """Local canonical nodes of ``[lo, hi)`` (endpoints must be keys)."""
-        if not lo < hi:
-            return []
-        return self.skel.canonical(self.rank(lo), self.rank(hi))
-
-    # -- scalar routing -------------------------------------------------------
-
-    def path(self, value: float):
-        """Local node indices of ``value``'s root-to-leaf descent.
-
-        The scalar Section 4 descent as one row of the skeleton's path
-        matrix, found by a binary search over the leaf lows (kept as a
-        Python list for this, so the search costs no numpy dispatch).
-        Empty when ``value`` lies left of the leftmost endpoint.
-        """
-        lows = self._low_list
-        if lows is None:
-            lows = self._low_list = self.lows.tolist()
-        pos = bisect_right(lows, value) - 1
-        if pos < 0:
-            return _NO_COLUMNS
-        sk = self.skel
-        return sk.paths[pos, : sk.path_lens[pos]]
-
-    # -- batched routing (docs/PERFORMANCE.md) --------------------------------
-
-    def route(self, values, weights_f64, sel):
-        """Vectorized descent: per-node weight deltas for ``sel``.
-
-        Exactly the scalar descents' counter increments: elements land on
-        leaf slots via ``searchsorted`` over the leaf lows (values left of
-        the leftmost endpoint drop out), then every ancestor accumulates —
-        through one ``bincount`` over the gathered path rows, or, for a
-        range whose path block would dwarf the tree, level by level over
-        ``levels``.  Returns None when nothing routes; else int64 deltas
-        (summed in float64, exact since a vectorizable batch weighs under
-        2^53) with ``n + 1`` slots, the last a scratch slot absorbing the
-        path padding.
-        """
-        return self._route(values, weights_f64, sel)[0]
-
-    def _route(self, values, weights_f64, sel):
-        """:meth:`route`'s deltas plus each selected element's leaf rank
-        (-1 left of the leftmost endpoint), in ``sel`` order; ``sel`` may
-        also be a slice, which reads the arrays without a copy."""
-        sk = self.skel
-        pos = _np.searchsorted(self.lows, values[sel, self.dim], side="right") - 1
-        n = self.n
-        w = weights_f64[sel]
-        if pos.size * (sk.height + 1) < 4 * n:
-            # Gather the root-to-leaf paths and scatter-add them in one
-            # weighted bincount.  Drop-outs (``pos == -1``) wrap onto the
-            # all-sentinel last path row, so no mask is needed here.
-            touched = sk.paths[pos]
-            deltas = _np.bincount(
-                touched.ravel(),
-                weights=_np.repeat(w, touched.shape[1]),
-                minlength=n + 1,
-            ).astype(_np.int64)
-            return deltas, pos
-        leaf_pos = pos
-        mask = pos >= 0
-        if not mask.all():
-            if not mask.any():
-                return None, pos
-            leaf_pos = pos[mask]
-            w = w[mask]
-        leaf_deltas = _np.bincount(leaf_pos, weights=w, minlength=sk.K)
-        deltas = _np.zeros(n + 1, dtype=_np.int64)
-        deltas[sk.leaf_ids] = leaf_deltas
-        for par, child_start, child_end in sk.levels:
-            deltas[par] = deltas[child_start:child_end].reshape(-1, 2).sum(axis=1)
+    sk = forest.skels[0]
+    pos = _np.searchsorted(forest.lows, values, side="right") - 1
+    n = sk.n
+    w = weights
+    if pos.size * (sk.height + 1) < 4 * n:
+        # Gather the root-to-leaf paths and scatter-add them in one
+        # weighted bincount.  Drop-outs (``pos == -1``) wrap onto the
+        # all-sentinel last path row, so no mask is needed here.
+        touched = sk.paths[pos]
+        deltas = _np.bincount(
+            touched.ravel(),
+            weights=_np.repeat(w, touched.shape[1]),
+            minlength=n + 1,
+        ).astype(_np.int64)
         return deltas, pos
+    leaf_pos = pos
+    mask = pos >= 0
+    if not mask.all():
+        if not mask.any():
+            return None, pos
+        leaf_pos = pos[mask]
+        w = w[mask]
+    leaf_deltas = _np.bincount(leaf_pos, weights=w, minlength=sk.K)
+    deltas = _np.zeros(n + 1, dtype=_np.int64)
+    deltas[sk.leaf_ids] = leaf_deltas
+    for par, child_start, child_end in sk.levels:
+        deltas[par] = deltas[child_start:child_end].reshape(-1, 2).sum(axis=1)
+    return deltas, pos
 
 
 def _endpoints(rects: Sequence[Rect], ndims: int):
@@ -547,11 +578,11 @@ def _endpoints(rects: Sequence[Rect], ndims: int):
     return usable, list(zip(lo_keys, hi_keys))
 
 
-def _small_tree(dim: int, last: bool, raw, queries: Sequence[int]):
-    """One small tree, ranked and decomposed query by query.
+def _small_tree(dim: int, raw, queries: Sequence[int]):
+    """A one-tree forest, ranked and decomposed query by query.
 
     ``raw`` is the dimension's ``(lo keys, hi keys)`` lists and
-    ``queries`` the members.  Returns the tree and each member's local
+    ``queries`` the members.  Returns the forest and each member's
     canonical nodes — what the array path of :class:`EndpointTree`
     computes for a one-tree dimension, minus its fixed cost.
     """
@@ -567,78 +598,7 @@ def _small_tree(dim: int, last: bool, raw, queries: Sequence[int]):
     arr = _np.array(keys, dtype=_np.float64)
     vals, bits = arr[:, 0], arr[:, 1] != 0
     lows = _np.where(bits, _np.nextafter(vals, _INF), vals)
-    return FlatTree(dim, last, sk, vals, bits, lows, 0 if last else -1), found
-
-
-class _ForestRouter:
-    """Batched routing through every tree of a d >= 2 endpoint tree.
-
-    Built from the build's per-dimension forests: ``levels`` alternates
-    ``(ks, lows, paths, klo, khi)`` — key counts per tree, the trees'
-    leaf lows end to end, the global path matrix and key-rank ranges —
-    with the global nodes owning the next dimension's trees.  An element
-    reaches a set of trees per dimension; each (element, tree) pair finds
-    its leaf with one ``searchsorted`` over keys ``tree * M + rank``,
-    where ``rank`` places a low among all lows of the dimension, so the
-    pairs of every tree search at once.  The trees met on a leaf's path
-    give the next dimension's pairs, in descent order; the last
-    dimension's global node numbers are the store columns.
-    """
-
-    __slots__ = ("dims", "paths", "klo", "khi", "n_cols")
-
-    def __init__(self, levels, n_cols: int):
-        self.dims = []
-        self.n_cols = n_cols
-        for d in range(0, len(levels), 2):
-            ks, lows, paths, klo, khi = levels[d]
-            kbase = _np.cumsum(ks) - ks
-            keyed = None
-            if ks.size > 1:
-                uniq = _np.unique(lows)
-                scale = uniq.size + 1
-                keys = _np.repeat(_np.arange(ks.size), ks) * scale + uniq.searchsorted(lows)
-                keyed = (uniq, keys, scale, kbase)
-            nxt = None
-            if d + 1 < len(levels):
-                owners = levels[d + 1]
-                nxt = _np.full(int(paths[-1, 0]) + 1, -1, dtype=_np.intp)
-                nxt[owners] = _np.arange(owners.size)
-            self.dims.append((lows, keyed, paths, nxt))
-            if nxt is None:
-                self.paths = paths
-                tree_of = _np.repeat(_np.arange(ks.size), 2 * ks - 1)
-                self.klo = klo + kbase[tree_of]
-                self.khi = khi + kbase[tree_of]
-
-    def route(self, values, weights, elems):
-        """See :meth:`EndpointTree.route_batch`."""
-        rows_of = None  # the value rows reached (None: all of them)
-        trees = None
-        for dim, (lows, keyed, paths, nxt) in enumerate(self.dims):
-            v = values[:, dim] if rows_of is None else values[rows_of, dim]
-            if keyed is None:
-                rows = lows.searchsorted(v, side="right") - 1
-            else:
-                uniq, keys, scale, kbase = keyed
-                query = trees * scale + (uniq.searchsorted(v, side="right") - 1)
-                rows = keys.searchsorted(query, side="right") - 1
-                rows[rows < kbase[trees]] = -1  # below the tree's first key
-            if nxt is None:
-                break
-            owned = nxt[paths[rows]]
-            r, c = _np.nonzero(owned >= 0)
-            if not r.size:
-                return None
-            rows_of = r if rows_of is None else rows_of[r]
-            trees = owned[r, c]
-        touched = paths[rows]
-        deltas = _np.bincount(
-            touched.ravel(),
-            weights=_np.repeat(weights[rows_of], touched.shape[1]),
-            minlength=self.n_cols + 1,
-        )
-        return deltas[: self.n_cols].astype(_np.int64), elems[rows_of], rows
+    return _one_tree(dim, sk, _np.array([K]), vals, bits, lows), found
 
 
 class EndpointTree:
@@ -655,30 +615,28 @@ class EndpointTree:
         Shared work-counter sink; ``rebuilds`` counts one per tree built
         (the primary plus every secondary).
 
-    After construction, query ``i``'s canonical set — its last-dimension
-    nodes, i.e. its DT "participants" — is the store columns
-    ``qcols[qptr[i]:qptr[i + 1]]``: in one dimension in walk order (the
-    left walk's nodes top-down, then the right walk's), in ``d``
-    dimensions nested the same way dimension by dimension.  ``cnts`` /
-    ``mins`` are the counter store, one column per last-dimension node
-    of every tree; ``trees`` lists the last-dimension trees in column
-    order.  Each dimension's trees are laid out in the order of their
-    owner nodes, and a tree's nodes in BFS order, so a descent
-    (:meth:`columns`) visits its columns in increasing order.
+    After construction, ``forests`` holds one :class:`Forest` per
+    dimension (none when no rectangle is usable), and query ``i``'s
+    canonical set — its last-dimension nodes, i.e. its DT
+    "participants" — is the store columns ``qcols[qptr[i]:qptr[i + 1]]``:
+    in one dimension in walk order (the left walk's nodes top-down, then
+    the right walk's), in ``d`` dimensions nested the same way dimension
+    by dimension.  ``cnts`` / ``mins`` are the counter store, one column
+    per node of the last dimension's forest.  Each dimension's trees are
+    laid out in the order of their owner nodes, and a tree's nodes in BFS
+    order, so a descent (:meth:`columns`) visits its columns in
+    increasing order.
     """
 
     __slots__ = (
         "ndims",
-        "root",
-        "trees",
+        "forests",
         "store",
         "cnts",
         "mins",
         "qptr",
         "qcols",
         "_hot_cache",
-        "_levels",
-        "_router",
     )
 
     def __init__(
@@ -690,13 +648,8 @@ class EndpointTree:
         if ndims < 1:
             raise ValueError(f"an endpoint tree needs at least one dimension, got {ndims}")
         self.ndims = ndims
-        self.root: Optional[FlatTree] = None
-        self.trees: List[FlatTree] = []
+        self.forests: List[Forest] = []
         self._hot_cache: Optional[dict] = {} if ndims > 1 else None
-        #: d >= 2: per dimension, the forest the batched router reads
-        #: (see :class:`_ForestRouter`, built on the first batch).
-        self._levels: List[tuple] = []
-        self._router = None
         usable, raw = _endpoints(rects, ndims)
         n_usable = len(usable)
         if counters is not None:
@@ -709,12 +662,12 @@ class EndpointTree:
             self.qcols = _np.zeros(0, dtype=_np.intp)
             return
 
-        if ndims == 1 and n_usable <= SMALL_TREE:  # one small tree, no levels
-            tree, found = _small_tree(0, True, raw[0], range(n_usable))
-            self.root, self.trees = tree, [tree]
-            self.store = _np.zeros(tree.n + 1, dtype=_np.int64)
-            self.cnts = tree.cnts = self.store[: tree.n]
-            self.mins = tree.mins = _np.full(tree.n, COUNTER_MAX, dtype=_np.int64)
+        if ndims == 1 and n_usable <= SMALL_TREE:  # one small tree
+            forest, found = _small_tree(0, raw[0], range(n_usable))
+            self.forests.append(forest)
+            self.store = _np.zeros(forest.n + 1, dtype=_np.int64)
+            self.cnts = self.store[: forest.n]
+            self.mins = _np.full(forest.n, COUNTER_MAX, dtype=_np.int64)
             counts = [0] * len(rects)
             for i, f in zip(usable, found):
                 counts[i] = len(f)
@@ -723,27 +676,19 @@ class EndpointTree:
             return
 
         # Membership pairs of the current dimension — tree, query, and
-        # the pair's rank in query-major nested order — and, per tree of
-        # the next dimension, its owner ``(parent tree, local node)``.
+        # the pair's rank in query-major nested order.
         p_tree = _np.zeros(n_usable, dtype=_np.intp)
         p_query = _np.arange(n_usable)
         p_nest = p_query
-        parents: List[FlatTree] = []
-        p_owner: List[Tuple[int, int]] = []
         for dim in range(ndims):
             last = dim == ndims - 1
             n_trees = int(p_tree[-1]) + 1
             if dim and counters is not None:
                 counters.rebuilds += n_trees
             if n_trees == 1 and p_tree.size <= SMALL_TREE:
-                tree, found = _small_tree(dim, last, raw[dim], p_query.tolist())
-                level = [tree]
-                ks = _np.array([tree.skel.K])
-                nbase = _np.zeros(1, dtype=_np.intp)
+                forest, found = _small_tree(dim, raw[dim], p_query.tolist())
                 pair = _np.repeat(_np.arange(len(found)), [len(f) for f in found])
                 node = _np.array([u for f in found for u in f], dtype=_np.intp)
-                sk = tree.skel
-                forest = (ks, tree.lows, sk.paths, sk.klo, sk.khi)
             else:
                 # Rank every tree's distinct (value, bit) keys with one sort;
                 # (x, 1) and (nextafter(x), 0) stay two keys.
@@ -759,34 +704,19 @@ class EndpointTree:
                 new = _np.ones(order.size, dtype=bool)
                 new[1:] = (st[1:] != st[:-1]) | (sv[1:] != sv[:-1]) | (sb[1:] != sb[:-1])
                 ks = _np.bincount(st[new], minlength=n_trees)
-                kbase = _np.cumsum(ks) - ks
+                # Global key indices: tree ``t``'s keys start at kbase[t].
                 ranks = _np.empty(order.size, dtype=_np.intp)
-                ranks[order] = _np.cumsum(new) - 1 - kbase[st]
+                ranks[order] = _np.cumsum(new) - 1
                 vals, bits = sv[new], sb[new]
                 lows = vals.copy()
                 lows[bits] = _np.nextafter(vals[bits], _INF)
+                forest, nodes = _forest(dim, ks, vals, bits, lows)
                 n_pairs = p_tree.size
                 a = ranks[:n_pairs]
-                b = ks[p_tree]
+                b = (forest.kbase + ks)[p_tree]
                 b[fin] = ranks[n_pairs:]
-
-                skels, nbase, nodes, paths = _forest(ks)
-                row = kbase[p_tree]
-                pair, node = canonical_sets(paths, nodes, row + a, row + b - 1, a, b)
-
-                forest = (ks, lows, paths, nodes[2][:-1], nodes[3][:-1])
-                level = []
-                for sk, k0, k, base in zip(skels, kbase.tolist(), ks.tolist(), nbase.tolist()):
-                    keys = slice(k0, k0 + k)
-                    base = base if last else -1
-                    level.append(FlatTree(dim, last, sk, vals[keys], bits[keys], lows[keys], base))
-            if dim == 0:
-                self.root = level[0]
-            else:
-                for tree, (pg, u) in zip(level, p_owner):
-                    parents[pg].secondary[u] = tree
-            if ndims > 1:
-                self._levels.append(forest)
+                pair, node = canonical_sets(forest.paths, nodes, a, b - 1, a, b)
+            self.forests.append(forest)
 
             q = p_query[pair]
             if dim:
@@ -796,21 +726,17 @@ class EndpointTree:
                 q, node = q[nest], node[nest]
             if last:
                 # Last dimension: forest node numbers are store columns.
-                n_cols = int(nbase[-1]) + 2 * int(ks[-1]) - 1
+                n_cols = forest.n
                 self.store = _np.zeros(n_cols + 1, dtype=_np.int64)
-                cnts = self.cnts = self.store[:n_cols]
-                mins = self.mins = _np.full(n_cols, COUNTER_MAX, dtype=_np.int64)
-                for tree in level:
-                    tree.cnts = cnts[tree.base : tree.base + tree.n]
-                    tree.mins = mins[tree.base : tree.base + tree.n]
-                self.trees = level
+                self.cnts = self.store[:n_cols]
+                self.mins = _np.full(n_cols, COUNTER_MAX, dtype=_np.int64)
                 counts = _np.zeros(len(rects), dtype=_np.intp)
                 counts[usable] = _np.bincount(q, minlength=n_usable)
                 self.qptr = [0] + _np.cumsum(counts).tolist()
                 self.qcols = node
                 return
-            # Next dimension: one secondary per node of this dimension
-            # that some query's canonical set contains, over exactly those
+            # Next dimension: one tree per node of this dimension that
+            # some query's canonical set contains, over exactly those
             # queries (grouped by node, registration order within).
             rank = _np.arange(q.size)
             grp = _np.lexsort((q, node))
@@ -818,10 +744,9 @@ class EndpointTree:
             first = _np.ones(grp.size, dtype=bool)
             first[1:] = g_node[1:] != g_node[:-1]
             owners = g_node[first]
-            self._levels.append(owners)
-            owner_tree = _np.repeat(_np.arange(n_trees), 2 * ks - 1)[owners]
-            p_owner = list(zip(owner_tree.tolist(), (owners - nbase[owner_tree]).tolist()))
-            parents = level
+            owner = _np.full(forest.n + 1, -1, dtype=_np.intp)
+            owner[owners] = _np.arange(owners.size)
+            forest.owner = owner
             p_tree = _np.cumsum(first) - 1
             p_query = q[grp]
             p_nest = rank[grp]
@@ -845,17 +770,21 @@ class EndpointTree:
         through (Section 4), as an index array in descent order.
 
         In one dimension the tree's path matrix answers with a binary
-        search (its local indices are the store columns).  Otherwise
-        repeated value points are served from the hot-key cache: the
-        descent is a pure function of the point (the skeleton never
-        changes), so the array is replayed directly.  Either way a bump
-        is one fancy-indexed add.
+        search (its nodes are the store columns).  Otherwise repeated
+        value points are served from the hot-key cache: the descent is a
+        pure function of the point (the forests never change), so the
+        array is replayed directly.  Either way a bump is one
+        fancy-indexed add.
         """
-        root = self.root
-        if root is None:
+        if not self.forests:
             return _NO_COLUMNS
-        if root.last_dim:  # one dimension: a row of the path matrix
-            return root.path(point[0])
+        if self.ndims == 1:  # one tree: a row of the path matrix
+            forest = self.forests[0]
+            pos = bisect_right(forest.scalar()[0], point[0]) - 1
+            if pos < 0:
+                return _NO_COLUMNS
+            sk = forest.skels[0]
+            return sk.paths[pos, : sk.path_lens[pos]]
         cache = self._hot_cache
         key = point if type(point) is tuple else tuple(point)
         touched = cache.get(key)
@@ -869,29 +798,32 @@ class EndpointTree:
     def _descend(self, point: Sequence[float]) -> List[int]:
         """Iterative multi-level descent (depth-safe, no Python recursion).
 
-        Visits secondary trees in pre-order along each descent path: the
-        secondaries met on one tree's root-to-leaf path are descended top
-        down, each fully before the next, which fixes the ``touched``
-        column sequence and therefore the heap-drain order in the engine.
+        One bisect per reached tree, over its dimension's lows.  Visits
+        the next dimension's trees in pre-order along each descent path:
+        the trees owned by one path's nodes are descended top down, each
+        fully before the next, which fixes the ``touched`` column
+        sequence and therefore the heap-drain order in the engine.
         """
         touched: List[int] = []
-        stack: List[FlatTree] = [self.root]
+        forests = self.forests
+        stack: List[Tuple[int, int]] = [(0, 0)]
         while stack:
-            tree = stack.pop()
-            lows = tree._low_list
-            if lows is None:
-                lows = tree._low_list = tree.lows.tolist()
-            pos = bisect_right(lows, point[tree.dim]) - 1
+            dim, t = stack.pop()
+            forest = forests[dim]
+            lows, kb, nbase, owner = forest.scalar()
+            k0 = kb[t]
+            pos = bisect_right(lows, point[dim], k0, kb[t + 1]) - 1 - k0
             if pos < 0:
                 continue  # below the leftmost endpoint: ignored (Section 4)
-            rows = tree.skel._rows
-            row = (tree.skel.rows() if rows is None else rows)[pos]
-            if tree.last_dim:
-                base = tree.base
+            sk = forest.skels[t]
+            rows = sk._rows
+            row = (sk.rows() if rows is None else rows)[pos]
+            base = nbase[t]
+            if owner is None:
                 touched.extend([base + u for u in row])
             else:
-                sec = tree.secondary
-                stack.extend(reversed([sec[u] for u in row if u in sec]))
+                owned = [owner[base + u] for u in row]
+                stack.extend([(dim + 1, s) for s in reversed(owned) if s >= 0])
         return touched
 
     def route_batch(self, values, weights, elems):
@@ -907,19 +839,51 @@ class EndpointTree:
         last-dimension tree an element reaches, in arrival order — row
         ``r`` of :meth:`leaf_rows`' path matrix is that descent (-1: left
         of the tree's leftmost endpoint, the all-sentinel row).
+
+        In ``d >= 2`` an element reaches a set of trees per dimension;
+        each (element, tree) pair finds its leaf with one ``searchsorted``
+        over the dimension's keyed lows (:class:`Forest`), so the pairs
+        of every tree search at once.  The trees owned along a leaf's
+        path give the next dimension's pairs, in descent order.
         """
-        root = self.root
-        if root is None or len(elems) == 0:
+        forests = self.forests
+        if not forests or len(elems) == 0:
             return None
-        if root.last_dim:
-            deltas, pos = root._route(values, weights, slice(None))
+        if self.ndims == 1:
+            deltas, pos = _route(forests[0], values[:, 0], weights)
             if deltas is None:
                 return None
-            return deltas[: root.n], elems, pos
-        router = self._router
-        if router is None:
-            router = self._router = _ForestRouter(self._levels, self.cnts.size)
-        return router.route(values, weights, elems)
+            return deltas[: forests[0].n], elems, pos
+        rows_of = None  # the value rows reached (None: all of them)
+        trees = None
+        for forest in forests:
+            dim = forest.dim
+            v = values[:, dim] if rows_of is None else values[rows_of, dim]
+            keyed = forest.keyed
+            if keyed is None:
+                rows = forest.lows.searchsorted(v, side="right") - 1
+            else:
+                uniq, keys, scale = keyed
+                query = trees * scale + (uniq.searchsorted(v, side="right") - 1)
+                rows = keys.searchsorted(query, side="right") - 1
+                rows[rows < forest.kbase[trees]] = -1  # below the tree's first key
+            owner = forest.owner
+            if owner is None:
+                break
+            owned = owner[forest.paths[rows]]
+            r, c = _np.nonzero(owned >= 0)
+            if not r.size:
+                return None
+            rows_of = r if rows_of is None else rows_of[r]
+            trees = owned[r, c]
+        touched = forest.paths[rows]
+        n_cols = forest.n
+        deltas = _np.bincount(
+            touched.ravel(),
+            weights=_np.repeat(weights[rows_of], touched.shape[1]),
+            minlength=n_cols + 1,
+        )
+        return deltas[:n_cols].astype(_np.int64), elems[rows_of], rows
 
     def leaf_rows(self):
         """``(paths, klo, khi)`` for :meth:`route_batch`'s leaf rows: the
@@ -927,11 +891,8 @@ class EndpointTree:
         column count) and each store column's leaf-row range — the
         elements through column ``u`` are those whose row lies in
         ``[klo[u], khi[u])``."""
-        if self.root.last_dim:
-            sk = self.root.skel
-            return sk.paths, sk.klo, sk.khi
-        router = self._router
-        return router.paths, router.klo, router.khi
+        forest = self.forests[-1]
+        return forest.paths, forest.klo, forest.khi
 
     # -- introspection -------------------------------------------------------
 
@@ -943,18 +904,21 @@ class EndpointTree:
         endpoints of registered queries.
         """
         out: List[int] = []
-        if self.root is None or rect.is_empty():
+        if not self.forests or rect.is_empty():
             return out
-        stack: List[FlatTree] = [self.root]
+        forests = self.forests
+        stack: List[Tuple[int, int]] = [(0, 0)]
         while stack:
-            tree = stack.pop()
-            iv = rect.intervals[tree.dim]
-            found = tree.canonical(iv.lo, iv.hi)
-            if tree.last_dim:
-                out.extend(tree.base + u for u in found)
+            dim, t = stack.pop()
+            forest = forests[dim]
+            iv = rect.intervals[dim]
+            found = forest.canonical(t, iv.lo, iv.hi)
+            owner = forest.scalar()[3]
+            if owner is None:
+                out.extend(found)
             else:
-                sec = tree.secondary
-                stack.extend(reversed([sec[u] for u in found if u in sec]))
+                owned = [owner[u] for u in found]
+                stack.extend([(dim + 1, s) for s in reversed(owned) if s >= 0])
         return out
 
     def range_count(self, rect: Rect) -> int:
@@ -968,6 +932,11 @@ class EndpointTree:
         cnts = self.cnts
         return sum(cnts.item(u) for u in self.canonical_columns(rect))
 
+    def primary(self) -> Optional[Skeleton]:
+        """The primary tree's skeleton (None when no rectangle is usable)."""
+        return self.forests[0].skels[0] if self.forests else None
+
     def height(self) -> int:
         """Height of the primary skeleton (0 for a single leaf or none)."""
-        return 0 if self.root is None else self.root.skel.height
+        sk = self.primary()
+        return 0 if sk is None else sk.height

@@ -13,7 +13,6 @@ now delegate here via :func:`repro.sanitize.check`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..baselines.interval_engine import IntervalTreeEngine
@@ -21,7 +20,7 @@ from ..baselines.naive import NaiveEngine
 from ..baselines.rtree_engine import RTreeEngine
 from ..baselines.seg_intv_engine import SegIntvEngine
 from ..core.dt_engine import TreeInstance
-from ..core.endpoint_tree import COUNTER_MAX, EndpointTree, FlatTree
+from ..core.endpoint_tree import COUNTER_MAX, EndpointTree, Forest
 from ..core.engine import Engine
 from ..core.logmethod import DTEngine
 from ..core.system import RTSSystem
@@ -137,52 +136,52 @@ def validate_heap_arena(arena: HeapArena, level: str) -> Iterator[Violation]:
 
 @register_checker(EndpointTree)
 def validate_endpoint_tree(tree: EndpointTree, level: str) -> Iterator[Violation]:
-    """Jurisdiction tiling, per-dimension layering, the counter store."""
+    """Jurisdiction tiling, per-dimension layering, the counter store,
+    each checked once per dimension over that dimension's forest."""
     if not level_covers(level, "full"):
         return
-    stack: List[FlatTree] = [tree.root] if tree.root is not None else []
-    while stack:
-        flat = stack.pop()
-        yield from _validate_flat_tree(flat, tree.ndims)
-        for u, sec in sorted(flat.secondary.items()):
-            if sec.dim != flat.dim + 1:
-                yield Violation(
-                    "dimension-layering",
-                    f"secondary tree of node {u} indexes dim {sec.dim}, "
-                    f"expected {flat.dim + 1}",
-                    section="S6",
-                    subject=_tree_subject(flat),
-                )
-            stack.append(sec)
-    for flat in tree.trees:
-        yield from _validate_counter_store(flat)
+    forests = tree.forests
+    if forests and len(forests) != tree.ndims:
+        yield Violation(
+            "dimension-layering",
+            f"{len(forests)} forest(s) in {tree.ndims} dimension(s)",
+            section="S6",
+            subject="EndpointTree",
+        )
+    for dim, forest in enumerate(forests):
+        yield from _validate_forest(forest, dim)
+        nxt = forests[dim + 1] if dim + 1 < len(forests) else None
+        yield from _validate_layering(forest, nxt, tree.cnts.size)
+    if forests:
+        yield from _validate_counter_store(forests[-1], tree.cnts)
 
 
-def _tree_subject(flat: FlatTree) -> str:
-    return f"FlatTree(dim={flat.dim}, keys={len(flat.vals)}, base={flat.base})"
+def _forest_subject(forest: Forest) -> str:
+    return f"Forest(dim={forest.dim}, trees={forest.ks.size}, keys={forest.vals.size})"
 
 
-def _validate_flat_tree(flat: FlatTree, ndims: int) -> Iterator[Violation]:
-    """One tree's keys and skeleton: every jurisdiction is non-empty and
-    every internal node is tiled exactly by its two children."""
+def _validate_forest(forest: Forest, dim: int) -> Iterator[Violation]:
+    """One dimension's keys and nodes: within every tree the keys rise
+    strictly and every jurisdiction is non-empty, and every internal node
+    is tiled exactly by its two children."""
     import numpy as np
 
-    subject = _tree_subject(flat)
-    sk = flat.skel
-    vals, bits = flat.vals, flat.bits
+    subject = _forest_subject(forest)
+    vals, bits = forest.vals, forest.bits
     rising = (vals[1:] > vals[:-1]) | ((vals[1:] == vals[:-1]) & (bits[1:] > bits[:-1]))
+    rising[forest.kbase[1:] - 1] = True  # a tree's first key follows another tree's
     bad = np.flatnonzero(~rising)
-    if bad.size or (sk.klo >= sk.khi).any():
+    left, right, klo, khi = forest.left, forest.right, forest.klo, forest.khi
+    if bad.size or (klo >= khi).any():
         i = int(bad[0]) if bad.size else -1
         yield Violation(
             "jurisdiction-empty",
             "keys are not strictly increasing, or a node covers no key "
-            f"(first repeated key at rank {i + 1})",
+            f"(first repeated key at index {i + 1})",
             section="S4",
             subject=subject,
-            context=_ctx(dim=flat.dim, rank=i + 1),
+            context=_ctx(dim=dim, rank=i + 1),
         )
-    left, right = sk.left, sk.right
     lonely = np.flatnonzero((left < 0) != (right < 0))
     if lonely.size:
         yield Violation(
@@ -190,55 +189,72 @@ def _validate_flat_tree(flat: FlatTree, ndims: int) -> Iterator[Violation]:
             f"node {int(lonely[0])} has exactly one child (skeleton must be proper)",
             section="S4",
             subject=subject,
-            context=_ctx(dim=flat.dim),
+            context=_ctx(dim=dim),
         )
     par = np.flatnonzero((left >= 0) & (right >= 0))
     lc, rc = left[par], right[par]
-    torn = par[
-        (sk.klo[lc] != sk.klo[par])
-        | (sk.khi[rc] != sk.khi[par])
-        | (sk.khi[lc] != sk.klo[rc])
-    ]
+    torn = par[(klo[lc] != klo[par]) | (khi[rc] != khi[par]) | (khi[lc] != klo[rc])]
     if torn.size:
         u = int(torn[0])
         yield Violation(
             "jurisdiction-tiling",
             f"{torn.size} node(s) whose children do not tile the parent "
-            f"jurisdiction; first at node {u}: {flat.jurisdiction(u)!r}",
+            f"jurisdiction; first at node {u}: {forest.jurisdiction(u)!r}",
             section="S4",
             subject=subject,
-            context=_ctx(dim=flat.dim, node=u),
+            context=_ctx(dim=dim, node=u),
         )
-    if flat.last_dim != (flat.dim == ndims - 1):
+    if forest.dim != dim:
         yield Violation(
             "dimension-layering",
-            f"tree of dim {flat.dim} claims last_dim={flat.last_dim} "
-            f"in {ndims} dimension(s)",
+            f"forest of dim {forest.dim} sits at dimension {dim}",
             section="S6",
             subject=subject,
         )
-    if flat.last_dim:
-        if flat.secondary:
+
+
+def _validate_layering(forest: Forest, nxt, n_cols: int) -> Iterator[Violation]:
+    """Section 6's layering: an interior dimension maps nodes to the next
+    dimension's trees, one owner per tree, in owner order; only the last
+    dimension's nodes are counter columns."""
+    import numpy as np
+
+    subject = _forest_subject(forest)
+    owner = forest.owner
+    if nxt is None:
+        if owner is not None:
             yield Violation(
                 "dimension-layering",
-                "last-dimension tree carries secondary trees",
+                "last-dimension forest maps nodes to secondary trees",
                 section="S6",
                 subject=subject,
-                context=_ctx(dim=flat.dim),
+                context=_ctx(dim=forest.dim),
             )
-    elif flat.base != -1 or flat.cnts is not None:
+        elif forest.n != n_cols:
+            yield Violation(
+                "dimension-layering",
+                f"the counter store has {n_cols} columns but the last "
+                f"dimension has {forest.n} nodes (only last-dimension nodes "
+                "count weight and hold H(u))",
+                section="S6",
+                subject=subject,
+                context=_ctx(dim=forest.dim, columns=n_cols, nodes=forest.n),
+            )
+        return
+    owned = None if owner is None else owner[owner >= 0]
+    if owned is None or not np.array_equal(owned, np.arange(nxt.ks.size)):
         yield Violation(
             "dimension-layering",
-            "non-final-dimension tree owns counter columns "
-            "(only last-dimension nodes count weight and hold H(u))",
+            f"the owner map does not give each of the {nxt.ks.size} trees "
+            f"of dim {nxt.dim} one owner node, in owner order",
             section="S6",
             subject=subject,
-            context=_ctx(dim=flat.dim, base=flat.base),
+            context=_ctx(dim=forest.dim),
         )
 
 
-def _validate_counter_store(flat: FlatTree) -> Iterator[Violation]:
-    """The one counter store, on one last-dimension tree's slice of it.
+def _validate_counter_store(forest: Forest, cnts) -> Iterator[Violation]:
+    """The one counter store, over the last dimension's forest.
 
     ``cnts`` holds every ``c(u)`` and nothing else does, so the Section 4
     identities are checked on it directly: counters are non-negative and
@@ -247,32 +263,30 @@ def _validate_counter_store(flat: FlatTree) -> Iterator[Violation]:
     """
     import numpy as np
 
-    cnts, base = flat.cnts, flat.base
-    sk = flat.skel
-    subject = _tree_subject(flat)
+    subject = _forest_subject(forest)
     neg = np.flatnonzero(cnts < 0)
     if neg.size:
         i = int(neg[0])
         yield Violation(
             "counter-negative",
-            f"{neg.size} counter(s) negative; c(u) = {cnts.item(i)} at "
-            f"column {base + i}",
+            f"{neg.size} counter(s) negative; c(u) = {cnts.item(i)} at column {i}",
             section="S4",
             subject=subject,
-            context=_ctx(dim=flat.dim, column=base + i, counter=cnts.item(i)),
+            context=_ctx(dim=forest.dim, column=i, counter=cnts.item(i)),
         )
-    par = np.flatnonzero(sk.left >= 0)
-    off = par[cnts[par] != cnts[sk.left[par]] + cnts[sk.right[par]]]
+    left, right = forest.left[: cnts.size], forest.right[: cnts.size]
+    par = np.flatnonzero(left >= 0)
+    off = par[cnts[par] != cnts[left[par]] + cnts[right[par]]]
     if off.size:
         i = int(off[0])
         yield Violation(
             "counter-sum",
             f"{off.size} internal node(s) with c(u) != c(left) + c(right); "
-            f"first at column {base + i}: {cnts.item(i)} != "
-            f"{cnts.item(int(sk.left[i]))} + {cnts.item(int(sk.right[i]))}",
+            f"first at column {i}: {cnts.item(i)} != "
+            f"{cnts.item(int(left[i]))} + {cnts.item(int(right[i]))}",
             section="S4",
             subject=subject,
-            context=_ctx(dim=flat.dim, column=base + i),
+            context=_ctx(dim=forest.dim, column=i),
         )
 
 
@@ -486,7 +500,7 @@ def validate_tree_instance(inst: TreeInstance, level: str) -> Iterator[Violation
     # Canonical-set consistency: the columns a slot signals on must be
     # exactly the canonical decomposition of its query rectangle, and
     # within each last-dimension tree the jurisdictions must be disjoint.
-    bases = [flat.base for flat in inst.tree.trees]
+    forest = inst.tree.forests[-1] if inst.tree.forests else None
     for s, state in enumerate(inst.state):
         if state == DONE:
             continue
@@ -518,15 +532,10 @@ def validate_tree_instance(inst: TreeInstance, level: str) -> Iterator[Violation
             )
         by_tree: Dict[int, List[Tuple[int, int]]] = {}
         for col in cols:
-            t = bisect_right(bases, col) - 1
-            if t < 0:
+            if not 0 <= col < forest.n:
                 continue
-            flat = inst.tree.trees[t]
-            u = col - flat.base
-            if u >= flat.n:
-                continue
-            by_tree.setdefault(t, []).append(
-                (int(flat.skel.klo[u]), int(flat.skel.khi[u]))
+            by_tree.setdefault(forest.tree_of(col), []).append(
+                (int(forest.klo[col]), int(forest.khi[col]))
             )
         for spans in by_tree.values():
             spans.sort()

@@ -1,9 +1,10 @@
 """Unit tests for the flat endpoint-tree layout and its columnar descent.
 
-A :class:`~repro.core.endpoint_tree.FlatTree` is one tree's sorted keys
-plus a shared :class:`~repro.core.endpoint_tree.Skeleton` (BFS order,
-arithmetic child indexing), so the batched driver descends whole ranges
-with one gather + one bincount.  These tests pin the layout against a
+A one-dimensional endpoint tree is a :class:`~repro.core.endpoint_tree.Forest`
+of one tree: its sorted keys plus a shared
+:class:`~repro.core.endpoint_tree.Skeleton` (BFS order, arithmetic child
+indexing), so the batched driver descends whole ranges with one gather +
+one bincount.  These tests pin the layout against a
 recursively built pointer graph as ground truth, the routing exactness,
 and the counter store (``cnts`` / ``mins``) that the scalar and batched
 paths share.
@@ -13,13 +14,24 @@ import numpy as np
 import pytest
 
 from repro import Query, RTSSystem, StreamElement
-from repro.core.endpoint_tree import COUNTER_MAX, FlatTree, skeleton
+from repro.core.endpoint_tree import COUNTER_MAX, EndpointTree
+from repro.core.geometry import PLUS_INFINITY, Interval, Rect
 
 
 def make_columnar(*key_values):
-    """A one-dimensional tree over the given (distinct) key values."""
-    vals = np.array(sorted(float(v) for v in key_values))
-    return FlatTree(0, True, skeleton(len(vals)), vals, np.zeros(len(vals), dtype=bool), vals, 0)
+    """The one-tree forest of a one-dimensional endpoint tree over the
+    given (distinct) key values: one ``[v, +inf)`` query per value, so
+    the values are exactly the keys."""
+    rects = [Rect([Interval((float(v), 0), PLUS_INFINITY)]) for v in key_values]
+    tree = EndpointTree(rects, 1)
+    return tree.forests[0], tree
+
+
+def route(tree, values, weights, sel):
+    """``route_batch``'s per-node deltas of the elements ``sel`` (None
+    when nothing routes)."""
+    routed = tree.route_batch(values[sel], weights[sel], np.asarray(sel))
+    return None if routed is None else routed[0]
 
 
 def pointer_graph(K):
@@ -48,8 +60,8 @@ class TestLayoutInvariants:
 
     @pytest.mark.parametrize("n_keys", [1, 2, 3, 7, 8, 13, 64, 100])
     def test_child_parent_depth_columns(self, n_keys):
-        ct = make_columnar(*range(n_keys))
-        sk = ct.skel
+        ct, tree = make_columnar(*range(n_keys))
+        sk = ct.skels[0]
         nodes, depth = pointer_graph(n_keys)
         index = {id(node): i for i, node in enumerate(nodes)}
         assert ct.n == len(nodes)
@@ -70,8 +82,8 @@ class TestLayoutInvariants:
         assert sk.height == int(sk.depth.max())
 
     def test_leaf_table_is_sorted_and_complete(self):
-        ct = make_columnar(3, 1, 8, 5, 13, 2)
-        sk = ct.skel
+        ct, tree = make_columnar(3, 1, 8, 5, 13, 2)
+        sk = ct.skels[0]
         assert (np.diff(ct.lows) > 0).all()
         leaves = [i for i in range(ct.n) if sk.left[i] < 0]
         assert sorted(sk.leaf_ids.tolist()) == leaves
@@ -79,8 +91,8 @@ class TestLayoutInvariants:
         assert ct.lows.tolist() == [1.0, 2.0, 3.0, 5.0, 8.0, 13.0]
 
     def test_paths_matrix_with_sentinel_row(self):
-        ct = make_columnar(*range(10))
-        sk = ct.skel
+        ct, tree = make_columnar(*range(10))
+        sk = ct.skels[0]
         paths = sk.paths
         n = ct.n
         assert paths.shape == (len(sk.leaf_ids) + 1, sk.height + 1)
@@ -99,11 +111,11 @@ class TestLayoutInvariants:
 
 
 class TestRouting:
-    """route() computes exactly the scalar descents' counter deltas."""
+    """route_batch() computes exactly the scalar descents' counter deltas."""
 
     def _scalar_deltas(self, ct, values, weights):
         deltas = np.zeros(ct.n + 1)
-        sk = ct.skel
+        sk = ct.skels[0]
         for v, w in zip(values, weights):
             pos = np.searchsorted(ct.lows, v, side="right") - 1
             if pos < 0:
@@ -116,11 +128,11 @@ class TestRouting:
 
     @pytest.mark.parametrize("n_keys,count", [(5, 3), (16, 40), (33, 200)])
     def test_matches_scalar_descent(self, n_keys, count):
-        ct = make_columnar(*range(0, 3 * n_keys, 3))
+        ct, tree = make_columnar(*range(0, 3 * n_keys, 3))
         rng = np.random.default_rng(7)
         vals = rng.integers(-2, 3 * n_keys + 4, size=count).astype(np.float64)
         weights = rng.integers(1, 9, size=count).astype(np.float64)
-        got = ct.route(vals.reshape(-1, 1), weights, np.arange(count))
+        got = route(tree, vals.reshape(-1, 1), weights, np.arange(count))
         want = self._scalar_deltas(ct, vals, weights)
         if got is None:
             assert not want[: ct.n].any()
@@ -130,9 +142,9 @@ class TestRouting:
             assert np.array_equal(got[: ct.n], want[: ct.n])
 
     def test_dropouts_land_in_scratch_only(self):
-        ct = make_columnar(10, 20, 30)
+        ct, tree = make_columnar(10, 20, 30)
         vals = np.array([[5.0], [9.9]])  # both left of the leftmost key
-        got = ct.route(vals, np.array([3.0, 4.0]), np.arange(2))
+        got = route(tree, vals, np.array([3.0, 4.0]), np.arange(2))
         if got is not None:
             assert not got[: ct.n].any()
 
@@ -144,33 +156,31 @@ class TestRouting:
         [(2, 6), (2, 40), (24, 6), (24, 120)],
     )
     def test_permuted_full_selection_matches_identity(self, n_keys, count):
-        # Secondary trees hand route() a sel permuted by an earlier
-        # dimension's argsort.  When that permutation covers the whole
-        # batch, the cached fast path serves positions in *batch* order —
-        # the weights must ride the same order (regression: the
+        # A permutation of the whole batch must route like the identity:
+        # the weights must ride the positions' order (regression: the
         # level-synchronous branch once paired batch-order positions
         # with sel-order weights, crediting weight to the wrong leaf).
-        ct = make_columnar(*range(0, 3 * n_keys, 3))
+        ct, tree = make_columnar(*range(0, 3 * n_keys, 3))
         rng = np.random.default_rng(11)
         # Include out-of-range values on both sides (dropout mask path).
         vals = rng.integers(-3, 3 * n_keys + 5, size=count).astype(np.float64)
         weights = rng.integers(1, 9, size=count).astype(np.float64)
         vals2 = vals.reshape(-1, 1)
-        identity = ct.route(vals2, weights, np.arange(count))
+        identity = route(tree, vals2, weights, np.arange(count))
         perm = rng.permutation(count)
-        got = ct.route(vals2, weights, perm)
+        got = route(tree, vals2, weights, perm)
         want = self._scalar_deltas(ct, vals, weights)
         assert np.array_equal(identity[: ct.n], want[: ct.n])
         assert np.array_equal(got[: ct.n], want[: ct.n])
 
     def test_sub_range_slicing_agrees_with_full(self):
-        ct = make_columnar(*range(0, 40, 2))
+        ct, tree = make_columnar(*range(0, 40, 2))
         rng = np.random.default_rng(3)
         vals = rng.integers(0, 44, size=64).astype(np.float64).reshape(-1, 1)
         weights = rng.integers(1, 5, size=64).astype(np.float64)
-        full = ct.route(vals, weights, np.arange(64))
-        lo_half = ct.route(vals, weights, np.arange(0, 32))
-        hi_half = ct.route(vals, weights, np.arange(32, 64))
+        full = route(tree, vals, weights, np.arange(64))
+        lo_half = route(tree, vals, weights, np.arange(0, 32))
+        hi_half = route(tree, vals, weights, np.arange(32, 64))
         parts = sum(
             p for p in (lo_half, hi_half) if p is not None
         )

@@ -2,13 +2,12 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from repro import Rect
-from repro.core.endpoint_tree import EndpointTree, FlatTree, Skeleton, skeleton
+from repro.core.endpoint_tree import EndpointTree, Skeleton, skeleton
 from repro.core.engine import WorkCounters
-from repro.core.geometry import PLUS_INFINITY, Interval, encoded_key
+from repro.core.geometry import PLUS_INFINITY, Interval
 
 
 def keys_of(*values):
@@ -16,15 +15,14 @@ def keys_of(*values):
 
 
 def flat_tree(keys):
-    """A one-dimensional tree over sorted distinct boundary keys."""
-    vals = np.array([v for v, _ in keys], dtype=np.float64)
-    bits = np.array([b for _, b in keys], dtype=bool)
-    lows = np.array([encoded_key(k) for k in keys], dtype=np.float64)
-    return FlatTree(0, True, skeleton(len(keys)), vals, bits, lows, 0)
+    """The one-tree forest of a one-dimensional endpoint tree over sorted
+    distinct boundary keys (one ``[key, +inf)`` query per key)."""
+    rects = [Rect([Interval(k, PLUS_INFINITY)]) for k in keys]
+    return EndpointTree(rects, 1).forests[0]
 
 
 def leaves_in_key_order(tree):
-    return tree.skel.leaf_ids.tolist()
+    return tree.skels[0].leaf_ids.tolist()
 
 
 def canon(tree, i):
@@ -36,11 +34,11 @@ class TestSkeleton:
     def test_empty(self):
         with pytest.raises(ValueError):
             Skeleton(0)
-        assert EndpointTree([], 1).root is None
+        assert EndpointTree([], 1).forests == []
 
     def test_single_key_leaf_extends_to_infinity(self):
         tree = flat_tree(keys_of(5))
-        assert tree.n == 1 and tree.skel.left[0] == -1
+        assert tree.n == 1 and tree.skels[0].left[0] == -1
         assert tree.jurisdiction(0) == ((5.0, 0), PLUS_INFINITY)
 
     def test_jurisdictions_partition_the_range(self):
@@ -54,7 +52,7 @@ class TestSkeleton:
 
     def test_internal_jurisdiction_is_union_of_children(self):
         tree = flat_tree(keys_of(1, 2, 3, 4, 5, 6, 7, 8))
-        sk = tree.skel
+        sk = tree.skels[0]
         for u in range(tree.n):
             if sk.left[u] < 0:
                 continue
@@ -71,7 +69,7 @@ class TestSkeleton:
 def brute_canonical(tree, lo, hi):
     """Nodes whose jurisdiction lies inside [lo, hi) while their parent's
     does not."""
-    sk = tree.skel
+    sk = tree.skels[0]
 
     def inside(u):
         u_lo, u_hi = tree.jurisdiction(u)
@@ -88,7 +86,7 @@ class TestCanonicalNodes:
     def test_paper_figure1_example(self):
         # Figure 1: endpoints 2,3,5,8,9,13,15,16; query q5 = [5, 16).
         tree = flat_tree(keys_of(2, 3, 5, 8, 9, 13, 15, 16))
-        nodes = tree.canonical((5.0, 0), (16.0, 0))
+        nodes = tree.canonical(0, (5.0, 0), (16.0, 0))
         regions = sorted(tree.jurisdiction(u) for u in nodes)
         assert regions[0][0] == (5.0, 0) and regions[-1][1] == (16.0, 0)
         for (alo, ahi), (blo, bhi) in zip(regions, regions[1:]):
@@ -102,7 +100,7 @@ class TestCanonicalNodes:
             tree = flat_tree(keys)
             i, j = sorted(rnd.sample(range(len(keys)), 2))
             lo, hi = keys[i], keys[j]
-            regions = sorted(tree.jurisdiction(u) for u in tree.canonical(lo, hi))
+            regions = sorted(tree.jurisdiction(u) for u in tree.canonical(0, lo, hi))
             assert regions[0][0] == lo and regions[-1][1] == hi
             for (alo, ahi), (blo, bhi) in zip(regions, regions[1:]):
                 assert ahi == blo
@@ -122,7 +120,7 @@ class TestCanonicalNodes:
                 lo, hi = min(keys[i], keys[j]), max(keys[i], keys[j])
             else:
                 lo = keys[i]
-            fast = tree.canonical(lo, hi)
+            fast = tree.canonical(0, lo, hi)
             assert len(fast) == len(set(fast))
             assert set(fast) == brute_canonical(tree, lo, hi)
 
@@ -130,8 +128,8 @@ class TestCanonicalNodes:
         # A range equal to an internal node's jurisdiction must return
         # exactly that node, not its children.
         tree = flat_tree(keys_of(0, 1, 2, 3, 4, 5, 6, 7))
-        nodes = tree.canonical((0.0, 0), (4.0, 0))
-        assert nodes == [int(tree.skel.left[0])]
+        nodes = tree.canonical(0, (0.0, 0), (4.0, 0))
+        assert nodes == [int(tree.skels[0].left[0])]
 
     def test_at_most_two_nodes_per_level(self):
         rnd = random.Random(13)
@@ -139,14 +137,14 @@ class TestCanonicalNodes:
             keys = keys_of(*sorted(rnd.sample(range(1000), 64)))
             tree = flat_tree(keys)
             i, j = sorted(rnd.sample(range(64), 2))
-            nodes = tree.canonical(keys[i], keys[j])
-            depths = [int(tree.skel.depth[u]) for u in nodes]
+            nodes = tree.canonical(0, keys[i], keys[j])
+            depths = [int(tree.skels[0].depth[u]) for u in nodes]
             assert max(depths.count(d) for d in set(depths)) <= 2
             assert len(nodes) <= 2 * 7  # 2 per level, height log2(64)+1
 
     def test_empty_range(self):
         tree = flat_tree(keys_of(1, 2, 3))
-        assert tree.canonical((2.0, 0), (2.0, 0)) == []
+        assert tree.canonical(0, (2.0, 0), (2.0, 0)) == []
         assert EndpointTree([], 1).canonical_columns(Rect.half_open([(1, 2)])) == []
 
 

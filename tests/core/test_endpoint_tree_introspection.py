@@ -19,8 +19,8 @@ class TestIterAndHeight:
     def test_iter_nodes_visits_whole_skeleton(self):
         rects = [Rect([Interval.half_open(i, i + 2)]) for i in range(8)]
         tree, _ = build(rects, 1)
-        sk = tree.root.skel
-        nodes = list(range(tree.root.n))
+        sk = tree.primary()
+        nodes = list(range(sk.n))
         leaves = [u for u in nodes if sk.left[u] < 0]
         internals = [u for u in nodes if sk.left[u] >= 0]
         # K distinct endpoint keys -> K leaves, K-1 internal nodes.
@@ -34,7 +34,7 @@ class TestIterAndHeight:
 
     def test_empty_tree(self):
         tree, _ = build([], 1)
-        assert tree.root is None and len(tree.cnts) == 0
+        assert tree.forests == [] and tree.primary() is None and len(tree.cnts) == 0
         assert tree.height() == 0
 
 

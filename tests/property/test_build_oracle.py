@@ -5,7 +5,9 @@ jurisdiction lies inside ``R_q`` while their parent's does not — checked
 by brute force over every node of every tree, dimension by dimension —
 every secondary tree must index exactly the queries reaching its owner,
 and every sigma-heap segment must be laid out as a heapify of its
-registration-order pushes.  The generators lean on the cases the key
+registration-order pushes.  A point's scalar descent (``columns``) and a
+one-element ``route_batch`` must reach exactly the last-dimension nodes
+whose region holds it.  The generators lean on the cases the key
 ranking can get wrong: open and closed bounds, the ``(x, 1)`` /
 ``(nextafter(x), 0)`` key pair, ``+inf`` upper bounds, and empty and
 duplicate rectangles.
@@ -13,6 +15,7 @@ duplicate rectangles.
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,33 +50,68 @@ def rect_lists(draw):
     return dims, [rects[i] for i in order]
 
 
-def _inside(rect, flat, u):
-    iv = rect.intervals[flat.dim]
-    lo, hi = flat.jurisdiction(u)
+def _inside(rect, forest, u):
+    iv = rect.intervals[forest.dim]
+    lo, hi = forest.jurisdiction(u)
     return iv.lo <= lo and hi <= iv.hi
+
+
+def _nodes(forest, t):
+    """Global nodes of tree ``t`` and its skeleton's parent column."""
+    sk = forest.skels[t]
+    base = int(forest.nbase[t])
+    return range(base, base + sk.n), sk.parent, base
 
 
 def _oracle(tree, rect, reached):
     """Brute-force canonical columns of ``rect``; records, per non-final
     tree node, which rectangles reach it."""
     out = []
-    if tree.root is None or rect.is_empty():
+    if not tree.forests or rect.is_empty():
         return out
-    stack = [tree.root]
+    stack = [(0, 0)]
     while stack:
-        flat = stack.pop()
-        parent = flat.skel.parent
-        for u in range(flat.n):
-            if not _inside(rect, flat, u):
+        dim, t = stack.pop()
+        forest = tree.forests[dim]
+        nodes, parent, base = _nodes(forest, t)
+        for u in nodes:
+            if not _inside(rect, forest, u):
                 continue
-            if parent[u] >= 0 and _inside(rect, flat, int(parent[u])):
+            p = int(parent[u - base])
+            if p >= 0 and _inside(rect, forest, base + p):
                 continue
-            if flat.last_dim:
-                out.append(flat.base + u)
+            if forest.owner is None:
+                out.append(u)
             else:
-                reached.setdefault((id(flat), u), []).append(rect)
-                assert u in flat.secondary, "a canonical node without a secondary tree"
-                stack.append(flat.secondary[u])
+                reached.setdefault((dim, u), []).append(rect)
+                assert forest.owner[u] >= 0, "a canonical node without a secondary tree"
+                stack.append((dim + 1, int(forest.owner[u])))
+    return out
+
+
+def _holds(forest, u, value):
+    lo, hi = forest.jurisdiction(u)
+    return lo <= (value, 0) < hi
+
+
+def _regions_holding(tree, point):
+    """Brute force: the last-dimension nodes whose region (the box of
+    jurisdictions along their chain of trees) holds ``point``."""
+    if not tree.forests:
+        return set()
+    # Per dimension, the node owning each tree of the next dimension.
+    owner_of = [np.flatnonzero(f.owner >= 0) for f in tree.forests[:-1]]
+    last = tree.forests[-1]
+    out = set()
+    for u in range(last.n):
+        dim, node, forest = last.dim, u, last
+        while _holds(forest, node, point[dim]):
+            if dim == 0:
+                out.add(u)
+                break
+            node = int(owner_of[dim - 1][forest.tree_of(node)])
+            dim -= 1
+            forest = tree.forests[dim]
     return out
 
 
@@ -97,8 +135,12 @@ def _reference_heapify(keys):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=rect_lists(), taus=st.lists(st.integers(1, 10**6), min_size=19, max_size=19))
-def test_build_matches_brute_force_oracle(case, taus):
+@given(
+    case=rect_lists(),
+    taus=st.lists(st.integers(1, 10**6), min_size=19, max_size=19),
+    points=st.lists(st.tuples(*[st.sampled_from(_POOL + [-1.0, 1.5, 3.0, 9.0])] * 3), max_size=6),
+)
+def test_build_matches_brute_force_oracle(case, taus, points):
     dims, rects = case
     counters = WorkCounters()
     tree = EndpointTree(rects, dims, counters)
@@ -111,7 +153,7 @@ def test_build_matches_brute_force_oracle(case, taus):
         if dims == 1 and cols:
             # Walk order: the left walk's nodes right to left, then the
             # right walk's left to right.
-            klo = [int(tree.root.skel.klo[c]) for c in cols]
+            klo = [int(tree.forests[0].klo[c]) for c in cols]
             turn = next((k for k in range(1, len(klo)) if klo[k] > klo[k - 1]), len(klo))
             assert klo[:turn] == sorted(klo[:turn], reverse=True)
             assert klo[turn - 1 :] == sorted(klo[turn - 1 :])
@@ -119,17 +161,35 @@ def test_build_matches_brute_force_oracle(case, taus):
     # Each secondary indexes exactly the endpoints of the rectangles that
     # reach its owner node; one rebuild is counted per tree built.
     trees = 0
-    stack = [tree.root] if tree.root is not None else []
-    while stack:
-        flat = stack.pop()
-        trees += 1
-        for u, sec in flat.secondary.items():
-            members = reached.get((id(flat), u), [])
-            keys = {r.intervals[sec.dim].lo for r in members}
-            keys |= {r.intervals[sec.dim].hi for r in members} - {PLUS_INFINITY}
-            assert [sec.key(k) for k in range(len(sec.vals))] == sorted(keys)
-            stack.append(sec)
+    for dim, forest in enumerate(tree.forests):
+        trees += forest.ks.size
+        if forest.owner is None:
+            continue
+        nxt = tree.forests[dim + 1]
+        for u in np.flatnonzero(forest.owner >= 0).tolist():
+            members = reached.get((dim, u), [])
+            keys = {r.intervals[nxt.dim].lo for r in members}
+            keys |= {r.intervals[nxt.dim].hi for r in members} - {PLUS_INFINITY}
+            sec = int(forest.owner[u])
+            k0 = int(nxt.kbase[sec])
+            assert [nxt.key(k) for k in range(k0, k0 + int(nxt.ks[sec]))] == sorted(keys)
     assert counters.rebuilds == max(trees, 1)
+
+    # Descents: the scalar columns and a one-element batch reach exactly
+    # the nodes whose region holds the point.
+    for point in points:
+        point = point[:dims]
+        want = _regions_holding(tree, point)
+        cols = tree.columns(point).tolist()
+        assert len(cols) == len(set(cols))
+        assert set(cols) == want
+        routed = tree.route_batch(np.array([point]), np.array([3.0]), np.array([0]))
+        if routed is None:
+            assert not want
+        else:
+            deltas = routed[0]
+            assert set(np.flatnonzero(deltas > 0).tolist()) == want
+            assert (deltas[sorted(want)] == 3).all()
 
     # Heap segments: a heapify of the registration-order pushes.
     entries = [(Query(r, taus[i], query_id=i), taus[i], 0) for i, r in enumerate(rects)]

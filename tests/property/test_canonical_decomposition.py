@@ -8,25 +8,17 @@ level.
 
 import math
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.endpoint_tree import FlatTree, skeleton
-from repro.core.geometry import PLUS_INFINITY, encoded_key
+from repro.core.endpoint_tree import EndpointTree
+from repro.core.geometry import PLUS_INFINITY, Interval, Rect
 
 
 def build(keys):
-    """A one-dimensional tree over sorted distinct boundary keys."""
-    return FlatTree(
-        0,
-        True,
-        skeleton(len(keys)),
-        np.array([v for v, _ in keys], dtype=np.float64),
-        np.array([b for _, b in keys], dtype=bool),
-        np.array([encoded_key(k) for k in keys], dtype=np.float64),
-        0,
-    )
+    """The one-tree forest of a one-dimensional endpoint tree over sorted
+    distinct boundary keys (one ``[key, +inf)`` query per key)."""
+    return EndpointTree([Rect([Interval(k, PLUS_INFINITY)]) for k in keys], 1).forests[0]
 
 keys_strategy = st.lists(
     st.tuples(st.integers(0, 200), st.integers(0, 1)),
@@ -43,7 +35,7 @@ def test_canonical_tiles_range_exactly(keys, data):
     i = data.draw(st.integers(0, len(keys) - 2))
     j = data.draw(st.integers(i + 1, len(keys) - 1))
     lo, hi = keys[i], keys[j]
-    regions = sorted(tree.jurisdiction(u) for u in tree.canonical(lo, hi))
+    regions = sorted(tree.jurisdiction(u) for u in tree.canonical(0, lo, hi))
     assert regions[0][0] == lo
     assert regions[-1][1] == hi
     for (_, a_hi), (b_lo, _) in zip(regions, regions[1:]):
@@ -57,8 +49,8 @@ def test_canonical_is_minimal(keys, data):
     tree = build(keys)
     i = data.draw(st.integers(0, len(keys) - 2))
     j = data.draw(st.integers(i + 1, len(keys) - 1))
-    chosen = set(tree.canonical(keys[i], keys[j]))
-    sk = tree.skel
+    chosen = set(tree.canonical(0, keys[i], keys[j]))
+    sk = tree.skels[0]
     for u in range(tree.n):
         if sk.left[u] >= 0:
             assert not (int(sk.left[u]) in chosen and int(sk.right[u]) in chosen), (
@@ -72,7 +64,7 @@ def test_canonical_size_bound(keys, data):
     tree = build(keys)
     i = data.draw(st.integers(0, len(keys) - 2))
     j = data.draw(st.integers(i + 1, len(keys) - 1))
-    nodes = tree.canonical(keys[i], keys[j])
+    nodes = tree.canonical(0, keys[i], keys[j])
     height = math.ceil(math.log2(len(keys))) + 1
     assert len(nodes) <= 2 * height
 
@@ -82,7 +74,7 @@ def test_canonical_size_bound(keys, data):
 def test_unbounded_range_to_infinity(keys, data):
     tree = build(keys)
     i = data.draw(st.integers(0, len(keys) - 1))
-    regions = sorted(tree.jurisdiction(u) for u in tree.canonical(keys[i], PLUS_INFINITY))
+    regions = sorted(tree.jurisdiction(u) for u in tree.canonical(0, keys[i], PLUS_INFINITY))
     assert regions[0][0] == keys[i]
     assert regions[-1][1] == PLUS_INFINITY
     for (_, a_hi), (b_lo, _) in zip(regions, regions[1:]):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro import RTSSystem
-from repro.core.endpoint_tree import Skeleton
 from repro.core.tracker import DONE, ROUND
 from repro.dt.coordinator import Coordinator
 from repro.dt.network import StarNetwork
@@ -36,13 +35,28 @@ def _dt_system(engine="dt"):
     return system
 
 
+def _dt_system_2d():
+    """A 2-D DT system whose largest tree has several secondary trees."""
+    system = RTSSystem(dims=2, engine="dt")
+    for i in range(8):
+        system.register([(i, i + 6), (8 - i, 14 - i)], threshold=1000, query_id=i)
+    for i in range(30):
+        system.process((float(i % 13), float((5 * i) % 15)))
+    assert collect(system) == []
+    return system
+
+
+def _largest_instance(system):
+    return max((t for t in system.engine._trees if t is not None), key=lambda t: t.built_count)
+
+
 def _first_instance(system):
     return next(t for t in system.engine._trees if t is not None)
 
 
 def _leaf(inst, side):
     """Store column of the leftmost (side=0) or rightmost (-1) leaf."""
-    sk = inst.tree.root.skel
+    sk = inst.tree.primary()
     return int(sk.leaf_ids[side])
 
 
@@ -66,15 +80,34 @@ def _round_tracker(system):
 class TestTreeSanitizer:
     def test_broken_jurisdiction_tiling_detected(self):
         system = _dt_system()
-        tree = _first_instance(system).tree.root
-        bad = Skeleton(tree.skel.K)  # a private copy: shapes are shared
-        assert bad.left[0] >= 0, "expected an internal root"
-        khi = bad.khi.copy()
-        khi[bad.left[0]] = khi[0]  # left child swallows the right: tiling breaks
-        bad.khi = khi
-        tree.skel = bad
+        forest = _first_instance(system).tree.forests[0]
+        assert forest.left[0] >= 0, "expected an internal root"
+        khi = forest.khi.copy()  # a private copy: shapes are shared
+        khi[forest.left[0]] = khi[0]  # left child swallows the right: tiling breaks
+        forest.khi = khi
         found = _invariants(system)
         assert "jurisdiction-tiling" in found or "jurisdiction-empty" in found
+
+    def test_keys_out_of_order_in_a_secondary_tree_detected(self):
+        system = _dt_system_2d()
+        forest = _largest_instance(system).tree.forests[1]
+        t = int((forest.ks >= 2).argmax())
+        assert forest.ks[t] >= 2, "expected a secondary tree with two keys"
+        vals = forest.vals.copy()
+        k0 = int(forest.kbase[t])
+        vals[k0 : k0 + 2] = vals[k0 + 1], vals[k0]  # keys out of order
+        forest.vals = vals
+        assert "jurisdiction-empty" in _invariants(system)
+
+    def test_owner_map_out_of_order_detected(self):
+        system = _dt_system_2d()
+        forest = _largest_instance(system).tree.forests[0]
+        owner = forest.owner.copy()
+        owned = np.flatnonzero(owner >= 0)
+        assert owned.size >= 2, "expected two secondary trees"
+        owner[owned[:2]] = owner[owned[1::-1]]  # two trees swap their owners
+        forest.owner = owner
+        assert "dimension-layering" in _invariants(system)
 
     def test_negative_counter_detected(self):
         system = _dt_system()

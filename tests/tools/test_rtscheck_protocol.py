@@ -1,4 +1,4 @@
-"""Protocol analysis: dispatch coverage, epochs, ABCs, shipped commands."""
+"""Protocol analysis: dispatch coverage, ABCs, shipped commands."""
 
 import pathlib
 import sys
@@ -26,7 +26,6 @@ class Message:
     mtype: MessageType
     src: int
     payload: object
-    epoch: int
 '''
 
 
@@ -115,43 +114,6 @@ def handle(m):
         assert findings[0].rule == "proto-unhandled-message"
         assert "no dispatcher in the program handles" in findings[0].message
         assert "REPORT" in findings[0].message
-
-
-class TestEpochStamping:
-    def test_construction_without_epoch_is_flagged(self, tmp_path):
-        findings = _check(
-            tmp_path,
-            {
-                "messages.py": MESSAGES,
-                "sender.py": '''
-from messages import Message, MessageType
-
-
-def send(net):
-    net.push(Message(MessageType.SLACK, 0, None, epoch=3))
-    net.push(Message(mtype=MessageType.SIGNAL, src=1, payload=None))
-''',
-            },
-            select=["proto-missing-epoch"],
-        )
-        assert len(findings) == 1
-        assert findings[0].rule == "proto-missing-epoch"
-        assert findings[0].line == 7
-
-    def test_defining_module_is_exempt(self, tmp_path):
-        findings = _check(
-            tmp_path,
-            {
-                "messages.py": MESSAGES
-                + '''
-
-def template():
-    return Message(MessageType.SLACK, 0, None)
-''',
-            },
-            select=["proto-missing-epoch"],
-        )
-        assert findings == []
 
 
 class TestAbstractGap:

@@ -7,7 +7,7 @@ properties that only exist *between* files:
 
 * :mod:`.determinism` — nondeterminism sources reachable from the
   deterministic-contract surfaces (``det-*`` rules);
-* :mod:`.protocol` — message-dispatch exhaustiveness, epoch stamping,
+* :mod:`.protocol` — message-dispatch exhaustiveness,
   abstract-method gaps, shipped-command existence (``proto-*``);
 * :mod:`.wireformat` — writer/reader key agreement per ``rts-*-v1``
   version string (``wire-*``);

@@ -1,4 +1,4 @@
-"""Protocol-exhaustiveness analysis: message dispatch and epoch stamping.
+"""Protocol-exhaustiveness analysis: message dispatch and shipped code.
 
 The DT protocol's exactly-once guarantees rest on three structural
 properties this analysis checks without running anything:
@@ -9,10 +9,6 @@ properties this analysis checks without running anything:
   ``else:`` that raises.  Additionally, every member of a dispatched
   enum must be handled by *some* dispatcher in the program — a message
   type nobody consumes is dead protocol surface.
-* ``proto-missing-epoch`` — classes declaring an ``epoch`` field (the
-  DT idempotency token) must be constructed with an explicit ``epoch``
-  argument outside their defining module; forgetting it silently breaks
-  duplicate-delivery detection.
 * ``proto-abstract-gap`` — an instantiated class must concretely define
   every ``@abstractmethod`` it inherits.  Pure-AST code never trips the
   runtime ABC guard, and executor/engine ABCs grow methods over time.
@@ -35,10 +31,6 @@ RULES: Dict[str, str] = {
         "every message-type dispatcher handles all enum members or "
         "raises in a catch-all else; every member is handled somewhere"
     ),
-    "proto-missing-epoch": (
-        "constructions of epoch-stamped message classes must pass an "
-        "explicit epoch= outside the defining module"
-    ),
     "proto-abstract-gap": (
         "instantiated classes must define every inherited abstractmethod"
     ),
@@ -53,7 +45,6 @@ def run(program: Program) -> List[Finding]:
     out: List[Finding] = []
     enums = _enum_classes(program)
     out.extend(_check_dispatch(program, enums))
-    out.extend(_check_epoch_stamping(program))
     out.extend(_check_abstract_gaps(program))
     out.extend(_check_command_targets(program))
     out.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
@@ -205,59 +196,6 @@ def _has_catch_all_raise(fn_node: ast.AST) -> bool:
         ):
             return True
     return False
-
-
-# -- proto-missing-epoch -----------------------------------------------------
-
-
-def _epoch_stamped_classes(program: Program) -> Dict[str, int]:
-    """Class qualname -> positional index of its ``epoch`` field."""
-    out: Dict[str, int] = {}
-    for info in program.classes.values():
-        fields = [
-            node.target.id
-            for node in info.node.body
-            if isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)
-        ]
-        if "epoch" in fields:
-            out[info.qualname] = fields.index("epoch")
-    return out
-
-
-def _check_epoch_stamping(program: Program) -> List[Finding]:
-    stamped = _epoch_stamped_classes(program)
-    if not stamped:
-        return []
-    out: List[Finding] = []
-    for module in program.modules.values():
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            cls = _constructed_class(node.func, module, program)
-            if cls is None or cls.qualname not in stamped:
-                continue
-            if cls.module == module.name:
-                continue  # the defining module may build defaults freely
-            index = stamped[cls.qualname]
-            has_epoch = any(k.arg == "epoch" for k in node.keywords) or len(
-                node.args
-            ) > index
-            if not has_epoch:
-                out.append(
-                    Finding(
-                        path=module.path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        rule="proto-missing-epoch",
-                        message=(
-                            f"{cls.name}(...) constructed without an "
-                            "explicit epoch=; unstamped messages defeat "
-                            "duplicate-delivery detection"
-                        ),
-                    )
-                )
-    return out
 
 
 def _constructed_class(
