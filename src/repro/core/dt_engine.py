@@ -88,13 +88,12 @@ def bisect_batch(engine: Engine, batch: PreparedBatch, timestamp: int, try_bulk,
         cross = found["cross"]
         if obs.enabled:
             if cross > lo:
-                obs.columnar_descent(cross - lo)
-            obs.batch_bisected(size - lo)
-            obs.columnar_fallback(1)
+                obs.inc("rts_columnar_descents_total")
+            obs.inc("rts_batch_bisections_total")
         run_scalar(cross, cross + 1, events, None, None)
         lo = cross + 1
     if obs.enabled and lo < size:
-        obs.columnar_descent(size - lo)
+        obs.inc("rts_columnar_descents_total")
     return events
 
 

@@ -452,16 +452,14 @@ class RTSSystem:
         "trace": <ring-buffer events>}``.  Raises RuntimeError when the
         system was built without an observability sink.
         """
-        if not self.obs.enabled:
-            raise RuntimeError(
-                "observability is disabled; construct the system with "
-                "RTSSystem(..., observability=Observability())"
-            )
-        self.obs.sync_work_counters(self.engine.counters)
-        self.obs.metrics.gauge(
-            "rts_alive_queries", "Currently alive queries (m_alive)"
-        ).set(self.engine.alive_count)
-        return self.obs.report()
+        if self.obs.enabled:
+            self.obs.sync_work_counters(self.engine.counters)
+            self.obs.set("rts_alive_queries", self.engine.alive_count)
+            return self.obs.report()
+        raise RuntimeError(
+            "observability is disabled; construct the system with "
+            "RTSSystem(..., observability=Observability())"
+        )
 
     def describe(self) -> Dict[str, object]:
         """Engine diagnostics plus system-level lifecycle counts."""

@@ -227,7 +227,7 @@ class TrackerColumns:
         counters.messages += 1  # the participant's one-bit signal
         self.msgs[slot] += 1
         if obs.enabled:
-            obs.dt_messages("signal")
+            obs.inc("rts_dt_messages_total", type="signal")
         if self.state[slot] == FINAL:
             # Weighted delta forwarding: sigma was cbar + 1.
             w_run = self.w_run[slot] + c - (arena.key(entry) - 1)
@@ -259,8 +259,8 @@ class TrackerColumns:
         w_now = sum(counts)
         tau = self.tau[slot]
         if obs.enabled:
-            obs.dt_messages("collect", h)
-            obs.dt_messages("report", h)
+            obs.inc("rts_dt_messages_total", h, type="collect")
+            obs.inc("rts_dt_messages_total", h, type="report")
             obs.dt_round_end(
                 self.query[slot].query_id,
                 rounds,
@@ -284,7 +284,7 @@ class TrackerColumns:
             counters.messages += h  # announce the new slack
             self.msgs[slot] += h
             if obs.enabled:
-                obs.dt_messages("slack", h)
+                obs.inc("rts_dt_messages_total", h, type="slack")
                 obs.dt_slack(self.query[slot].query_id, step, h)
         rekey = arena.rekey
         for entry, c in enumerate(counts, lo):

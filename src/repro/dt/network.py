@@ -79,7 +79,7 @@ class StarNetwork:
         self.words_sent += message.words
         self.per_type[message.mtype] += 1
         if self._obs is not None:
-            self._obs.dt_messages(message.mtype.value)
+            self._obs.inc("rts_dt_messages_total", type=message.mtype.value)
         if self._trace:
             self.log.append(message)
         handler = self._handlers.get(message.dst)

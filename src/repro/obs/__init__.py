@@ -17,9 +17,12 @@ the experiment harness emit into:
   (register → DT rounds → final phase → maturity/terminate);
 * :class:`PhaseProfiler` — route/pack/descend/merge/recover wall-clock
   timers feeding ``rts_phase_seconds``;
-* :class:`Observability` — the facade bundling all of it behind
-  domain-specific hooks, and :data:`NULL_OBS`, the shared no-op sink that
-  keeps every hook zero-cost when observability is off (the default).
+* :class:`Observability` — the facade bundling all of it behind the
+  catalog-driven ``inc`` / ``set`` / ``observe`` and a few named hooks
+  that also write trace events or spans, and :data:`NULL_OBS`, the shared
+  disabled sink (no emit methods; every emit sits behind
+  ``if obs.enabled:``) that engines hold when observability is off (the
+  default).
 
 Enable it per system::
 

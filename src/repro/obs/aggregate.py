@@ -33,6 +33,10 @@ Merge semantics (per the central catalog, :mod:`repro.obs.catalog`):
   registry uses the catalog's bucket bounds; :func:`merge_into` raises
   on any mismatch rather than producing silently wrong percentiles.
 
+:func:`merge_into` reads payloads other processes sent, so it validates
+the whole payload before it changes the registry: a malformed one raises
+ValueError naming the family and merges nothing.
+
 Deltas are what shard workers piggyback on each batch reply: counters
 and histograms subtract their previous snapshot (zero rows dropped, so
 an idle family costs nothing on the wire); gauges always carry the
@@ -41,6 +45,7 @@ current value (they are levels, not flows).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .catalog import spec_for
@@ -133,47 +138,18 @@ def merge_into(
 
     ``labels`` (e.g. ``{"shard": "0"}``) are added to every incoming
     sample, so per-source series stay distinguishable in the merged
-    registry.  Histogram buckets are validated against the catalog (and
-    the payload's own declaration); counters reject negative values —
-    a negative delta means the source registry went backwards.
+    registry.  The whole payload is validated before the registry is
+    touched (see :func:`_validated`): a malformed one raises ValueError,
+    naming the family at fault, and merges nothing.
     """
-    _check_format(payload, None)
     extra = dict(labels or {})
     merged = 0
-    for name, entry in payload["families"].items():
-        kind = entry["type"]
-        spec = spec_for(name)
+    for name, kind, spec, buckets, samples in _validated(registry, payload):
         help_text = spec.help if spec is not None else ""
-        if spec is not None and spec.kind != kind:
-            raise ValueError(
-                f"metric {name!r} arrived as a {kind}; the catalog declares "
-                f"a {spec.kind}"
-            )
-        if kind == "histogram":
-            buckets = entry.get("buckets")
-            if spec is not None and spec.buckets is not None:
-                if buckets is not None and tuple(buckets) != tuple(spec.buckets):
-                    raise ValueError(
-                        f"histogram {name!r} arrived with buckets "
-                        f"{buckets}; the catalog declares {list(spec.buckets)} "
-                        "(bucket-wise merging requires identical bounds)"
-                    )
-                buckets = spec.buckets
-            if buckets is None:
-                raise ValueError(
-                    f"histogram {name!r} has no bucket declaration in the "
-                    "payload or the catalog; refusing to merge"
-                )
-        for sample in entry["samples"]:
+        for sample in samples:
             all_labels = {**sample["labels"], **extra}
             if kind == "counter":
-                value = sample["value"]
-                if value < 0:
-                    raise ValueError(
-                        f"counter {name!r} delta is negative ({value}); "
-                        "source registry went backwards"
-                    )
-                registry.counter(name, help_text, **all_labels).inc(value)
+                registry.counter(name, help_text, **all_labels).inc(sample["value"])
             elif kind == "gauge":
                 gauge = registry.gauge(name, help_text, **all_labels)
                 policy = spec.gauge_policy if spec is not None else "last"
@@ -185,18 +161,144 @@ def merge_into(
                     gauge.set(sample["value"])
             else:  # histogram
                 hist = registry.histogram(name, buckets, help_text, **all_labels)
-                counts = sample["counts"]
-                if len(counts) != len(hist.counts):
-                    raise ValueError(
-                        f"histogram {name!r} arrived with {len(counts)} "
-                        f"count slots; expected {len(hist.counts)}"
-                    )
-                for i, c in enumerate(counts):
+                for i, c in enumerate(sample["counts"]):
                     hist.counts[i] += c
                 hist.sum += sample["sum"]
                 hist.count += sample["count"]
             merged += 1
     return merged
+
+
+def _validated(registry: MetricsRegistry, payload) -> List[tuple]:
+    """Check a whole ``rts-metrics-v1`` payload against the catalog and
+    ``registry``; returns ``(name, kind, spec, buckets, samples)`` per
+    family.
+
+    A family must declare a known ``type`` matching the catalog and the
+    registry, and carry a list of samples.  Every sample needs a
+    ``labels`` mapping of strings; counters and gauges a finite numeric
+    ``value`` (counters non-negative — a negative delta means the source
+    registry went backwards); histograms one non-negative integer count
+    per bucket plus overflow, a numeric ``sum`` and a ``count`` equal to
+    the counts' total.  Histogram buckets must match the catalog's (and
+    the registry's) bounds: bucket-wise merging requires identical ones.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"not an {METRICS_FORMAT} payload: a {type(payload).__name__}"
+        )
+    _check_format(payload, None)
+    families = payload.get("families")
+    if not isinstance(families, dict):
+        raise ValueError(f"{METRICS_FORMAT} payload has no 'families' mapping")
+    existing = {family.name: family for family in registry.families()}
+    plan = []
+    for name, entry in families.items():
+        if not isinstance(entry, dict):
+            raise _bad(name, "family entry is not a mapping")
+        kind = entry.get("type")
+        if kind not in ("counter", "gauge", "histogram"):
+            raise _bad(name, f"unknown type {kind!r}")
+        spec = spec_for(name)
+        if spec is not None and spec.kind != kind:
+            raise _bad(
+                name, f"arrived as a {kind}; the catalog declares a {spec.kind}"
+            )
+        family = existing.get(name)
+        if family is not None and family.kind != kind:
+            raise _bad(
+                name, f"arrived as a {kind}; the registry holds a {family.kind}"
+            )
+        buckets = None
+        if kind == "histogram":
+            buckets = _histogram_buckets(name, entry.get("buckets"), spec, family)
+        samples = entry.get("samples")
+        if not isinstance(samples, list):
+            raise _bad(name, "'samples' is not a list")
+        for sample in samples:
+            _check_sample(name, kind, buckets, sample)
+        plan.append((name, kind, spec, buckets, samples))
+    return plan
+
+
+def _histogram_buckets(name: str, buckets, spec, family) -> Tuple[float, ...]:
+    if buckets is not None:
+        if not isinstance(buckets, list) or not buckets or not all(
+            _is_number(b) for b in buckets
+        ):
+            raise _bad(name, f"malformed buckets {buckets!r}")
+        if any(a >= b for a, b in zip(buckets, buckets[1:])):
+            raise _bad(name, f"buckets {buckets} are not strictly increasing")
+    if spec is not None and spec.buckets is not None:
+        if buckets is not None and tuple(buckets) != tuple(spec.buckets):
+            raise _bad(
+                name,
+                f"arrived with buckets {buckets}; the catalog declares "
+                f"{list(spec.buckets)} (bucket-wise merging requires "
+                "identical bounds)",
+            )
+        buckets = spec.buckets
+    if buckets is None:
+        raise _bad(
+            name,
+            "histogram has no bucket declaration in the payload or the "
+            "catalog; refusing to merge",
+        )
+    bounds = tuple(float(b) for b in buckets)
+    if family is not None and family.buckets not in (None, bounds):
+        raise _bad(name, "buckets differ from the registry's histogram")
+    return bounds
+
+
+def _check_sample(name: str, kind: str, buckets, sample) -> None:
+    if not isinstance(sample, dict):
+        raise _bad(name, f"sample {sample!r} is not a mapping")
+    labels = sample.get("labels")
+    if not isinstance(labels, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in labels.items()
+    ):
+        raise _bad(name, f"sample labels {labels!r} are not a str mapping")
+    if kind != "histogram":
+        value = sample.get("value")
+        if not _is_number(value):
+            raise _bad(name, f"sample value {value!r} is not a finite number")
+        if kind == "counter" and value < 0:
+            raise _bad(
+                name, f"counter delta is negative ({value}); source registry "
+                "went backwards",
+            )
+        return
+    counts = sample.get("counts")
+    if (
+        not isinstance(counts, list)
+        or len(counts) != len(buckets) + 1
+        or not all(_is_count(c) for c in counts)
+    ):
+        raise _bad(
+            name, f"histogram counts {counts!r} are not {len(buckets) + 1} "
+            "non-negative integers",
+        )
+    if not _is_number(sample.get("sum")):
+        raise _bad(name, f"histogram sum {sample.get('sum')!r} is not a number")
+    if not _is_count(sample.get("count")) or sample["count"] != sum(counts):
+        raise _bad(
+            name, f"histogram count {sample.get('count')!r} does not equal "
+            f"the bucket total {sum(counts)}",
+        )
+
+
+def _is_number(x) -> bool:
+    return (
+        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    )
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _bad(name: str, why: str) -> ValueError:
+    return ValueError(f"metric {name!r}: {why}")
 
 
 # -- conservation accounting -------------------------------------------------

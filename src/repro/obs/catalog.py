@@ -15,10 +15,12 @@ layer (:mod:`repro.obs.aggregate`) needs:
 Declaring buckets here is what makes bucket-wise histogram merging
 sound: two registries can only merge a histogram family when both used
 the catalog's bounds, and :func:`repro.obs.aggregate.merge_into`
-enforces that.  The ``undeclared-metric`` lint rule (``tools/rtslint``)
-closes the loop: a ``counter(``/``gauge(``/``histogram(`` call with a
-literal name outside this catalog fails lint, so the catalog cannot
-silently drift from the code.
+enforces that.  ``Observability``'s ``inc`` / ``set`` / ``observe``
+resolve every instrument from this catalog and raise on an undeclared
+name, and the ``undeclared-metric`` lint rule (``tools/rtslint``) closes
+the loop: a ``counter(``/``gauge(``/``histogram(`` call, or an obs sink's
+``inc(``/``set(``/``observe(``, with a literal name outside this catalog
+fails lint, so the catalog cannot silently drift from the code.
 
 Names follow the Prometheus convention: ``rts_`` prefix, ``_total``
 suffix for counters, base-unit suffixes (``_seconds``) for timers.
@@ -82,11 +84,6 @@ _SPECS: Tuple[MetricSpec, ...] = (
         "counter",
         "Batch ranges bulk-applied: each prefix before a crossing and "
         "each batch's quiet rest",
-    ),
-    MetricSpec(
-        "rts_columnar_fallbacks_total",
-        "counter",
-        "Crossing elements drained one at a time between bulk-applied ranges",
     ),
     # -- query lifecycle ---------------------------------------------------
     MetricSpec("rts_queries_registered_total", "counter", "Queries registered"),
@@ -229,33 +226,30 @@ _SPECS: Tuple[MetricSpec, ...] = (
     MetricSpec(
         "rts_tree_heap_entries", "gauge", "Heap entries after the latest rebuild"
     ),
+    # -- engine work counters ----------------------------------------------
+    # One gauge per WorkCounters field, set by
+    # Observability.sync_work_counters.
+    MetricSpec(
+        "rts_work_containment_checks", "gauge", "Engine work: containment checks"
+    ),
+    MetricSpec("rts_work_counter_bumps", "gauge", "Engine work: counter bumps"),
+    MetricSpec("rts_work_heap_ops", "gauge", "Engine work: heap operations"),
+    MetricSpec("rts_work_messages", "gauge", "Engine work: DT messages"),
+    MetricSpec("rts_work_rounds", "gauge", "Engine work: DT rounds"),
+    MetricSpec("rts_work_rebuilds", "gauge", "Engine work: structure rebuilds"),
 )
 
 #: name -> spec for every declared metric.
 CATALOG: Dict[str, MetricSpec] = {spec.name: spec for spec in _SPECS}
 
-#: Engine work counters are mirrored as ``rts_work_<counter>`` gauges
-#: with dynamically generated names; any name under this prefix is
-#: treated as a declared deterministic gauge.
-DYNAMIC_GAUGE_PREFIX = "rts_work_"
-
-_DYNAMIC_SPEC = MetricSpec(
-    DYNAMIC_GAUGE_PREFIX + "*", "gauge", "Mirrored engine work counter",
-    gauge_policy="last",
-)
-
 
 def spec_for(name: str) -> Optional[MetricSpec]:
-    """The catalog entry for ``name`` (prefix-matched for ``rts_work_*``)."""
-    spec = CATALOG.get(name)
-    if spec is None and name.startswith(DYNAMIC_GAUGE_PREFIX):
-        return _DYNAMIC_SPEC
-    return spec
+    """The catalog entry for ``name`` (None when undeclared)."""
+    return CATALOG.get(name)
 
 
 __all__ = [
     "CATALOG",
-    "DYNAMIC_GAUGE_PREFIX",
     "LATENCY_BUCKETS",
     "MetricSpec",
     "SIZE_BUCKETS",

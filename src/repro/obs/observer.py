@@ -6,17 +6,20 @@
 One object bundles the three telemetry surfaces of this package — a
 :class:`~repro.obs.metrics.MetricsRegistry`, a structured
 :class:`~repro.obs.trace.TraceLog`, and a per-query
-:class:`~repro.obs.trace.SpanStore` — behind domain-specific hook methods
-(``query_registered``, ``dt_round_end``, ``rebuild``, ...), so the
-instrumented code never touches metric names or event schemas directly.
+:class:`~repro.obs.trace.SpanStore`.  Plain metric updates go through
+three catalog-driven methods, ``inc`` / ``set`` / ``observe``, which
+take a family name from :data:`~repro.obs.catalog.CATALOG` and its
+labels.  Named hooks (``query_registered``, ``dt_round_end``,
+``rebuild``, ...) remain only where an update also writes a span or a
+trace event, or moves the facade's clock.
 
 Zero cost when disabled
 -----------------------
 The default sink everywhere is :data:`NULL_OBS`, a shared
-:class:`NullObservability` whose hooks are empty methods and whose
-``enabled`` flag is False.  Hot paths guard with ``if obs.enabled:`` so
-the disabled cost is a single attribute check — the tier-1 benchmarks see
-no measurable difference.
+:class:`NullObservability` whose ``enabled`` flag is False and which has
+no emit methods at all.  Every emit call sits behind ``if obs.enabled:``
+(the ``unguarded-obs`` lint rule enforces it), so the disabled cost is a
+single attribute check.
 
 Clocking
 --------
@@ -29,11 +32,10 @@ pair of wall-clock surfaces this layer owns (the phase profiler's
 they measure the implementation, not the algorithm, and the catalog marks
 them non-deterministic so conservation checks skip them.
 
-Metric declarations come from the central catalog
-(:mod:`repro.obs.catalog`): every family is pre-registered at
-construction, so exposition metadata, bucket bounds, and merge policies
-are identical in every process — the invariant the cross-process
-aggregation protocol (:mod:`repro.obs.aggregate`) is built on.
+Every catalog family is pre-registered at construction, so exposition
+metadata, bucket bounds, and merge policies are identical in every
+process — the invariant the cross-process aggregation protocol
+(:mod:`repro.obs.aggregate`) is built on.
 """
 
 from __future__ import annotations
@@ -41,104 +43,18 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, Optional, Sequence
 
-from .catalog import CATALOG, LATENCY_BUCKETS, SIZE_BUCKETS, TIME_BUCKETS
+from .catalog import CATALOG
 from .metrics import MetricsRegistry
 from .trace import SpanContext, SpanStore, TraceLog
 
 
 class NullObservability:
-    """Shared no-op sink: every hook is an empty method.
-
-    Instrumented code may freely call any hook on this object; the only
-    cost is the call itself, and hot paths skip even that by checking
-    :attr:`enabled` first.
-    """
+    """Shared disabled sink: ``enabled`` is False and nothing else is
+    callable but :meth:`describe`.  Emit calls are guarded by
+    ``if obs.enabled:`` and never reach this object."""
 
     __slots__ = ()
     enabled = False
-
-    def element_processed(self, ts: int, weight: int) -> None:
-        pass
-
-    def batch_processed(self, ts: int, n: int, weight: int) -> None:
-        pass
-
-    def batch_bisected(self, span: int) -> None:
-        pass
-
-    def columnar_descent(self, span: int) -> None:
-        pass
-
-    def columnar_fallback(self, span: int) -> None:
-        pass
-
-    def query_registered(self, query_id: object, ts: int) -> None:
-        pass
-
-    def query_matured(self, query_id: object, ts: int, weight_seen: int) -> None:
-        pass
-
-    def query_terminated(self, query_id: object, ts: int) -> None:
-        pass
-
-    def dt_messages(self, mtype: str, n: int = 1) -> None:
-        pass
-
-    def dt_slack(self, query_id: object, lam: int, h: int) -> None:
-        pass
-
-    def dt_slack_opened(self, query_ids: Sequence[object], messages: int) -> None:
-        pass
-
-    def dt_round_end(
-        self, query_id: object, round_no: int, collected: int, remaining: int
-    ) -> None:
-        pass
-
-    def dt_final_phase(self, query_id: object, remaining: int) -> None:
-        pass
-
-    def dt_participant_mode(self, index: int, mode: str) -> None:
-        pass
-
-    def ingest_quarantined(self, where: str, n: int = 1) -> None:
-        pass
-
-    def shard_elements(self, shard: int, n: int) -> None:
-        pass
-
-    def shard_skew(self, ratio: float) -> None:
-        pass
-
-    def shard_worker_batch(self, n: int, busy_seconds: float) -> None:
-        pass
-
-    def shard_restart(self, shard: int) -> None:
-        pass
-
-    def shard_rpc_timeout(self, shard: int, op: str) -> None:
-        pass
-
-    def shard_replayed(self, shard: int, n: int = 1) -> None:
-        pass
-
-    def phase(self, name: str, seconds: float) -> None:
-        pass
-
-    def new_span(self, parent: Optional[SpanContext] = None) -> Optional[SpanContext]:
-        return None
-
-    def span(self, name: str, ctx, duration: Optional[float] = None, **fields):
-        return None
-
-    def rebuild(self, kind: str, queries: int, heap_entries: Optional[int] = None) -> None:
-        pass
-
-    def logmethod_merge(self, slot: int, queries: int) -> None:
-        pass
-
-    def sync_work_counters(self, counters) -> None:
-        pass
 
     def describe(self) -> Dict[str, object]:
         return {"enabled": False}
@@ -168,16 +84,9 @@ class Observability(NullObservability):
         "trace",
         "spans",
         "_now",
-        "_msg_counters",
-        "_slack_counter",
-        "_quarantine_counters",
-        "_shard_counters",
-        "_phase_hists",
+        "_instruments",
         "_wall_registered",
         "_span_seq",
-        "_worker_batches",
-        "_worker_busy",
-        "_maturity_wall_hist",
     )
     enabled = True
 
@@ -191,37 +100,65 @@ class Observability(NullObservability):
         self.trace = TraceLog(trace_capacity)
         self.spans = SpanStore(span_capacity)
         self._now = 0
-        #: message-type -> Counter cache, so the per-message hot path is a
-        #: dict lookup instead of a registry get-or-create.
-        self._msg_counters: Dict[str, object] = {}
-        self._slack_counter = None  # the slack-announcement counter, cached
-        #: Same caching pattern for ingest quarantine, shard routing,
-        #: and the phase profiler's histograms.
-        self._quarantine_counters: Dict[str, object] = {}
-        self._shard_counters: Dict[int, object] = {}
-        self._phase_hists: Dict[str, object] = {}
+        #: ``(kind, name, *label items)`` -> instrument: the one cache
+        #: every emit resolves through.
+        self._instruments: Dict[object, object] = {}
         #: query id -> perf_counter() at registration (end-to-end wall
         #: latency; dropped on terminate).
         self._wall_registered: Dict[object, float] = {}
         self._span_seq = 0
-        m = self.metrics
-        # Every family comes from the central catalog: labelled families
-        # are declared (metadata without a stale zero sample), unlabelled
-        # ones get their instrument eagerly so hooks can cache it.
+        # Labelled families and gauges are declared: metadata without a
+        # stale sample (a level nobody set has no value, and a zero one
+        # would ride every shard reply).  Unlabelled counters and
+        # histograms get their instrument eagerly.
         for spec in CATALOG.values():
-            if spec.labels:
-                m.declare(spec.name, spec.kind, spec.help, buckets=spec.buckets)
-            elif spec.kind == "counter":
-                m.counter(spec.name, spec.help)
-            elif spec.kind == "gauge":
-                m.gauge(spec.name, spec.help)
+            if spec.labels or spec.kind == "gauge":
+                self.metrics.declare(
+                    spec.name, spec.kind, spec.help, buckets=spec.buckets
+                )
             else:
-                m.histogram(spec.name, spec.buckets, spec.help)
-        self._worker_batches = m.counter("rts_shard_worker_batches_total")
-        self._worker_busy = m.counter("rts_shard_worker_busy_seconds")
-        self._maturity_wall_hist = m.histogram(
-            "rts_maturity_latency_seconds", TIME_BUCKETS
-        )
+                self._get(spec.name, spec.kind, {})
+
+    # -- catalog-driven emits ----------------------------------------------
+
+    def inc(self, name: str, n=1, **labels) -> None:
+        """Add ``n`` to the counter family ``name`` at ``labels``."""
+        self._get(name, "counter", labels).inc(n)
+
+    def set(self, name: str, value, **labels) -> None:
+        """Set the gauge family ``name`` at ``labels`` to ``value``."""
+        self._get(name, "gauge", labels).set(value)
+
+    def observe(self, name: str, value, **labels) -> None:
+        """Record ``value`` in the histogram family ``name`` at ``labels``."""
+        self._get(name, "histogram", labels).observe(value)
+
+    def _get(self, name: str, kind: str, labels):
+        key = (kind, name, *labels.items())
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            instrument = self._instruments[key] = self._resolve(name, kind, labels)
+        return instrument
+
+    def _resolve(self, name: str, kind: str, labels):
+        spec = CATALOG.get(name)
+        if spec is None:
+            raise ValueError(f"metric {name!r} is not declared in the catalog")
+        if spec.kind != kind:
+            raise ValueError(
+                f"metric {name!r} is a {spec.kind} in the catalog, not a {kind}"
+            )
+        if set(labels) != set(spec.labels):
+            raise ValueError(
+                f"metric {name!r} takes labels {sorted(spec.labels)}, "
+                f"got {sorted(labels)}"
+            )
+        m = self.metrics
+        if kind == "counter":
+            return m.counter(name, spec.help, **labels)
+        if kind == "gauge":
+            return m.gauge(name, spec.help, **labels)
+        return m.histogram(name, spec.buckets, spec.help, **labels)
 
     # -- clocking / stream ------------------------------------------------
 
@@ -232,8 +169,8 @@ class Observability(NullObservability):
 
     def element_processed(self, ts: int, weight: int) -> None:
         self._now = ts
-        self.metrics.counter("rts_elements_total").inc()
-        self.metrics.counter("rts_element_weight_total").inc(weight)
+        self.inc("rts_elements_total")
+        self.inc("rts_element_weight_total", weight)
 
     def batch_processed(self, ts: int, n: int, weight: int) -> None:
         """A whole batch entered through ``process_batch``.
@@ -244,151 +181,50 @@ class Observability(NullObservability):
         explicitly).
         """
         self._now = ts
-        self.metrics.counter("rts_elements_total").inc(n)
-        self.metrics.counter("rts_element_weight_total").inc(weight)
-        self.metrics.counter("rts_batch_elements_total").inc(n)
-
-    def batch_bisected(self, span: int) -> None:
-        """The ``span`` elements left of a batch were split at a
-        crossing (one call per crossing element)."""
-        self.metrics.counter("rts_batch_bisections_total").inc()
-
-    def columnar_descent(self, span: int) -> None:
-        """A batch range of ``span`` elements was bulk-applied: the prefix
-        before a crossing, or the quiet rest of a batch."""
-        self.metrics.counter("rts_columnar_descents_total").inc()
-
-    def columnar_fallback(self, span: int) -> None:
-        """``span`` crossing elements (always one) were drained one at a
-        time, between bulk-applied ranges."""
-        self.metrics.counter("rts_columnar_fallbacks_total").inc()
+        self.inc("rts_elements_total", n)
+        self.inc("rts_element_weight_total", weight)
+        self.inc("rts_batch_elements_total", n)
 
     # -- query lifecycle ---------------------------------------------------
 
     def query_registered(self, query_id: object, ts: int) -> None:
         self._now = max(self._now, ts)
-        self.metrics.counter("rts_queries_registered_total").inc()
-        self.metrics.gauge("rts_alive_queries").inc()
+        self.inc("rts_queries_registered_total")
+        self._get("rts_alive_queries", "gauge", {}).inc()
         self._wall_registered[query_id] = perf_counter()
         self.spans.open(query_id, ts)
 
     def query_matured(self, query_id: object, ts: int, weight_seen: int) -> None:
-        self.metrics.counter("rts_queries_matured_total").inc()
-        self.metrics.gauge("rts_alive_queries").dec()
+        self.inc("rts_queries_matured_total")
+        self._get("rts_alive_queries", "gauge", {}).dec()
         started = self._wall_registered.pop(query_id, None)
         if started is not None:
-            self._maturity_wall_hist.observe(perf_counter() - started)
+            self.observe("rts_maturity_latency_seconds", perf_counter() - started)
         span = self.spans.close(query_id, ts, "matured", weight_seen=weight_seen)
         if span is not None:
-            self.metrics.histogram(
-                "rts_maturity_latency_elements", LATENCY_BUCKETS
-            ).observe(span.latency)
+            self.observe("rts_maturity_latency_elements", span.latency)
         self.trace.append(
             "query.matured", ts=ts, query_id=query_id, weight_seen=weight_seen
         )
 
     def query_terminated(self, query_id: object, ts: int) -> None:
-        self.metrics.counter("rts_queries_terminated_total").inc()
-        self.metrics.gauge("rts_alive_queries").dec()
+        self.inc("rts_queries_terminated_total")
+        self._get("rts_alive_queries", "gauge", {}).dec()
         self._wall_registered.pop(query_id, None)
         self.spans.close(query_id, ts, "terminated")
         self.trace.append("query.terminated", ts=ts, query_id=query_id)
 
-    # -- distributed tracking ----------------------------------------------
-
-    def dt_messages(self, mtype: str, n: int = 1) -> None:
-        counter = self._msg_counters.get(mtype)
-        if counter is None:
-            counter = self.metrics.counter(
-                "rts_dt_messages_total",
-                "Simulated DT protocol messages, by type",
-                type=mtype,
-            )
-            self._msg_counters[mtype] = counter
-        counter.inc(n)
+    # -- robustness / supervision ------------------------------------------
 
     def ingest_quarantined(self, where: str, n: int = 1) -> None:
         """A malformed stream record was skipped (``on_error='skip'``)."""
-        counter = self._quarantine_counters.get(where)
-        if counter is None:
-            counter = self.metrics.counter(
-                "rts_ingest_quarantined_total",
-                "Malformed stream records skipped under on_error='skip', by adapter",
-                adapter=where,
-            )
-            self._quarantine_counters[where] = counter
-        counter.inc(n)
+        self.inc("rts_ingest_quarantined_total", n, adapter=where)
         self.trace.append("ingest.quarantined", ts=self._now, adapter=where, n=n)
-
-    def shard_elements(self, shard: int, n: int) -> None:
-        """``n`` elements of a routed batch landed on ``shard``."""
-        counter = self._shard_counters.get(shard)
-        if counter is None:
-            counter = self.metrics.counter(
-                "rts_shard_elements_total",
-                "Elements routed to each shard of a sharded system",
-                shard=str(shard),
-            )
-            self._shard_counters[shard] = counter
-        counter.inc(n)
-
-    def shard_skew(self, ratio: float) -> None:
-        """Routing balance after a batch: max/mean cumulative shard load."""
-        self.metrics.gauge("rts_shard_skew_ratio").set(ratio)
-
-    def shard_worker_batch(self, n: int, busy_seconds: float) -> None:
-        """One routed slice of ``n`` elements ran inside this shard worker.
-
-        Emitted by the executor backends (worker process or serial
-        in-process shard); the busy-seconds counter is the authoritative
-        per-shard accounting the bench reads from the merged registry."""
-        self._worker_batches.inc()
-        self._worker_busy.inc(busy_seconds)
-
-    # -- shard supervision --------------------------------------------------
-    # Cold-path hooks (a restart is an event, not a per-element cost), so
-    # they hit the registry directly instead of caching instruments.
 
     def shard_restart(self, shard: int) -> None:
         """The supervisor restarted a dead or unresponsive shard worker."""
-        self.metrics.counter(
-            "rts_shard_restarts_total",
-            "Supervised shard worker restarts (crash or hang escalation)",
-            shard=str(shard),
-        ).inc()
+        self.inc("rts_shard_restarts_total", shard=str(shard))
         self.trace.append("shard.restart", ts=self._now, shard=shard)
-
-    def shard_rpc_timeout(self, shard: int, op: str) -> None:
-        """One supervised RPC wait window expired (retry follows)."""
-        self.metrics.counter(
-            "rts_shard_rpc_timeouts_total",
-            "Supervised shard RPC deadline expiries, by operation",
-            shard=str(shard),
-            op=op,
-        ).inc()
-
-    def shard_replayed(self, shard: int, n: int = 1) -> None:
-        """``n`` journaled batches were replayed into a restarted worker."""
-        self.metrics.counter(
-            "rts_shard_replayed_batches_total",
-            "Journaled batches replayed into restarted shard workers",
-            shard=str(shard),
-        ).inc(n)
-
-    # -- phase profiler ----------------------------------------------------
-
-    def phase(self, name: str, seconds: float) -> None:
-        """One timed phase (route/pack/descend/merge/recover) completed.
-
-        Fed by :class:`~repro.obs.profiler.PhaseProfiler`; the histogram
-        per phase is cached so the per-batch cost is one dict lookup."""
-        hist = self._phase_hists.get(name)
-        if hist is None:
-            hist = self.metrics.histogram(
-                "rts_phase_seconds", TIME_BUCKETS, phase=name
-            )
-            self._phase_hists[name] = hist
-        hist.observe(seconds)
 
     # -- spans -------------------------------------------------------------
 
@@ -422,13 +258,10 @@ class Observability(NullObservability):
         record.update(fields)
         return self.trace.append("span", ts=self._now, **record)
 
+    # -- distributed tracking ----------------------------------------------
+
     def dt_slack(self, query_id: object, lam: int, h: int) -> None:
-        counter = self._slack_counter
-        if counter is None:
-            counter = self._slack_counter = self.metrics.counter(
-                "rts_dt_slack_announcements_total"
-            )
-        counter.inc()
+        self.inc("rts_dt_slack_announcements_total")
         event = self.trace.append(
             "dt.slack", ts=self._now, query_id=query_id, lam=lam, h=h
         )
@@ -440,13 +273,8 @@ class Observability(NullObservability):
         """A tree build opened a normal round for each of ``query_ids``,
         announcing ``messages`` slacks in all: one ``dt.slack`` event,
         attached to each of those queries' spans."""
-        counter = self._slack_counter
-        if counter is None:
-            counter = self._slack_counter = self.metrics.counter(
-                "rts_dt_slack_announcements_total"
-            )
-        counter.inc(len(query_ids))
-        self.dt_messages("slack", messages)
+        self.inc("rts_dt_slack_announcements_total", len(query_ids))
+        self.inc("rts_dt_messages_total", messages, type="slack")
         event = self.trace.append(
             "dt.slack", ts=self._now, queries=len(query_ids), h=messages
         )
@@ -459,10 +287,8 @@ class Observability(NullObservability):
     def dt_round_end(
         self, query_id: object, round_no: int, collected: int, remaining: int
     ) -> None:
-        self.metrics.counter("rts_dt_rounds_total").inc()
-        self.metrics.histogram(
-            "rts_dt_round_remaining_tau", LATENCY_BUCKETS
-        ).observe(remaining)
+        self.inc("rts_dt_rounds_total")
+        self.observe("rts_dt_round_remaining_tau", remaining)
         event = self.trace.append(
             "dt.round_end",
             ts=self._now,
@@ -475,14 +301,12 @@ class Observability(NullObservability):
         if span is not None:
             span.rounds += 1
             started = span.last_round_at if span.last_round_at is not None else span.registered_at
-            self.metrics.histogram(
-                "rts_dt_round_length_elements", LATENCY_BUCKETS
-            ).observe(max(0, self._now - started))
+            self.observe("rts_dt_round_length_elements", max(0, self._now - started))
             span.last_round_at = self._now
             span.add_event(event)
 
     def dt_final_phase(self, query_id: object, remaining: int) -> None:
-        self.metrics.counter("rts_dt_final_phase_total").inc()
+        self.inc("rts_dt_final_phase_total")
         event = self.trace.append(
             "dt.final_phase", ts=self._now, query_id=query_id, remaining=remaining
         )
@@ -499,21 +323,17 @@ class Observability(NullObservability):
     # -- structure maintenance ---------------------------------------------
 
     def rebuild(self, kind: str, queries: int, heap_entries: Optional[int] = None) -> None:
-        self.metrics.counter(
-            "rts_rebuilds_total", "Structure rebuilds, by kind", kind=kind
-        ).inc()
-        self.metrics.histogram("rts_rebuild_queries", SIZE_BUCKETS).observe(queries)
+        self.inc("rts_rebuilds_total", kind=kind)
+        self.observe("rts_rebuild_queries", queries)
         if heap_entries is not None:
-            self.metrics.gauge("rts_tree_heap_entries").set(heap_entries)
+            self.set("rts_tree_heap_entries", heap_entries)
         self.trace.append(
             "structure.rebuild", ts=self._now, rebuild_kind=kind, queries=queries
         )
 
     def logmethod_merge(self, slot: int, queries: int) -> None:
-        self.metrics.counter("rts_logmethod_merges_total").inc()
-        self.metrics.histogram(
-            "rts_logmethod_merge_queries", SIZE_BUCKETS
-        ).observe(queries)
+        self.inc("rts_logmethod_merges_total")
+        self.observe("rts_logmethod_merge_queries", queries)
         self.trace.append(
             "logmethod.merge", ts=self._now, slot=slot, queries=queries
         )
@@ -521,11 +341,10 @@ class Observability(NullObservability):
     # -- exporting ---------------------------------------------------------
 
     def sync_work_counters(self, counters) -> None:
-        """Mirror an engine's :class:`WorkCounters` into ``rts_work_*`` gauges."""
+        """Mirror an engine's :class:`WorkCounters` into the cataloged
+        ``rts_work_<field>`` gauges."""
         for name, value in counters.snapshot().items():
-            self.metrics.gauge(
-                f"rts_work_{name}", f"Engine work counter {name!r}"
-            ).set(value)
+            self.set("rts_work_" + name, value)
 
     def describe(self) -> Dict[str, object]:
         return {

@@ -11,7 +11,7 @@ one into the catalog's ``rts_phase_seconds{phase=...}`` histogram.
 Zero-cost when disabled: against :data:`~repro.obs.observer.NULL_OBS`
 ``start`` returns without reading the clock and ``stop`` returns before
 computing a duration, so the disabled path is one attribute read per
-call — the same contract as every other hook (the PR-1 pattern the
+call — the same contract as every other emit (the guard the
 ``unguarded-obs`` lint rule enforces elsewhere; this class lives in
 ``obs/`` and *is* the guard).
 """
@@ -45,12 +45,12 @@ class PhaseProfiler:
         """Close a phase opened by :meth:`start`."""
         if not self.enabled:
             return
-        self._obs.phase(phase, perf_counter() - started)
+        self._obs.observe("rts_phase_seconds", perf_counter() - started, phase=phase)
 
     def record(self, phase: str, seconds: float) -> None:
         """Record an externally measured duration (worker busy time)."""
         if self.enabled:
-            self._obs.phase(phase, seconds)
+            self._obs.observe("rts_phase_seconds", seconds, phase=phase)
 
     def __repr__(self) -> str:
         return f"PhaseProfiler(enabled={self.enabled})"

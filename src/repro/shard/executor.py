@@ -502,7 +502,10 @@ class ParallelExecutor(ShardExecutor):
                 return fut.result(timeout=timeout)
             except _FuturesTimeout as exc:
                 st.timeouts += 1
-                self._obs.shard_rpc_timeout(shard, op)
+                if self._obs.enabled:
+                    self._obs.inc(
+                        "rts_shard_rpc_timeouts_total", shard=str(shard), op=op
+                    )
                 last = exc
             except BrokenProcessPool as exc:
                 raise _WorkerDeath("crash", exc) from exc
@@ -554,7 +557,8 @@ class ParallelExecutor(ShardExecutor):
                         shard, op, st.restarts, death.cause
                     ) from death.cause
                 st.restarts += 1
-                self._obs.shard_restart(shard)
+                if self._obs.enabled:
+                    self._obs.shard_restart(shard)
                 delay = min(
                     self.backoff_base * (2 ** (st.restarts - 1)),
                     self.backoff_cap,
@@ -587,7 +591,8 @@ class ParallelExecutor(ShardExecutor):
             )
             if op == "process":
                 st.replayed += 1
-                self._obs.shard_replayed(shard)
+                if self._obs.enabled:
+                    self._obs.inc("rts_shard_replayed_batches_total", shard=str(shard))
                 st.orphans += sum(1 for key in result[0] if key not in st.emitted)
 
     def _quarantine(self, shard: int, death: _WorkerDeath) -> None:

@@ -380,14 +380,14 @@ class ShardedRTSSystem:
         self._clock = start + prepared.size - 1
         if obs_on:
             for shard, sl in slices.items():
-                self.obs.shard_elements(shard, len(sl))
+                self.obs.inc("rts_shard_elements_total", len(sl), shard=str(shard))
         for shard, sl in slices.items():
             self.elements_routed[shard] += len(sl)
         if obs_on:
             total = sum(self.elements_routed)
             peak = max(self.elements_routed)
             if total:
-                self.obs.shard_skew(peak * self.shards / total)
+                self.obs.set("rts_shard_skew_ratio", peak * self.shards / total)
         keys: List[EventKey] = []
         for shard in outcomes:
             shard_keys, busy, payload = outcomes[shard]

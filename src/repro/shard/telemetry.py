@@ -41,8 +41,9 @@ def observe_slice(
     """
     span_record = None
     if obs.enabled:
-        obs.shard_worker_batch(n_elements, busy_seconds)
-        obs.phase("descend", busy_seconds)
+        obs.inc("rts_shard_worker_batches_total")
+        obs.inc("rts_shard_worker_busy_seconds", busy_seconds)
+        obs.observe("rts_phase_seconds", busy_seconds, phase="descend")
         if trace is not None:
             ctx = obs.new_span(SpanContext.from_wire(trace))
             obs.span(

@@ -12,21 +12,8 @@ class TestNullObservability:
         assert NULL_OBS.enabled is False
         assert not hasattr(NULL_OBS, "__dict__")  # __slots__ = (): no state
 
-    def test_every_hook_is_a_noop(self):
-        obs = NullObservability()
-        obs.element_processed(1, 2)
-        obs.query_registered("q", 0)
-        obs.query_matured("q", 5, 100)
-        obs.query_terminated("q", 5)
-        obs.dt_messages("signal")
-        obs.dt_slack("q", 3, 4)
-        obs.dt_round_end("q", 1, 10, 90)
-        obs.dt_final_phase("q", 5)
-        obs.dt_participant_mode(0, "slack")
-        obs.rebuild("halved", 10)
-        obs.logmethod_merge(2, 4)
-        obs.sync_work_counters(None)
-        assert obs.describe() == {"enabled": False}
+    def test_describes_itself_as_disabled(self):
+        assert NullObservability().describe() == {"enabled": False}
 
 
 class TestObservability:
@@ -82,9 +69,9 @@ class TestObservability:
 
     def test_dt_messages_per_type(self):
         obs = Observability()
-        obs.dt_messages("signal")
-        obs.dt_messages("slack", 4)
-        obs.dt_messages("signal")
+        obs.inc("rts_dt_messages_total", type="signal")
+        obs.inc("rts_dt_messages_total", 4, type="slack")
+        obs.inc("rts_dt_messages_total", type="signal")
         assert obs.metrics.value("rts_dt_messages_total", type="signal") == 2
         assert obs.metrics.value("rts_dt_messages_total", type="slack") == 4
         assert obs.metrics.family_total("rts_dt_messages_total") == 6
@@ -171,3 +158,73 @@ class TestObservability:
             obs.query_registered(i, i)
             obs.query_terminated(i, i)
         assert obs.spans.finished_count == 1
+
+
+class TestGenericEmits:
+    def test_inc_set_observe(self):
+        obs = Observability()
+        obs.inc("rts_batch_bisections_total")
+        obs.inc("rts_batch_bisections_total", 2)
+        obs.inc("rts_shard_elements_total", 5, shard="1")
+        obs.set("rts_shard_skew_ratio", 1.5)
+        obs.observe("rts_phase_seconds", 0.25, phase="route")
+        m = obs.metrics
+        assert m.value("rts_batch_bisections_total") == 3
+        assert m.value("rts_shard_elements_total", shard="1") == 5
+        assert m.value("rts_shard_skew_ratio") == 1.5
+        phase = m.to_json()["rts_phase_seconds"]["samples"]
+        assert phase == [
+            {
+                "labels": {"phase": "route"},
+                "buckets": phase[0]["buckets"],
+                "sum": 0.25,
+                "count": 1,
+            }
+        ]
+
+    def test_help_and_buckets_come_from_the_catalog(self):
+        from repro.obs import CATALOG
+
+        obs = Observability()
+        obs.inc("rts_shard_restarts_total", shard="0")
+        obs.observe("rts_phase_seconds", 1.0, phase="pack")
+        text = obs.metrics.to_prometheus()
+        for name in ("rts_shard_restarts_total", "rts_phase_seconds"):
+            assert f"# HELP {name} {CATALOG[name].help}" in text
+        (fam,) = [f for f in obs.metrics.families() if f.name == "rts_phase_seconds"]
+        assert fam.buckets == CATALOG["rts_phase_seconds"].buckets
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda o: o.inc("rts_nope_total"),
+            lambda o: o.inc("rts_alive_queries"),  # a gauge
+            lambda o: o.set("rts_elements_total", 3),  # a counter
+            lambda o: o.observe("rts_elements_total", 1.0),
+            lambda o: o.inc("rts_dt_messages_total"),  # missing its label
+            lambda o: o.inc("rts_elements_total", shard="0"),  # extra label
+        ],
+    )
+    def test_undeclared_name_kind_or_labels_raise(self, call):
+        obs = Observability()
+        before = obs.metrics.to_json()
+        with pytest.raises(ValueError):
+            call(obs)
+        assert obs.metrics.to_json() == before
+
+    def test_preregisters_every_catalog_family(self):
+        from repro.obs import CATALOG
+
+        names = {f.name for f in Observability().metrics.families()}
+        assert names == set(CATALOG)
+
+
+class TestWorkCounterCatalog:
+    def test_every_work_counter_field_has_its_family(self):
+        from repro.core.engine import WorkCounters
+        from repro.obs import CATALOG
+
+        for field in WorkCounters.__slots__:
+            spec = CATALOG[f"rts_work_{field}"]
+            assert spec.kind == "gauge" and spec.labels == ()
+            assert spec.gauge_policy == "last" and spec.deterministic

@@ -1,4 +1,4 @@
-"""Phase profiler + the new observer hooks (spans, phases, worker batches)."""
+"""Phase profiler + the observer's span hooks and worker-slice telemetry."""
 
 from repro.obs import NULL_OBS, Observability, PHASES, PhaseProfiler
 from repro.obs.aggregate import family_histogram
@@ -65,18 +65,14 @@ class TestSpanHooks:
         assert fields["duration_s"] == 0.5
         assert fields["shard"] == 2
 
-    def test_null_obs_span_hooks_are_noops(self):
-        assert NULL_OBS.new_span() is None
-        NULL_OBS.span("x", None)
-        NULL_OBS.phase("route", 0.1)
-        NULL_OBS.shard_worker_batch(3, 0.1)
-
 
 class TestWorkerBatchHook:
     def test_counts_batches_and_busy_seconds(self):
+        from repro.shard.telemetry import observe_slice
+
         obs = Observability()
-        obs.shard_worker_batch(100, 0.5)
-        obs.shard_worker_batch(50, 0.25)
+        _, prev = observe_slice(obs, None, 100, 0.5, None)
+        observe_slice(obs, prev, 50, 0.25, None)
         assert obs.metrics.value("rts_shard_worker_batches_total") == 2
         assert obs.metrics.value("rts_shard_worker_busy_seconds") == 0.75
 

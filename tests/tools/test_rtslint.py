@@ -13,6 +13,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from tools.rtslint import RULES, lint_paths, lint_source  # noqa: E402
+from tools.rtslint.rules import _EMIT_HOOKS  # noqa: E402
 
 
 def _lint(code: str, path: str = "src/repro/core/example.py", select=()):
@@ -98,9 +99,32 @@ class TestUnguardedObs:
         class E:
             def f(self):
                 if self._obs is not None:
-                    self._obs.dt_messages("signal")
+                    self._obs.inc("rts_dt_messages_total", type="signal")
         """
         assert "unguarded-obs" not in _rules_hit(code)
+
+    def test_flags_bare_generic_emit(self):
+        code = """
+        class E:
+            def f(self):
+                self.obs.inc("rts_batch_bisections_total")
+        """
+        assert "unguarded-obs" in _rules_hit(code)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            'obs.set("rts_shard_skew_ratio", 1.0)',
+            'obs.observe("rts_phase_seconds", 0.1, phase="route")',
+            "obs.batch_processed(3, 2, 2)",
+            'obs.ingest_quarantined("csv")',
+            "obs.shard_restart(0)",
+            "obs.sync_work_counters(counters)",
+        ],
+    )
+    def test_flags_every_unguarded_emit(self, call):
+        code = f"def f(obs, counters):\n    {call}\n"
+        assert "unguarded-obs" in _rules_hit(code)
 
     def test_ignores_non_obs_receivers(self):
         code = """
@@ -111,8 +135,29 @@ class TestUnguardedObs:
         assert "unguarded-obs" not in _rules_hit(code)
 
     def test_skips_obs_package_itself(self):
-        code = "def f(obs):\n    obs.dt_messages('x')\n"
+        code = "def f(obs):\n    obs.inc('rts_elements_total')\n"
         assert _lint(code, path="src/repro/obs/observer.py") == []
+
+
+class TestEmitSurfaceClosure:
+    """Every public emit method of Observability is one the
+    ``unguarded-obs`` rule knows; the null sink has none of them, so an
+    unguarded call would raise AttributeError when telemetry is off."""
+
+    def test_emit_methods_are_lint_guarded(self):
+        from repro.obs import Observability
+
+        public = {
+            name
+            for name, value in vars(Observability).items()
+            if callable(value) and not name.startswith("_")
+        }
+        assert public - {"report", "describe"} == _EMIT_HOOKS
+
+    def test_null_sink_has_no_emit_method(self):
+        from repro.obs import NULL_OBS
+
+        assert not any(hasattr(NULL_OBS, name) for name in _EMIT_HOOKS)
 
 
 class TestBareExcept:
@@ -176,9 +221,38 @@ class TestUndeclaredMetric:
         )
         assert self._hits(code) == []
 
-    def test_allows_dynamic_prefix_names(self):
-        # DYNAMIC_GAUGE_PREFIX covers mirrored engine work counters.
+    def test_flags_undeclared_work_gauge(self):
+        # Only the six WorkCounters fields are declared; there is no
+        # rts_work_* name-prefix exemption.
         code = 'def f(reg):\n    reg.gauge("rts_work_heap_pops").set(2)\n'
+        assert len(self._hits(code)) == 1
+
+    def test_allows_declared_work_gauge(self):
+        code = 'def f(reg):\n    reg.gauge("rts_work_heap_ops").set(2)\n'
+        assert self._hits(code) == []
+
+    def test_flags_undeclared_name_in_obs_inc(self):
+        code = (
+            "def f(obs):\n"
+            "    if obs.enabled:\n"
+            '        obs.inc("rts_nope_total")\n'
+        )
+        hits = self._hits(code)
+        assert len(hits) == 1
+        assert "not declared" in hits[0].message
+
+    def test_checks_obs_set_and_observe_names(self):
+        code = (
+            "def f(obs):\n"
+            "    if obs.enabled:\n"
+            '        obs.set("rts_alive_queries", 1)\n'
+            '        obs.observe("latency", 1.0)\n'
+        )
+        (hit,) = self._hits(code)
+        assert "namespace prefix" in hit.message
+
+    def test_ignores_set_on_non_obs_receivers(self):
+        code = 'def f(flags):\n    flags.set("verbose")\n'
         assert self._hits(code) == []
 
     def test_skips_non_literal_names(self):

@@ -168,16 +168,24 @@ def check_heap_internals(
 # unguarded-obs
 # ---------------------------------------------------------------------------
 
-#: Observability hooks that emit per-event work.  Each call site must sit
-#: behind an enabled-guard so the disabled path stays zero-cost (the PR-1
-#: pattern).  Pull-style APIs (report, sync_work_counters, describe) are
-#: excluded: they only run on explicit user request.
+#: Every emit method of ``Observability``: the catalog-driven ``inc`` /
+#: ``set`` / ``observe`` and the named hooks.  The disabled sink
+#: (``NullObservability``) has none of them, so each call site must sit
+#: behind an enabled-guard, which also keeps the disabled path at one
+#: attribute read.  Exempt are ``describe``, which the null sink answers
+#: too, and ``report``, a pull on explicit request.  A test keeps this
+#: set equal to ``Observability``'s public methods less those two.
 _EMIT_HOOKS = {
+    "inc",
+    "set",
+    "observe",
     "element_processed",
+    "batch_processed",
     "query_registered",
     "query_matured",
     "query_terminated",
-    "dt_messages",
+    "ingest_quarantined",
+    "shard_restart",
     "dt_slack",
     "dt_slack_opened",
     "dt_round_end",
@@ -187,8 +195,7 @@ _EMIT_HOOKS = {
     "logmethod_merge",
     "span",
     "new_span",
-    "phase",
-    "shard_worker_batch",
+    "sync_work_counters",
 }
 
 
@@ -287,10 +294,9 @@ def check_unguarded_obs(
 _METRIC_FACTORIES = {"counter", "gauge", "histogram"}
 _METRIC_PREFIX = "rts_"
 
-#: Parsed catalog per catalog-file path: (declared names, dynamic
-#: prefixes).  The catalog is AST-parsed, never imported — the linter
-#: stays runnable on trees that don't import.
-_CATALOG_CACHE: Dict[str, Tuple[Set[str], Set[str]]] = {}
+#: Declared names per catalog-file path.  The catalog is AST-parsed,
+#: never imported — the linter stays runnable on trees that don't import.
+_CATALOG_CACHE: Dict[str, Set[str]] = {}
 
 
 def _locate_catalog(path: str) -> str:
@@ -308,23 +314,19 @@ def _locate_catalog(path: str) -> str:
     return ""
 
 
-def _catalog_names(catalog_path: str) -> Tuple[Set[str], Set[str]]:
-    """Declared metric names + dynamic-name prefixes from the catalog.
-
-    Names are the first string argument (or ``name=`` keyword) of every
-    ``MetricSpec(...)`` call; prefixes come from string assignments to
-    ``*_PREFIX`` module constants (``DYNAMIC_GAUGE_PREFIX``)."""
+def _catalog_names(catalog_path: str) -> Set[str]:
+    """Declared metric names from the catalog: the first string argument
+    (or ``name=`` keyword) of every ``MetricSpec(...)`` call."""
     cached = _CATALOG_CACHE.get(catalog_path)
     if cached is not None:
         return cached
     names: Set[str] = set()
-    prefixes: Set[str] = set()
     try:
         with open(catalog_path, encoding="utf-8") as handle:
             tree = ast.parse(handle.read())
     except (OSError, SyntaxError):
-        _CATALOG_CACHE[catalog_path] = (names, prefixes)
-        return names, prefixes
+        _CATALOG_CACHE[catalog_path] = names
+        return names
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
@@ -339,39 +341,31 @@ def _catalog_names(catalog_path: str) -> Tuple[Set[str], Set[str]]:
                 name_arg.value, str
             ):
                 names.add(name_arg.value)
-        if isinstance(node, ast.Assign) and isinstance(
-            node.value, ast.Constant
-        ):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id.endswith("_PREFIX")
-                    and isinstance(node.value.value, str)
-                ):
-                    prefixes.add(node.value.value)
-    _CATALOG_CACHE[catalog_path] = (names, prefixes)
-    return names, prefixes
+    _CATALOG_CACHE[catalog_path] = names
+    return names
 
 
 @_rule(
     "undeclared-metric",
-    "literal metric names passed to counter()/gauge()/histogram() must be "
-    "rts_-prefixed and declared in repro/obs/catalog.py",
+    "literal metric names passed to counter()/gauge()/histogram(), or to "
+    "an obs sink's inc()/set()/observe(), must be rts_-prefixed and "
+    "declared in repro/obs/catalog.py",
 )
 def check_undeclared_metric(
     module: ast.Module, path: str, source: str
 ) -> Iterator[LintViolation]:
     catalog_path = _locate_catalog(path)
-    names: Set[str] = set()
-    prefixes: Set[str] = set()
-    if catalog_path:
-        names, prefixes = _catalog_names(catalog_path)
+    names = _catalog_names(catalog_path) if catalog_path else set()
     for node in ast.walk(module):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if not (
-            isinstance(func, ast.Attribute) and func.attr in _METRIC_FACTORIES
+        if not isinstance(func, ast.Attribute):
+            continue
+        # ``inc`` / ``set`` / ``observe`` take a family name only on an
+        # obs sink; elsewhere they are instrument or container methods.
+        if func.attr not in _METRIC_FACTORIES and not (
+            func.attr in ("inc", "set", "observe") and _mentions_obs(func.value)
         ):
             continue
         if not node.args:
@@ -389,11 +383,7 @@ def check_undeclared_metric(
                 f"metric name {name!r} lacks the {_METRIC_PREFIX!r} "
                 "namespace prefix; see repro/obs/catalog.py",
             )
-        elif (
-            names
-            and name not in names
-            and not any(name.startswith(p) for p in prefixes)
-        ):
+        elif names and name not in names:
             yield LintViolation(
                 path,
                 node.lineno,
