@@ -11,9 +11,8 @@ total of ``~O(n) + O(m * tau_max)``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from ..core.batch import prepare_batch
 from ..core.engine import Engine, EngineError
 from ..core.events import MaturityEvent
 from ..core.query import Query
@@ -91,41 +90,6 @@ class IntervalTreeEngine(Engine):
                         weight_seen=record.query.threshold - record.remaining,
                     )
                 )
-        return events
-
-    def process_batch(
-        self, elements: Sequence[StreamElement], timestamp: int
-    ) -> List[MaturityEvent]:
-        """Cheap batch path: validate once, hoist the hot locals.
-
-        Stabbing is inherently per-element here; the win is skipping the
-        per-call dispatch and validation overhead of the default loop.
-        """
-        batch = prepare_batch(elements, self.dims)  # validates dims once
-        events: List[MaturityEvent] = []
-        stab = self._tree.stab
-        remove = self._tree.remove
-        records = self._records
-        counters = self.counters
-        ts = timestamp
-        for element in batch.elements:
-            weight = element.weight
-            stabbed = list(stab(element.value[0]))
-            counters.containment_checks += len(stabbed)
-            for item in stabbed:
-                record: _Record = item.payload
-                record.remaining -= weight
-                if record.remaining <= 0:
-                    del records[record.query.query_id]
-                    remove(item)
-                    events.append(
-                        MaturityEvent(
-                            query=record.query,
-                            timestamp=ts,
-                            weight_seen=record.query.threshold - record.remaining,
-                        )
-                    )
-            ts += 1
         return events
 
     # -- termination ------------------------------------------------------

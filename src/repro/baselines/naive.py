@@ -12,17 +12,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as _np
+
 from ..core.batch import prepare_batch
+from ..core.endpoint_tree import COUNTER_MAX
 from ..core.engine import Engine, EngineError
 from ..core.events import MaturityEvent
 from ..core.geometry import encoded_key
 from ..core.query import Query
 from ..streams.element import StreamElement
-
-try:  # numpy backs the vectorized probe of process_batch only
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None
 
 
 class NaiveEngine(Engine):
@@ -96,18 +94,21 @@ class NaiveEngine(Engine):
         offset is the first prefix of in-range cumulative weight reaching
         its remainder, computable per query regardless of what other
         queries do.  Events are emitted in scalar order: by offset, then
-        by registration (dict) order within an element.
+        by registration (dict) order within an element.  The int64 sums
+        are exact while the batch weighs at most ``COUNTER_MAX``;
+        a heavier batch, or a remainder beyond int64, takes the element
+        loop over Python ints.
         """
         batch = prepare_batch(elements, self.dims)
-        if _np is None or not batch.vectorizable or not self._alive:
-            return super().process_batch(batch.elements, timestamp)
+        if not batch.size or not self._alive or batch.total > COUNTER_MAX:
+            return super().process_batch(batch, timestamp)
         records = list(self._alive.items())
         try:
             remaining = _np.array(
                 [record[1] for _qid, record in records], dtype=_np.int64
             )
-        except (OverflowError, ValueError):
-            return super().process_batch(batch.elements, timestamp)
+        except OverflowError:
+            return super().process_batch(batch, timestamp)
         lows = _np.array(
             [
                 [encoded_key(lo) for lo, _hi in record[2]]

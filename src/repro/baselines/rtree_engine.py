@@ -9,9 +9,8 @@ behind even the Baseline (Figure 8).  Worst-case time remains ``O(nm)``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from ..core.batch import prepare_batch
 from ..core.engine import Engine, EngineError
 from ..core.events import MaturityEvent
 from ..core.query import Query
@@ -87,41 +86,6 @@ class RTreeEngine(Engine):
                         weight_seen=record.query.threshold - record.remaining,
                     )
                 )
-        return events
-
-    def process_batch(
-        self, elements: Sequence[StreamElement], timestamp: int
-    ) -> List[MaturityEvent]:
-        """Cheap batch path: validate once, hoist the hot locals."""
-        batch = prepare_batch(elements, self.dims)  # validates dims once
-        events: List[MaturityEvent] = []
-        stab = self._tree.stab
-        remove = self._tree.remove
-        records = self._records
-        counters = self.counters
-        ts = timestamp
-        for element in batch.elements:
-            weight = element.weight
-            point = element.value
-            stabbed = []
-            for item in stab(point):
-                counters.containment_checks += 1
-                if item.rect.contains(point):
-                    stabbed.append(item)
-            for item in stabbed:
-                record: _Record = item.payload
-                record.remaining -= weight
-                if record.remaining <= 0:
-                    del records[record.query.query_id]
-                    remove(item)
-                    events.append(
-                        MaturityEvent(
-                            query=record.query,
-                            timestamp=ts,
-                            weight_seen=record.query.threshold - record.remaining,
-                        )
-                    )
-            ts += 1
         return events
 
     # -- termination ------------------------------------------------------

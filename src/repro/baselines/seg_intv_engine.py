@@ -9,9 +9,8 @@ stabbed query.  Complexity profile matches the 1-D stabbing method:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from ..core.batch import prepare_batch
 from ..core.engine import Engine, EngineError
 from ..core.events import MaturityEvent
 from ..core.query import Query
@@ -86,37 +85,6 @@ class SegIntvEngine(Engine):
                         weight_seen=record.query.threshold - record.remaining,
                     )
                 )
-        return events
-
-    def process_batch(
-        self, elements: Sequence[StreamElement], timestamp: int
-    ) -> List[MaturityEvent]:
-        """Cheap batch path: validate once, hoist the hot locals."""
-        batch = prepare_batch(elements, self.dims)  # validates dims once
-        events: List[MaturityEvent] = []
-        stab = self._tree.stab
-        remove = self._tree.remove
-        records = self._records
-        counters = self.counters
-        ts = timestamp
-        for element in batch.elements:
-            weight = element.weight
-            stabbed = list(stab(element.value))
-            counters.containment_checks += len(stabbed)
-            for item in stabbed:
-                record: _Record = item.payload
-                record.remaining -= weight
-                if record.remaining <= 0:
-                    del records[record.query.query_id]
-                    remove(item)
-                    events.append(
-                        MaturityEvent(
-                            query=record.query,
-                            timestamp=ts,
-                            weight_seen=record.query.threshold - record.remaining,
-                        )
-                    )
-            ts += 1
         return events
 
     # -- termination ------------------------------------------------------

@@ -7,32 +7,37 @@ engines need the batch as contiguous numpy arrays; :class:`PreparedBatch`
 performs the conversion (and all input validation) exactly once, up
 front, so the batch driver can slice sub-ranges for free.
 
-A batch is *vectorizable* only when the arrays are exact stand-ins for
-the Python values: every coordinate must survive the float64 round-trip
-it already took inside :class:`~repro.streams.element.StreamElement`, and
-the total batch weight must stay below 2^53 so the float64 partial sums
-``numpy.bincount`` computes are exact integers.  Otherwise the engines
-silently fall back to the element-at-a-time loop — same events, no fast
-path.
+Values always pack: every coordinate already took the float64 round-trip
+inside :class:`~repro.streams.element.StreamElement`.  Weights pack as
+int64, and every sum the engines take of them is an exact int64 sum: the
+DT engines only split batches whose total fits their int64 counters
+(:data:`~repro.core.endpoint_tree.COUNTER_MAX`).  A batch is
+*vectorizable* when every weight fits int64; a heavier weight is kept as
+a Python int (an object array), which the DT engines reject and the
+baselines take element by element.  ``total`` is the exact batch weight
+either way.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import List, Optional, Sequence
+from typing import Sequence
+
+import numpy as _np
 
 from ..streams.element import StreamElement
 
-try:  # numpy is a core dependency, but the fallback keeps this importable
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None
-
-#: Above this total batch weight the float64 leaf sums of the vectorized
-#: routing step could round; such batches take the scalar path instead.
-MAX_EXACT_WEIGHT = 1 << 53
-
 _GET_VALUE = attrgetter("value")
+_INT64_MAX = int(_np.iinfo(_np.int64).max)
+
+
+def _exact_sum(weights) -> int:
+    """The exact sum of positive weights: one int64 sum, unless the
+    heaviest weight leaves room for a wrap (then Python ints)."""
+    n = weights.size
+    if not n or weights.dtype == object or int(weights.max()) > _INT64_MAX // n:
+        return sum(weights.tolist())
+    return int(weights.sum())
 
 
 class PreparedBatch:
@@ -46,6 +51,10 @@ class PreparedBatch:
         ``dims`` (same validation as ``Engine.validate_element``).
     dims:
         The engine's data-space dimensionality.
+
+    ``values`` is the ``(n, dims)`` float64 value block, ``weights`` the
+    int64 weights (an object array of Python ints when one does not fit
+    int64; ``vectorizable`` is False then) and ``total`` their exact sum.
     """
 
     __slots__ = (
@@ -53,9 +62,9 @@ class PreparedBatch:
         "size",
         "values",
         "weights",
+        "total",
         "vectorizable",
         "_arange",
-        "_wf64",
     )
 
     def __init__(self, elements: Sequence[StreamElement], dims: int):
@@ -69,7 +78,7 @@ class PreparedBatch:
         # per-element loop below, which raises the precise error.
         values = None
         strict = True
-        if batch and _np is not None:
+        if batch:
             try:
                 if dims == 1:
                     # Lengths are non-negative, so a length sum of n with
@@ -107,27 +116,24 @@ class PreparedBatch:
                         f"element has {element.dims} coordinate(s); engine "
                         f"handles {dims} dimension(s)"
                     )
-        self.elements = batch
-        self.size = len(batch)
-        self.values = None
-        self.weights = None
-        self._arange = None
-        self._wf64 = None
-        self.vectorizable = False
-        if _np is None or not batch:
-            return
+            values = _np.array(
+                [e.value for e in batch], dtype=_np.float64
+            ).reshape(n, dims)
+        weights = [e.weight for e in batch]
         try:
-            if strict:
-                values = _np.array([e.value for e in batch], dtype=_np.float64)
-            weights = _np.array([e.weight for e in batch], dtype=_np.int64)
-        except (OverflowError, ValueError):
-            return  # weights beyond int64: scalar fallback stays exact
-        if int(weights.sum()) >= MAX_EXACT_WEIGHT:
-            return
+            weights = _np.array(weights, dtype=_np.int64)
+        except OverflowError:  # a weight beyond int64: keep the Python ints
+            weights = _np.array(weights, dtype=object)
+        self._wrap(batch, values, weights)
+
+    def _wrap(self, elements, values, weights) -> None:
+        self.elements = elements
+        self.size = len(elements)
         self.values = values
         self.weights = weights
+        self.total = _exact_sum(weights)
+        self.vectorizable = weights.dtype != object
         self._arange = _np.arange(self.size, dtype=_np.intp)
-        self.vectorizable = True
 
     @classmethod
     def from_arrays(cls, elements, values, weights) -> "PreparedBatch":
@@ -137,51 +143,16 @@ class PreparedBatch:
         exactly once, then hands every shard a row-subset of the same
         arrays; this constructor re-wraps such a subset without repeating
         the per-element validation loop.  ``values`` must be the
-        ``(n, dims)`` float64 rows of ``elements`` (or None to disable
-        the vectorized path), and the caller vouches that the
-        vectorizability preconditions hold — they are inherited from the
-        validated parent batch, whose total weight bounds any subset's.
+        ``(n, dims)`` float64 rows of ``elements`` and ``weights`` their
+        weights, as :class:`PreparedBatch` packs them.
         """
         batch = cls.__new__(cls)
-        batch.elements = elements
-        batch.size = len(elements)
-        batch.values = values
-        batch.weights = weights
-        batch._wf64 = None
-        if values is None or weights is None or _np is None or not len(elements):
-            batch.values = None
-            batch.weights = None
-            batch._arange = None
-            batch.vectorizable = False
-        else:
-            batch._arange = _np.arange(batch.size, dtype=_np.intp)
-            batch.vectorizable = True
+        batch._wrap(elements, values, weights)
         return batch
-
-    @property
-    def weights_f64(self):
-        """Float64 view of the weights, built once per batch.
-
-        The columnar descent's ``bincount`` wants float64 weights; the
-        conversion is exact (the vectorizability precondition bounds the
-        batch's total weight below 2^53) and cached so every tree's
-        routing of the batch shares it.
-        """
-        w = self._wf64
-        if w is None:
-            w = self._wf64 = self.weights.astype(_np.float64)
-        return w
 
     def indices(self, lo: int, hi: int):
         """Index array selecting the sub-range ``[lo, hi)`` (a view)."""
         return self._arange[lo:hi]
-
-    def total_weight(self) -> int:
-        """Sum of element weights, exact: one int64 sum when the batch is
-        vectorizable (it then weighs under 2^53), else the Python ints'."""
-        if self.vectorizable:
-            return int(self.weights.sum())
-        return sum(e.weight for e in self.elements)
 
     def __len__(self) -> int:
         return self.size
@@ -205,8 +176,3 @@ def prepare_batch(
     if isinstance(elements, PreparedBatch):
         return elements
     return PreparedBatch(elements, dims)
-
-
-def numpy_available() -> bool:
-    """True when the vectorized Section 4 routing path can run at all."""
-    return _np is not None

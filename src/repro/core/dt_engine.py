@@ -212,11 +212,9 @@ class TreeSplit:
         A lone column's pairs are found by one scan, already in arrival
         order.  For several, the pairs are ordered by leaf row (sorted
         once per split) and a column's pairs are the block whose rows lie
-        in its range; each block is put back in arrival order and the
-        weights are summed over all blocks in one running total, so
-        column ``col``'s crossing is the first position of its block
-        where that total reaches its slack plus the total before the
-        block.
+        in its range; each block is put back in arrival order.  Column
+        ``col``'s crossing is the first position of its block where the
+        block's running weight total reaches the column's slack.
         """
         _cnts, deltas, final, elems, rows, _hot = self.rec
         _paths, klo, khi = self.tree.tree.leaf_rows()
@@ -225,7 +223,7 @@ class TreeSplit:
             col = cols[0]
             mine = elems[(rows >= klo.item(col)) & (rows < khi.item(col))]
             cum = self.weights[mine].cumsum()
-            firsts, ends, before = [0], [mine.size], [0]
+            firsts, ends = [0], [mine.size]
         else:
             ranked = self.ranked
             if ranked is None:
@@ -242,16 +240,20 @@ class TreeSplit:
             cum = self.weights[mine].cumsum()
             ends = lens.cumsum()
             firsts = ends - lens
+            # Re-base each block's running total to its own start.  The
+            # total over all blocks may wrap int64, but the difference
+            # is exact: a block sums to its column's delta, which fits.
             # (a hot column has elements: its delta reaches its slack)
             before = cum[firsts - 1]
             before[0] = 0
-            firsts, ends, before = firsts.tolist(), ends.tolist(), before.tolist()
-        # The counter at routing time less the total before the block.
+            cum -= _np.repeat(before, lens)
+            firsts, ends = firsts.tolist(), ends.tolist()
+        # The counter at routing time.
         offs = (final[cols] - deltas[cols]).tolist()
         mine, cum = mine.tolist(), cum.tolist()
         through = self.through
-        for col, off, prior, a, b in zip(cols, offs, before, firsts, ends):
-            through[col] = (mine, cum, off - prior, a, b)
+        for col, off, a, b in zip(cols, offs, firsts, ends):
+            through[col] = (mine, cum, off, a, b)
 
     def next_crossing(self) -> Optional[int]:
         """The tree's first crossing from here on, or None."""
@@ -735,7 +737,7 @@ class TreeInstance(TrackerColumns):
         while perfbench's ledger wraps these methods by name.
         """
         routed = self.tree.route_batch(
-            batch.values[lo:hi], batch.weights_f64[lo:hi], batch.indices(lo, hi)
+            batch.values[lo:hi], batch.weights[lo:hi], batch.indices(lo, hi)
         )
         if routed is None:
             return True

@@ -507,44 +507,37 @@ def _forest(dim: int, ks, vals, bits, lows):
 
 def _route(forest: Forest, values, weights):
     """1-D batched descent through the one tree of ``forest``: per-node
-    weight deltas of ``values`` (float64 ``weights``).
+    weight deltas of ``values`` (int64 ``weights``).
 
     Exactly the scalar descents' counter increments: elements land on
     leaf slots via ``searchsorted`` over the leaf lows (values left of
     the leftmost endpoint drop out), then every ancestor accumulates —
-    through one ``bincount`` over the gathered path rows, or, for a range
-    whose path block would dwarf the tree, level by level over
-    ``levels``.  Returns ``(deltas, pos)``: None when nothing routes, else
-    int64 deltas (summed in float64, exact since a vectorizable batch
-    weighs under 2^53) with ``n + 1`` slots, the last a scratch slot
+    through one int64 scatter-add over the gathered path rows, or, for a
+    range whose path block would dwarf the tree, level by level over
+    ``levels``.  Returns ``(deltas, pos)``: None when nothing routes,
+    else int64 deltas with ``n + 1`` slots, the last a scratch slot
     absorbing the path padding; and each element's leaf rank (-1 left of
-    the leftmost endpoint).
+    the leftmost endpoint).  The sums are exact while the range's weight
+    fits int64, which the engines guarantee.
     """
     sk = forest.skels[0]
     pos = _np.searchsorted(forest.lows, values, side="right") - 1
     n = sk.n
-    w = weights
-    if pos.size * (sk.height + 1) < 4 * n:
-        # Gather the root-to-leaf paths and scatter-add them in one
-        # weighted bincount.  Drop-outs (``pos == -1``) wrap onto the
-        # all-sentinel last path row, so no mask is needed here.
-        touched = sk.paths[pos]
-        deltas = _np.bincount(
-            touched.ravel(),
-            weights=_np.repeat(w, touched.shape[1]),
-            minlength=n + 1,
-        ).astype(_np.int64)
-        return deltas, pos
-    leaf_pos = pos
-    mask = pos >= 0
-    if not mask.all():
-        if not mask.any():
-            return None, pos
-        leaf_pos = pos[mask]
-        w = w[mask]
-    leaf_deltas = _np.bincount(leaf_pos, weights=w, minlength=sk.K)
     deltas = _np.zeros(n + 1, dtype=_np.int64)
-    deltas[sk.leaf_ids] = leaf_deltas
+    if pos.size * (sk.height + 1) < 4 * n:
+        # Gather the root-to-leaf paths and scatter-add them at once.
+        # Drop-outs (``pos == -1``) wrap onto the all-sentinel last path
+        # row, so no mask is needed here.
+        touched = sk.paths[pos]
+        _np.add.at(deltas, touched.ravel(), _np.repeat(weights, touched.shape[1]))
+        return deltas, pos
+    mask = pos >= 0
+    if mask.all():
+        _np.add.at(deltas, sk.leaf_ids[pos], weights)
+    elif mask.any():
+        _np.add.at(deltas, sk.leaf_ids[pos[mask]], weights[mask])
+    else:
+        return None, pos
     for par, child_start, child_end in sk.levels:
         deltas[par] = deltas[child_start:child_end].reshape(-1, 2).sum(axis=1)
     return deltas, pos
@@ -831,7 +824,7 @@ class EndpointTree:
 
         ``values`` / ``weights`` are the rows of the
         :class:`~repro.core.batch.PreparedBatch` arrays (``weights``
-        float64) holding the elements whose batch indices are ``elems``.
+        int64) holding the elements whose batch indices are ``elems``.
         Returns None when nothing reaches a last-dimension node, else
         ``(deltas, elems, rows)``: the int64 weight each store column
         gains from the elements (exactly the scalar descents' counter
@@ -878,12 +871,9 @@ class EndpointTree:
             trees = owned[r, c]
         touched = forest.paths[rows]
         n_cols = forest.n
-        deltas = _np.bincount(
-            touched.ravel(),
-            weights=_np.repeat(weights[rows_of], touched.shape[1]),
-            minlength=n_cols + 1,
-        )
-        return deltas[:n_cols].astype(_np.int64), elems[rows_of], rows
+        deltas = _np.zeros(n_cols + 1, dtype=_np.int64)
+        _np.add.at(deltas, touched.ravel(), _np.repeat(weights[rows_of], touched.shape[1]))
+        return deltas[:n_cols], elems[rows_of], rows
 
     def leaf_rows(self):
         """``(paths, klo, khi)`` for :meth:`route_batch`'s leaf rows: the

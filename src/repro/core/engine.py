@@ -15,10 +15,11 @@ DT messages) exposes those asymptotics without any hardware dependence.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..obs.observer import NULL_OBS
 from ..streams.element import StreamElement
+from .batch import prepare_batch
 from .events import MaturityEvent
 from .query import Query
 
@@ -225,13 +226,12 @@ class Engine(abc.ABC):
         element-at-a-time loop would produce.  This default implementation
         is that loop; engines with a real fast path (the first-crossing
         batch split of the DT engines, the vectorized probe of the Baseline)
-        override it.  See ``docs/PERFORMANCE.md``.
+        override it.  See ``docs/PERFORMANCE.md``.  The whole batch is
+        validated before its first element goes in.
         """
         events: List[MaturityEvent] = []
-        ts = timestamp
-        for element in elements:
-            events.extend(self.process(element, ts))
-            ts += 1
+        for i, element in enumerate(prepare_batch(elements, self.dims)):
+            events.extend(self.process(element, timestamp + i))
         return events
 
     # -- termination ------------------------------------------------------

@@ -256,11 +256,15 @@ class DTEngine(Engine):
         — is preserved.
         """
         batch = prepare_batch(elements, self.dims)
-        if not batch.vectorizable:
-            if batch.size:
-                self._make_room(max(e.weight for e in batch.elements))
-            return super().process_batch(batch.elements, timestamp)
-        self._make_room(int(batch.weights.sum()))
+        if batch.total > COUNTER_MAX:
+            # No tree's counters can take the whole batch at once: its
+            # elements go in one by one, each after the overflow rebuilds
+            # it needs (a single element too heavy raises first).
+            self.validate_weight(max(e.weight for e in batch.elements))
+            return super().process_batch(batch, timestamp)
+        if not batch.size:
+            return []
+        self._make_room(batch.total)
         scalar_elements = batch.elements
         split = self._split = BatchSplit(self._trees, batch, self.counters)
 

@@ -10,8 +10,9 @@ unbounded ranges.
 
 from __future__ import annotations
 
+import inspect
 import math
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..streams.element import StreamElement
 from .geometry import BoundaryKey, Interval, Rect
@@ -179,6 +180,126 @@ def system_to_obj(system) -> Dict[str, Any]:
     }
 
 
+# -- checking decoded payloads ---------------------------------------------
+
+_KINDS = {int: "an int", str: "a string", list: "a list", dict: "an object"}
+_FINISHED = {status.value for status in QueryStatus} - {QueryStatus.ALIVE.value}
+
+
+def _field_error(path: str, problem: str) -> ValueError:
+    """The error a snapshot decoder raises for the field at ``path``."""
+    return ValueError(f"snapshot field {path!r} {problem}")
+
+
+def _checked_value(value: Any, path: str, kind: type = int, low: Optional[int] = None) -> Any:
+    """One field of a decoded snapshot, checked: a ``kind`` (an int is
+    never a bool) of at least ``low``.  Anything else — a missing field
+    reads as None — raises ValueError naming the field at ``path``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise _field_error(path, f"must be {_KINDS[kind]}, got {value!r}")
+    if low is not None and value < low:
+        raise _field_error(path, f"must be at least {low}, got {value!r}")
+    return value
+
+
+def _checked_records(value: Any, path: str) -> List[Tuple[str, dict]]:
+    """A list of objects at ``path``, checked, as ``(path, record)`` pairs."""
+    out = []
+    for i, record in enumerate(_checked_value(value, path, list)):
+        at = f"{path}[{i}]"
+        out.append((at, _checked_value(record, at, dict)))
+    return out
+
+
+def _checked_id(value: Any, path: str) -> Any:
+    """A query id at ``path``, checked: present and hashable."""
+    if value is None:
+        raise _field_error(path, "is missing")
+    try:
+        hash(value)
+    except TypeError:
+        raise _field_error(path, f"must be hashable, got {value!r}") from None
+    return value
+
+
+def _checked_query(record: dict, path: str, dims: int, seen: set) -> Query:
+    """The ``query`` of a snapshot record, whose id must not be in ``seen``."""
+    path = f"{path}.query"
+    obj = _checked_value(record.get("query"), path, dict)
+    qid = _checked_id(obj.get("id"), f"{path}.id")
+    if qid in seen:
+        raise _field_error(f"{path}.id", f"repeats the query id {qid!r}")
+    seen.add(qid)
+    _checked_value(obj.get("threshold"), f"{path}.threshold", low=1)
+    if len(_checked_value(obj.get("rect"), f"{path}.rect", list)) != dims:
+        raise _field_error(f"{path}.rect", f"must hold {dims} interval(s)")
+    try:
+        return query_from_obj(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _field_error(f"{path}.rect", f"is not a rectangle: {exc}") from None
+
+
+def check_snapshot(obj: Any, path: str = "") -> Dict[str, Any]:
+    """Check a whole :func:`system_to_obj` payload before anything is
+    built from it, and decode it.
+
+    Returns ``dims``, ``engine``, ``engine_options`` and ``clock``, the
+    ``alive`` queries as ``(query, consumed)`` pairs (``consumed`` is the
+    ``W(q)`` their thresholds are re-based by, Section 4's rebuilding
+    step) and the ``done`` ones as ``(query, status, matured_at)``
+    triples.  A missing, mistyped or inconsistent field raises
+    ValueError naming it (under ``path``, for a snapshot nested in
+    another payload).
+    """
+    from .system import _engine_registry  # circular at module scope
+
+    where = f" at {path!r}" if path else ""
+    if not isinstance(obj, dict):
+        raise ValueError(f"not an {SNAPSHOT_FORMAT} payload{where}: a {type(obj).__name__}")
+    if obj.get("format") != SNAPSHOT_FORMAT:
+        raise ValueError(
+            f"not an {SNAPSHOT_FORMAT} payload{where}: format={obj.get('format')!r}"
+        )
+    p = f"{path}." if path else ""
+    dims = _checked_value(obj.get("dims"), p + "dims", low=1)
+    engine = _checked_value(obj.get("engine"), p + "engine", str)
+    registry = _engine_registry()
+    if engine not in registry:
+        raise _field_error(p + "engine", f"names no engine: {engine!r}")
+    options = _checked_value(obj.get("engine_options", {}), p + "engine_options", dict)
+    try:
+        inspect.signature(registry[engine]).bind(dims, **options)
+    except TypeError as exc:
+        raise _field_error(p + "engine_options", f"does not fit {engine!r}: {exc}") from None
+    clock = _checked_value(obj.get("clock"), p + "clock", low=0)
+    seen: set = set()
+    alive = []
+    for at, record in _checked_records(obj.get("alive"), p + "alive"):
+        query = _checked_query(record, at, dims, seen)
+        consumed = _checked_value(record.get("consumed"), f"{at}.consumed", low=0)
+        if consumed >= query.threshold:
+            raise _field_error(f"{at}.consumed", f"reaches the threshold {query.threshold}")
+        alive.append((query, consumed))
+    done = []
+    for at, record in _checked_records(obj.get("done"), p + "done"):
+        query = _checked_query(record, at, dims, seen)
+        status = _checked_value(record.get("status"), f"{at}.status", str)
+        if status not in _FINISHED:
+            raise _field_error(f"{at}.status", f"is not a finished status: {status!r}")
+        matured_at = record.get("matured_at")
+        if matured_at is not None:
+            _checked_value(matured_at, f"{at}.matured_at", low=1)
+        done.append((query, QueryStatus(status), matured_at))
+    return {
+        "dims": dims,
+        "engine": engine,
+        "engine_options": options,
+        "clock": clock,
+        "alive": alive,
+        "done": done,
+    }
+
+
 def system_from_obj(obj: Dict[str, Any], observability=None, sanitize=None):
     """Rebuild a running :class:`~repro.core.system.RTSSystem` from a
     :func:`system_to_obj` checkpoint (inverse operation).
@@ -186,38 +307,32 @@ def system_from_obj(obj: Dict[str, Any], observability=None, sanitize=None):
     The returned system continues exactly where the checkpointed one
     stood: same clock, same alive queries with their collected weight
     credited against re-based thresholds (the Section 4 rebuilding
-    step), same lifecycle history for finished queries.
+    step), same lifecycle history for finished queries.  The payload is
+    checked whole first (:func:`check_snapshot`).
     """
     from .system import RTSSystem  # circular at module scope
 
-    if obj.get("format") != SNAPSHOT_FORMAT:
-        raise ValueError(
-            f"not an {SNAPSHOT_FORMAT} payload: format={obj.get('format')!r}"
-        )
+    snap = check_snapshot(obj)
     system = RTSSystem(
-        dims=int(obj["dims"]),
-        engine=obj["engine"],
+        dims=snap["dims"],
+        engine=snap["engine"],
         observability=observability,
         sanitize=sanitize,
-        **obj.get("engine_options", {}),
+        **snap["engine_options"],
     )
-    system._clock = int(obj["clock"])
-    entries = []
-    for item in obj["alive"]:
-        query = query_from_obj(item["query"])
-        entries.append((query, int(item["consumed"])))
+    system._clock = snap["clock"]
+    entries = snap["alive"]
     system.engine.restore_entries(entries)
     for query, _consumed in entries:
         system._queries[query.query_id] = query
         system._status[query.query_id] = QueryStatus.ALIVE
         if system.obs.enabled:
             system.obs.query_registered(query.query_id, system._clock)
-    for item in obj["done"]:
-        query = query_from_obj(item["query"])
+    for query, status, matured_at in snap["done"]:
         system._queries[query.query_id] = query
-        system._status[query.query_id] = QueryStatus(item["status"])
-        if item.get("matured_at") is not None:
-            system._maturity_times[query.query_id] = int(item["matured_at"])
+        system._status[query.query_id] = status
+        if matured_at is not None:
+            system._maturity_times[query.query_id] = matured_at
     if system._sanitize:
         system._sanitize_check()
     return system

@@ -294,7 +294,7 @@ class RTSSystem:
             if prepared is batch:
                 weight = sum(e.weight for e in batch)
             else:
-                weight = prepared.total_weight()
+                weight = prepared.total
             self.obs.batch_processed(end, len(batch), weight)
         events = self.engine.process_batch(prepared, start)
         self._clock = end  # a batch the engine rejects takes no ticks

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.batch import MAX_EXACT_WEIGHT, PreparedBatch
+from ..core.batch import PreparedBatch
 from ..core.system import make_engine
 from ..streams.generators import QueryFactory, elements_from_arrays, generate_element_arrays
 from ..streams.scale import PAPER_TAU, paper_params
@@ -88,8 +88,8 @@ class BenchWorkload:
     scale: int
     queries: List[object]
     elements: List[object]
-    values: Optional[object] = None
-    weights: Optional[object] = None
+    values: object
+    weights: object
 
     def meta(self) -> Dict[str, object]:
         return {
@@ -134,8 +134,6 @@ def build_bench_workload(
         queries[i] = type(q)(q.rect, small_tau, query_id=q.query_id)
     values, weights = generate_element_arrays(rng, n, params)
     elements = elements_from_arrays(values, weights)
-    if int(weights.sum()) >= MAX_EXACT_WEIGHT:  # pragma: no cover - huge weights
-        values = weights = None  # vectorized routing couldn't stay exact
     return BenchWorkload(
         dims=dims,
         m=params.m,
@@ -203,13 +201,11 @@ def _run_once(
         weights = workload.weights
         for i in range(0, len(elements), batch_size):
             j = i + batch_size
-            chunk = elements[i:j]
-            if values is not None:
-                # The generator produced the stream columnar; hand the
-                # engine a row-slice of that array view (exactly what
-                # the sharded router does per shard) instead of
-                # re-packing the object view per batch.
-                chunk = PreparedBatch.from_arrays(chunk, values[i:j], weights[i:j])
+            # The generator produced the stream columnar; hand the engine
+            # a row-slice of that array view (exactly what the sharded
+            # router does per shard) instead of re-packing the object
+            # view per batch.
+            chunk = PreparedBatch.from_arrays(elements[i:j], values[i:j], weights[i:j])
             c0 = time.perf_counter()
             evs = eng.process_batch(chunk, ts)
             if timed_calls:
@@ -334,10 +330,9 @@ def _observed_shard_replay(
         weights = workload.weights
         for i in range(0, len(elements), batch_size):
             j = i + batch_size
-            chunk = elements[i:j]
-            if values is not None:
-                chunk = PreparedBatch.from_arrays(chunk, values[i:j], weights[i:j])
-            system.process_batch(chunk)
+            system.process_batch(
+                PreparedBatch.from_arrays(elements[i:j], values[i:j], weights[i:j])
+            )
     finally:
         system.close()  # drains the shards' final registry deltas
     metrics = obs.metrics
@@ -450,14 +445,12 @@ def bench_sharded(
                 t0 = time.perf_counter()
                 for i in range(0, len(elements), batch_size):
                     j = i + batch_size
-                    chunk = elements[i:j]
-                    if values is not None:
-                        # Same columnar ingestion as the un-sharded row:
-                        # the router slices these arrays per shard and
-                        # the workers descend them columnar.
-                        chunk = PreparedBatch.from_arrays(
-                            chunk, values[i:j], weights[i:j]
-                        )
+                    # Same columnar ingestion as the un-sharded row: the
+                    # router slices these arrays per shard and the
+                    # workers descend them columnar.
+                    chunk = PreparedBatch.from_arrays(
+                        elements[i:j], values[i:j], weights[i:j]
+                    )
                     for e in system.process_batch(chunk):
                         run_events.append(
                             (e.query.query_id, e.timestamp, e.weight_seen)

@@ -40,6 +40,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as _np
+
 from ..core.engine import Engine
 from ..core.events import EventDispatcher, MaturityCallback, MaturityEvent
 from ..core.geometry import encoded_key
@@ -53,11 +55,6 @@ from ..streams.element import StreamElement
 from .executor import ShardExecutor, make_executor
 from .partition import PartitionPolicy, make_policy
 from .wire import EventKey, ShardSlice
-
-try:  # numpy accelerates routing; the pure-Python path stays exact
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None
 
 #: Format tag of :meth:`ShardedRTSSystem.snapshot` payloads.
 SHARD_SNAPSHOT_FORMAT = "rts-shard-snapshot-v1"
@@ -345,14 +342,14 @@ class ShardedRTSSystem:
         if not prepared.size:
             return []
         if not prepared.vectorizable:
-            # A vectorizable batch weighs under 2^53 in all; otherwise the
-            # heaviest element must fit, or no shard may run (an element
-            # that routes nowhere included), as in an un-sharded system.
+            # A weight beyond int64: the engine may reject it, and then no
+            # shard may run (an element that routes nowhere included), as
+            # in an un-sharded system.
             self._validator.validate_weight(max(e.weight for e in prepared.elements))
         start = self._clock + 1
         if self.obs.enabled:
             self.obs.batch_processed(
-                start + prepared.size - 1, prepared.size, prepared.total_weight()
+                start + prepared.size - 1, prepared.size, prepared.total
             )
         return self._route_and_process(prepared, start)
 
@@ -457,8 +454,7 @@ class ShardedRTSSystem:
         """
         batch = prepared.elements
         n = prepared.size
-        values = prepared.values if prepared.vectorizable else None
-        weights = prepared.weights if prepared.vectorizable else None
+        values, weights = prepared.values, prepared.weights
         if self.shards == 1:
             # S=1 passthrough: the single shard owns every query, so the
             # whole batch is its slice by construction.  Skip the extent
@@ -469,6 +465,7 @@ class ShardedRTSSystem:
         timestamps = list(range(start, start + n))
         slices: Dict[int, ShardSlice] = {}
         prune = self.policy.prunes_elements
+        col = values[:, 0]
         for shard in range(self.shards):
             lo, hi = self._extents[shard]
             if lo > hi:
@@ -476,32 +473,20 @@ class ShardedRTSSystem:
             if not prune:
                 slices[shard] = ShardSlice(batch, timestamps, values, weights)
                 continue
-            if values is not None:
-                col = values[:, 0]
-                mask = (col >= lo) & (col < hi)
-                if mask.all():
-                    slices[shard] = ShardSlice(batch, timestamps, values, weights)
-                    continue
-                idx = _np.nonzero(mask)[0]
-                if idx.size == 0:
-                    continue
-                picked = idx.tolist()
-                slices[shard] = ShardSlice(
-                    [batch[i] for i in picked],
-                    [start + i for i in picked],
-                    values[idx],
-                    weights[idx],
-                )
-            else:
-                els: List[StreamElement] = []
-                ts: List[int] = []
-                for i, element in enumerate(batch):
-                    v0 = element.value[0]
-                    if lo <= v0 < hi:
-                        els.append(element)
-                        ts.append(start + i)
-                if els:
-                    slices[shard] = ShardSlice(els, ts)
+            mask = (col >= lo) & (col < hi)
+            if mask.all():
+                slices[shard] = ShardSlice(batch, timestamps, values, weights)
+                continue
+            idx = _np.nonzero(mask)[0]
+            if idx.size == 0:
+                continue
+            picked = idx.tolist()
+            slices[shard] = ShardSlice(
+                [batch[i] for i in picked],
+                [start + i for i in picked],
+                values[idx],
+                weights[idx],
+            )
         return slices
 
     def _merge(self, keys: List[EventKey]) -> List[MaturityEvent]:
@@ -616,16 +601,10 @@ class ShardedRTSSystem:
         a serial checkpoint restores into parallel workers and vice
         versa (the blobs are executor-agnostic).
         """
-        from ..core.serialize import query_from_obj
-
-        if snapshot.get("format") != SHARD_SNAPSHOT_FORMAT:
-            raise ValueError(
-                f"not an {SHARD_SNAPSHOT_FORMAT} payload: "
-                f"format={snapshot.get('format')!r}"
-            )
+        blobs = _check_shard_snapshot(snapshot)
         system = cls.__new__(cls)
-        system.dims = int(snapshot["dims"])
-        system.shards = int(snapshot["shards"])
+        system.dims = snapshot["dims"]
+        system.shards = snapshot["shards"]
         system.engine_name = snapshot["engine"]
         system.engine_options = dict(snapshot.get("engine_options", {}))
         system.policy = make_policy(dict(snapshot["policy"]), system.shards)
@@ -646,35 +625,30 @@ class ShardedRTSSystem:
         system._maturity_times = {}
         system._owner = {}
         system._seq = {}
-        system._next_seq = int(snapshot["next_seq"])
-        system._clock = int(snapshot["clock"])
+        system._next_seq = snapshot["next_seq"]
+        system._clock = snapshot["clock"]
         system._extents = [_EMPTY_EXTENT] * system.shards
-        system.elements_routed = [
-            int(v) for v in snapshot.get("elements_routed", [0] * system.shards)
-        ]
+        system.elements_routed = list(snapshot.get("elements_routed", [0] * system.shards))
         system.shard_busy_seconds = [0.0] * system.shards
         system._profiler = PhaseProfiler(system.obs)
-        blobs = snapshot["shard_blobs"]
-        owners = {rec["id"]: int(rec["owner"]) for rec in snapshot["alive"]}
-        seqs = {rec["id"]: int(rec["seq"]) for rec in snapshot["alive"]}
+        owners = {rec["id"]: rec["owner"] for rec in snapshot["alive"]}
+        seqs = {rec["id"]: rec["seq"] for rec in snapshot["alive"]}
         for shard, blob in enumerate(blobs):
-            for item in blob["alive"]:
-                query = query_from_obj(item["query"])
+            for query, _consumed in blob["alive"]:
                 qid = query.query_id
                 system._queries[qid] = query
                 system._status[qid] = QueryStatus.ALIVE
-                system._owner[qid] = owners.get(qid, shard)
+                system._owner[qid] = owners[qid]
                 system._seq[qid] = seqs[qid]
                 system._grow_extent(shard, query)
-            for item in blob["done"]:
-                query = query_from_obj(item["query"])
+            for query, status, matured_at in blob["done"]:
                 system._queries[query.query_id] = query
-                system._status[query.query_id] = QueryStatus(item["status"])
-                if item.get("matured_at") is not None:
-                    system._maturity_times[query.query_id] = int(item["matured_at"])
+                system._status[query.query_id] = status
+                if matured_at is not None:
+                    system._maturity_times[query.query_id] = matured_at
         t_recover = system._profiler.start()
         system._bind_executor()
-        system.executor.start(system._shard_configs(), snapshots=list(blobs))
+        system.executor.start(system._shard_configs(), snapshots=list(snapshot["shard_blobs"]))
         system._profiler.stop("recover", t_recover)
         if system._sanitize:
             system._sanitize_check()
@@ -764,3 +738,68 @@ class ShardedRTSSystem:
             f"executor={self.executor.name!r}, alive={self.alive_count}, "
             f"now={self._clock})"
         )
+
+
+def _check_shard_snapshot(snapshot) -> List[Dict[str, object]]:
+    """Check a whole :meth:`ShardedRTSSystem.snapshot` payload before
+    anything is built from it; returns each shard blob decoded (see
+    :func:`~repro.core.serialize.check_snapshot`).  A missing, mistyped
+    or inconsistent field raises ValueError naming it."""
+    from ..core.serialize import (
+        _checked_id,
+        _checked_records,
+        _checked_value,
+        _field_error,
+        check_snapshot,
+    )
+
+    if not isinstance(snapshot, dict):
+        raise ValueError(f"not an {SHARD_SNAPSHOT_FORMAT} payload: a {type(snapshot).__name__}")
+    if snapshot.get("format") != SHARD_SNAPSHOT_FORMAT:
+        raise ValueError(
+            f"not an {SHARD_SNAPSHOT_FORMAT} payload: format={snapshot.get('format')!r}"
+        )
+    shards = _checked_value(snapshot.get("shards"), "shards", low=1)
+    engine = {
+        "dims": _checked_value(snapshot.get("dims"), "dims", low=1),
+        "engine": _checked_value(snapshot.get("engine"), "engine", str),
+        "engine_options": _checked_value(
+            snapshot.get("engine_options", {}), "engine_options", dict
+        ),
+    }
+    _checked_value(snapshot.get("executor", "serial"), "executor", str)
+    _checked_value(snapshot.get("clock"), "clock", low=0)
+    _checked_value(snapshot.get("next_seq"), "next_seq", low=0)
+    policy = _checked_value(snapshot.get("policy"), "policy", dict)
+    try:
+        make_policy(dict(policy), shards)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _field_error("policy", f"is not a partition policy: {exc}") from None
+    routed = _checked_value(snapshot.get("elements_routed", [0] * shards), "elements_routed", list)
+    if len(routed) != shards or not all(type(v) is int and v >= 0 for v in routed):
+        raise _field_error("elements_routed", f"must hold {shards} counts, got {routed!r}")
+    listed = set()
+    for at, rec in _checked_records(snapshot.get("alive"), "alive"):
+        listed.add(_checked_id(rec.get("id"), f"{at}.id"))
+        if _checked_value(rec.get("owner"), f"{at}.owner", low=0) >= shards:
+            raise _field_error(f"{at}.owner", f"names no shard of {shards}")
+        _checked_value(rec.get("seq"), f"{at}.seq", low=0)
+    blobs = _checked_value(snapshot.get("shard_blobs"), "shard_blobs", list)
+    if len(blobs) != shards:
+        raise _field_error("shard_blobs", f"must hold {shards} shard snapshots")
+    decoded = []
+    for k, blob in enumerate(blobs):
+        path = f"shard_blobs[{k}]"
+        fields = check_snapshot(blob, path)
+        if any(fields[key] != value for key, value in engine.items()):
+            raise _field_error(path, "runs another engine than the system")
+        for query, _consumed in fields["alive"]:
+            if query.query_id not in listed:
+                raise _field_error(
+                    path,
+                    f"holds alive query {query.query_id!r}, which 'alive' does "
+                    f"not list or an earlier shard holds",
+                )
+            listed.discard(query.query_id)
+        decoded.append(fields)
+    return decoded

@@ -7,8 +7,10 @@ only state that ever crosses the process boundary is
   :mod:`repro.core.serialize` (the model classes are deliberately
   immutable and refuse default pickling);
 * **element slices**, as compact ``(values, weights, timestamps)``
-  arrays — numpy buffers when the batch is vectorizable, plain tuples
-  otherwise;
+  triples: the float64 value rows and the weights of the slice, as
+  :class:`~repro.core.batch.PreparedBatch` packed them (int64, or Python
+  ints in an object array when one is beyond int64), and the global
+  arrival indices;
 * **maturity events**, as ``(query_id, timestamp, weight_seen)`` key
   triples; the router re-materialises full
   :class:`~repro.core.events.MaturityEvent` records from its own query
@@ -21,14 +23,9 @@ of dominating it (see the cost model in ``docs/SHARDING.md``).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ..streams.element import StreamElement
-
-try:  # numpy ships with the package; tolerate its absence like core.batch
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None
 
 #: One maturity event on the wire: (query_id, global timestamp, W(q)).
 EventKey = Tuple[object, int, int]
@@ -46,36 +43,20 @@ class ShardSlice:
 
     __slots__ = ("elements", "timestamps", "values", "weights")
 
-    def __init__(
-        self,
-        elements: List[StreamElement],
-        timestamps: Sequence[int],
-        values=None,
-        weights=None,
-    ):
+    def __init__(self, elements: List[StreamElement], timestamps: Sequence[int], values, weights):
         self.elements = elements
         self.timestamps = timestamps
-        #: Optional pre-sliced numpy mirrors (vectorizable batches only);
-        #: the parallel executor ships these instead of repacking.
+        #: the slice's rows of the batch's packed arrays; the parallel
+        #: executor ships these instead of repacking
         self.values = values
         self.weights = weights
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def encode(self) -> Tuple[object, object, List[int]]:
-        """Wire form: ``(values, weights, timestamps)``.
-
-        ``values``/``weights`` are numpy arrays when available (compact
-        binary pickling), else parallel tuples of the raw Python values.
-        """
-        if self.values is not None and self.weights is not None:
-            return (self.values, self.weights, self.timestamps)
-        return (
-            tuple(e.value for e in self.elements),
-            tuple(e.weight for e in self.elements),
-            self.timestamps,
-        )
+    def encode(self) -> Tuple[object, object, Sequence[int]]:
+        """Wire form: ``(values, weights, timestamps)``."""
+        return (self.values, self.weights, self.timestamps)
 
 
 def decode_elements(values, weights) -> List[StreamElement]:
@@ -83,30 +64,14 @@ def decode_elements(values, weights) -> List[StreamElement]:
 
     The parent validated every element before routing, so this skips the
     constructor's re-validation: elements are assembled directly into the
-    slots.  ``values`` rows are coordinate tuples (or bare floats for the
-    numpy 1-D fast path).
+    slots.
     """
     out: List[StreamElement] = []
     new = StreamElement.__new__
     setattr_ = object.__setattr__
-    if _np is not None and isinstance(values, _np.ndarray):
-        weights = weights.tolist()
-        if values.ndim == 1:
-            for v, w in zip(values.tolist(), weights):
-                e = new(StreamElement)
-                setattr_(e, "value", (v,))
-                setattr_(e, "weight", w)
-                out.append(e)
-            return out
-        for row, w in zip(values.tolist(), weights):
-            e = new(StreamElement)
-            setattr_(e, "value", tuple(row))
-            setattr_(e, "weight", w)
-            out.append(e)
-        return out
-    for v, w in zip(values, weights):
+    for row, w in zip(values.tolist(), weights.tolist()):
         e = new(StreamElement)
-        setattr_(e, "value", v if isinstance(v, tuple) else tuple(v))
+        setattr_(e, "value", tuple(row))
         setattr_(e, "weight", w)
         out.append(e)
     return out

@@ -111,20 +111,8 @@ def process(
     start = time.perf_counter()  # rtscheck: disable=det-wallclock
     from ..core.batch import PreparedBatch
 
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - numpy ships with the package
-        _np = None
-
-    elements = decode_elements(values, weights)
-    if _np is not None and isinstance(values, _np.ndarray):
-        # Keep the columnar view alive across the wire: the shard's dt
-        # engines descend their columnar trees straight off these
-        # arrays.  1-D wire payloads are the (n,) fast form of (n, 1).
-        rows = values if values.ndim == 2 else values.reshape(-1, 1)
-        prepared = PreparedBatch.from_arrays(elements, rows, weights)
-    else:
-        prepared = PreparedBatch.from_arrays(elements, None, None)
+    # The shard's engines descend straight off the wire arrays.
+    prepared = PreparedBatch.from_arrays(decode_elements(values, weights), values, weights)
     base = _SYSTEM.now
     events = _SYSTEM.process_batch(prepared)
     keys = [

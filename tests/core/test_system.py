@@ -109,8 +109,8 @@ class TestStreaming:
 
     @pytest.mark.parametrize("prepared", [False, True])
     def test_batch_weight_reported_exactly(self, prepared):
-        # Vectorizable batches weigh under 2^53: the packed int64 sum is
-        # exact, like the Python one over the elements.
+        # The packed batch's total is exact, like the Python sum over the
+        # elements (tests/core/test_heavy_batches.py goes past 2^63).
         obs = Observability()
         system = RTSSystem(dims=1, observability=obs)
         system.register([(0, 10)], threshold=1 << 60)

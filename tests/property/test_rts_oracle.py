@@ -20,8 +20,8 @@ the naive per-query scan, the oracle — one element at a time.
 
 The generators lean on the hard cases: element coordinates on a small
 grid that the endpoints share, open, closed and unbounded bounds,
-duplicate rectangles, and weights large enough to cover many slacks in
-one step.  Named cases pin a maturity-driven rebuild inside one batch
+duplicate rectangles, weights large enough to cover many slacks in one
+step, and a rare heavy tier of weights and thresholds near 2^62.  Named cases pin a maturity-driven rebuild inside one batch
 and a 2-D batch whose last dimension sees its elements out of arrival
 order.
 """
@@ -39,6 +39,16 @@ ENGINES_2D = ["baseline", "dt", "dt-scan", "dt-static", "rtree", "seg-intv-tree"
 
 COORD = st.integers(0, 12)
 KINDS = ["closed", "half_open", "open", "left_open", "at_least"]
+#: The rare heavy tier: weights up to 2^62 and thresholds of that order,
+#: so some batches weigh past 2^53 and 2^63 and trees take overflow
+#: rebuilds (the DT counters are int64).
+HEAVY_WEIGHT = st.one_of(st.integers(1 << 50, 1 << 62), st.integers((1 << 62) - 8, 1 << 62))
+HEAVY_TAU = st.integers(1 << 60, (1 << 63) - 1)
+
+
+def _rare(draw):
+    """True about once in 8 draws (shrinks toward False)."""
+    return draw(st.integers(0, 7)) == 7
 
 
 def _interval(a, b, kind):
@@ -65,13 +75,19 @@ def scripts(draw, dims):
                     [_interval(draw(COORD), draw(COORD), draw(st.sampled_from(KINDS))) for _ in range(dims)]
                 )
                 rects.append(rect)
-            tau = draw(st.one_of(st.integers(1, 40), st.integers(100, 3000)))
+            if _rare(draw):
+                tau = draw(HEAVY_TAU)
+            else:
+                tau = draw(st.one_of(st.integers(1, 40), st.integers(100, 3000)))
             ops.append(("reg", Query(rect, tau, query_id=n_queries)))
             n_queries += 1
         elif kind == "el":
             value = tuple(float(draw(COORD)) for _ in range(dims))
             # Now and then one weight covers many slacks at once.
-            weight = draw(st.one_of(st.integers(1, 4), st.integers(1, 4), st.integers(20, 600)))
+            if _rare(draw):
+                weight = draw(HEAVY_WEIGHT)
+            else:
+                weight = draw(st.one_of(st.integers(1, 4), st.integers(1, 4), st.integers(20, 600)))
             ops.append(("el", StreamElement(value if dims > 1 else value[0], weight)))
         else:
             ops.append(("term", draw(st.integers(0, max(0, n_queries - 1)))))
